@@ -6,7 +6,6 @@ from .graph import (
     GraphError,
     ShapeMismatch,
     Var,
-    assert_finite,
     backward,
     concat,
     forward_eval,
@@ -32,7 +31,6 @@ __all__ = [
     "GraphError",
     "ShapeMismatch",
     "Var",
-    "assert_finite",
     "backward",
     "concat",
     "forward_eval",

@@ -511,7 +511,3 @@ def l2_normalize(x: Var, axis: int = -1, eps: float = SQRT_GUARD_EPS) -> Var:
     norm = (x * x).sum(axis=axis, keepdims=True).sqrt_guard(eps)
     return x / norm
 
-
-def assert_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {what}")

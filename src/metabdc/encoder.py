@@ -14,7 +14,7 @@ Heads:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,15 +87,6 @@ class FeatureMap:
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
             raise ValueError(f"feature map must be (d, m), got shape {self.values.shape}")
-
-
-@dataclass(frozen=True)
-class ProjectionVector:
-    values: np.ndarray  # (p,), unit norm
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 1:
-            raise ValueError("projection must be a vector")
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
@@ -188,17 +179,6 @@ def encode(images: np.ndarray, config: EncoderConfig, params: dict[str, np.ndarr
     g.mark_output("fm", fm)
     out = forward_eval(g, {"images": nchw})["fm"]
     return [FeatureMap(out[i]) for i in range(out.shape[0])]
-
-
-def project(fmap: FeatureMap, config: EncoderConfig, params: dict[str, np.ndarray]) -> ProjectionVector:
-    """Feature map -> unit-norm projection; errors on an all-zero embedding."""
-    pooled = fmap.values.mean(axis=1)
-    hidden = np.maximum(pooled @ params["proj_w1"] + params["proj_b1"], 0)
-    raw = hidden @ params["proj_w2"] + params["proj_b2"]
-    norm = np.sqrt(np.sum(raw * raw))
-    if norm < 1e-12:
-        raise ValueError("projection input collapsed to the zero vector")
-    return ProjectionVector(raw / norm)
 
 
 def classify(fmap: FeatureMap, params: dict[str, np.ndarray]) -> np.ndarray:

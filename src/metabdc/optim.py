@@ -67,71 +67,6 @@ def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: fl
 # AUC-margin loss
 
 
-@dataclass
-class AucMState:
-    a: float = 0.0
-    b: float = 0.0
-    alpha: float = 0.0
-    margin: float = 1.0
-    p_hat: float | None = None  # positive fraction; estimated per batch when None
-
-    def __post_init__(self) -> None:
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.p_hat is not None and not 0.0 < self.p_hat < 1.0:
-            raise ValueError("p_hat must lie in (0, 1)")
-
-
-def aucm_loss(scores: np.ndarray, labels: np.ndarray, state: AucMState) -> tuple[float, dict]:
-    """AUC-margin loss and its analytic gradients.
-
-    Returns (loss, grads) with grads under keys "scores", "a", "b", "alpha".
-    A single-class batch contributes only its class-conditional terms; an
-    empty batch is an error.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
-        raise ValueError(f"scores {scores.shape} and labels {labels.shape} must be matching vectors")
-    n = scores.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    pos = labels == 1
-    neg = labels == 0
-    if not np.all(pos | neg):
-        raise ValueError("labels must be 0 or 1")
-    n_pos = int(pos.sum())
-    n_neg = int(neg.sum())
-    p = state.p_hat if state.p_hat is not None else n_pos / n
-    a, b, alpha, m = state.a, state.b, state.alpha, state.margin
-
-    loss = 2.0 * alpha * m * p * (1.0 - p) - p * (1.0 - p) * alpha * alpha
-    g_scores = np.zeros_like(scores)
-    g_a = 0.0
-    g_b = 0.0
-    g_alpha = 2.0 * m * p * (1.0 - p) - 2.0 * p * (1.0 - p) * alpha
-
-    if n_pos:
-        dev = scores[pos] - a
-        loss += (1.0 - p) * float(np.mean(dev * dev))
-        loss += -2.0 * alpha * (1.0 - p) * float(np.mean(scores[pos]))
-        g_scores[pos] = (1.0 - p) * 2.0 * dev / n_pos - 2.0 * alpha * (1.0 - p) / n_pos
-        g_a = -2.0 * (1.0 - p) * float(np.mean(dev))
-        g_alpha += -2.0 * (1.0 - p) * float(np.mean(scores[pos]))
-    if n_neg:
-        dev = scores[neg] - b
-        loss += p * float(np.mean(dev * dev))
-        loss += 2.0 * alpha * p * float(np.mean(scores[neg]))
-        g_scores[neg] = p * 2.0 * dev / n_neg + 2.0 * alpha * p / n_neg
-        g_b = -2.0 * p * float(np.mean(dev))
-        g_alpha += 2.0 * p * float(np.mean(scores[neg]))
-
-    grads = {"scores": g_scores, "a": g_a, "b": g_b, "alpha": g_alpha}
-    return float(loss), grads
-
-
 def aucm_loss_graph(
     g: Graph,
     scores: Var,
@@ -144,14 +79,17 @@ def aucm_loss_graph(
 ) -> Var:
     """In-graph AUC-margin loss over a score vector node.
 
-    Mirrors aucm_loss so gradients flow into whatever produced the scores;
-    a, b, alpha are scalar parameter nodes (shape (1,)).
+    Gradients flow into whatever produced the scores; a, b, alpha are
+    scalar parameter nodes (shape (1,)). A single-class batch contributes
+    only its class-conditional terms; an empty batch is an error.
     """
     labels = np.asarray(labels)
     pos = labels == 1
     neg = labels == 0
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
+    if not np.all(pos | neg):
+        raise ValueError("labels must be 0 or 1")
     if n_pos + n_neg == 0:
         raise ValueError("empty batch")
     p = p_hat if p_hat is not None else n_pos / (n_pos + n_neg)

@@ -167,25 +167,6 @@ class PartitionMatrix:
         return self.subset_indices(0).size == 0 or self.subset_indices(1).size == 0
 
 
-class PartitionSet:
-    """Ordered, strictly growing list of partitions; starts trivial."""
-
-    def __init__(self, n: int):
-        self.partitions: list[PartitionMatrix] = [PartitionMatrix.trivial(n)]
-        self.n = n
-
-    def append(self, partition: PartitionMatrix) -> None:
-        if partition.n != self.n:
-            raise ValueError(f"partition over {partition.n} samples, set covers {self.n}")
-        self.partitions.append(partition)
-
-    def __len__(self) -> int:
-        return len(self.partitions)
-
-    def __iter__(self):
-        return iter(self.partitions)
-
-
 @dataclass(frozen=True)
 class IpIrmConfig:
     lambda1: float = 0.2
@@ -211,81 +192,20 @@ class IpIrmConfig:
             raise ValueError("partition search budget must be positive")
 
 
-@dataclass(frozen=True)
-class SslBatch:
-    """Index-aligned projection batches for the two views, plus subset ids."""
-
-    view_a: np.ndarray  # (B, p) unit rows
-    view_b: np.ndarray  # (B, p)
-    subset_ids: np.ndarray  # (B,) values in {0, 1}
-
-    def __post_init__(self) -> None:
-        if self.view_a.shape != self.view_b.shape:
-            raise ValueError("views must be index-aligned with equal shapes")
-        if self.subset_ids.shape[0] != self.view_a.shape[0]:
-            raise ValueError("subset ids must cover the batch")
-
-
 def _denominator_columns(size: int) -> np.ndarray:
     """Per-row column picks into [S_aa | S_ab]: every column except own aa diagonal."""
-    cols = np.empty((size, 2 * size - 1), dtype=np.int64)
-    for i in range(size):
-        cols[i] = np.concatenate([np.delete(np.arange(size), i), size + np.arange(size)])
-    return cols
+    pos = np.arange(2 * size - 1, dtype=np.int64)
+    return pos + (pos >= np.arange(size)[:, None])
 
 
-def contrastive_loss(batch: SslBatch, k: int, theta: float, tau: float) -> float:
-    """Subsetwise two-view contrastive loss with dummy scalar theta.
+def _subset_terms_graph(g: Graph, za: Var, zb: Var, members: np.ndarray, tau: float) -> tuple[Var, Var]:
+    """Graph nodes for (loss, penalty) of one subset at theta = 1: the summed
+    two-view contrastive loss and its squared summed theta-derivative.
 
     Every member's positive is its own other-view embedding; the
     denominator runs over the member's subset companions in view A plus
     the whole subset in view B, excluding only the member itself.
     """
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    members = np.flatnonzero(batch.subset_ids == k)
-    if members.size == 0:
-        raise ValueError(f"subset {k} is empty (degenerate partition)")
-    za = batch.view_a[members].astype(np.float64)
-    zb = batch.view_b[members].astype(np.float64)
-    s = members.size
-    s_ab = za @ zb.T
-    terms = np.concatenate([za @ za.T, s_ab], axis=1)[np.arange(s)[:, None], _denominator_columns(s)]
-    x = terms * (theta / tau)
-    m = x.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
-    x_pos = np.diag(s_ab) * (theta / tau)
-    return float(np.sum(lse - x_pos))
-
-
-def theta_grad(batch: SslBatch, k: int, tau: float, theta: float = 1.0) -> float:
-    """Closed-form dL/dtheta of the subset loss at the given theta."""
-    members = np.flatnonzero(batch.subset_ids == k)
-    if members.size == 0:
-        raise ValueError(f"subset {k} is empty (degenerate partition)")
-    za = batch.view_a[members].astype(np.float64)
-    zb = batch.view_b[members].astype(np.float64)
-    s = members.size
-    s_ab = za @ zb.T
-    terms = np.concatenate([za @ za.T, s_ab], axis=1)[np.arange(s)[:, None], _denominator_columns(s)]
-    x = terms * (theta / tau)
-    x = x - x.max(axis=1, keepdims=True)
-    p = np.exp(x)
-    p /= p.sum(axis=1, keepdims=True)
-    expected = (p * terms).sum(axis=1)
-    return float(np.sum(expected - np.diag(s_ab)) / tau)
-
-
-def irm_penalty(batch: SslBatch, k: int, tau: float) -> float:
-    """(dL/dtheta at theta = 1)^2; nonnegative, zero iff the derivative is."""
-    g = theta_grad(batch, k, tau, theta=1.0)
-    return g * g
-
-
-def _subset_terms_graph(g: Graph, za: Var, zb: Var, members: np.ndarray, tau: float) -> tuple[Var, Var]:
-    """Graph nodes for (loss, penalty) of one subset at theta = 1."""
     s = members.size
     za_k = za.gather(members)
     zb_k = zb.gather(members)
@@ -333,7 +253,7 @@ def _embed_batch_graph(
 def update_representation(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
-    partitions: PartitionSet,
+    partitions: list[PartitionMatrix],
     batch_stream,
     config: IpIrmConfig,
     lr: float,
@@ -402,6 +322,43 @@ def update_representation(
 # partition search
 
 
+def _partition_objective_graph(
+    g: Graph, w1: Var, za: np.ndarray, zb: np.ndarray, lambda2: float, tau: float
+) -> Var:
+    """Graph node for the partition objective at membership weights w1 (first
+    subset) and 1 - w1 (second): per subset, the membership-weighted mean
+    contrastive loss + lambda2 * (weighted mean theta-derivative)^2. At 0/1
+    weights it is the hard objective of that partition; a weight vector
+    with all its mass in one subset leaves the other's mean undefined.
+    """
+    za = np.asarray(za, dtype=np.float64)
+    zb = np.asarray(zb, dtype=np.float64)
+    n = za.shape[0]
+    s_ab = za @ zb.T
+    all_cols = _denominator_columns(n)
+    # row i of [S_aa | S_ab] restricted to its denominator columns
+    T = np.concatenate([za @ za.T, s_ab], axis=1)[np.arange(n)[:, None], all_cols]
+    expT = np.exp(T / tau)
+    s_pos = np.diag(s_ab)
+    exp_terms, exp_terms_T = g.constant(expT), g.constant(expT * T)
+    pos, pos_logit = g.constant(s_pos), g.constant(s_pos / tau)
+    # source sample index of each denominator column (for membership weights)
+    src = np.where(all_cols < n, all_cols, all_cols - n).ravel()
+
+    obj = None
+    for w in (w1, 1.0 - w1):
+        w_cols = w.gather(src).reshape((n, 2 * n - 1))
+        den = (w_cols * exp_terms).sum(axis=1)
+        per_sample = den.log() - pos_logit
+        mass = w.sum()
+        loss = (w * per_sample).sum() / mass
+        expected = (w_cols * exp_terms_T).sum(axis=1) / den
+        grad_theta = ((w * (expected - pos)).sum() / mass) * (1.0 / tau)
+        term = loss + lambda2 * grad_theta * grad_theta
+        obj = term if obj is None else obj + term
+    return obj
+
+
 def eval_partition_objective(
     za: np.ndarray, zb: np.ndarray, in_first: np.ndarray, lambda2: float, tau: float
 ) -> float:
@@ -410,14 +367,15 @@ def eval_partition_objective(
     the relaxation of find_partition_embeddings at hard 0/1 weights.
     Degenerate partitions are invalid."""
     in_first = np.asarray(in_first, dtype=bool)
-    ids = np.where(in_first, 0, 1)
-    batch = SslBatch(view_a=za, view_b=zb, subset_ids=ids)
-    total = 0.0
-    for k in (0, 1):
-        size = int(np.count_nonzero(ids == k))
-        total += contrastive_loss(batch, k, theta=1.0, tau=tau) / size
-        total += lambda2 * irm_penalty(batch, k, tau) / (size * size)
-    return total
+    n = np.shape(za)[0]
+    if in_first.shape != (n,):
+        raise ValueError(f"mask of shape {in_first.shape} does not cover {n} samples")
+    if in_first.all() or not in_first.any():
+        raise ValueError("degenerate partition: one subset is empty")
+    g = Graph()
+    obj = _partition_objective_graph(g, g.constant(in_first.astype(np.float64)), za, zb, lambda2, tau)
+    forward_eval(g)
+    return float(obj.value)
 
 
 _ADAM_B1, _ADAM_B2 = 0.9, 0.999
@@ -439,42 +397,19 @@ def find_partition_embeddings(
     is Adam (per-coordinate step about `partition_lr` whatever n is).
     All-degenerate outcomes error.
     """
-    za = np.asarray(za, dtype=np.float64)
-    zb = np.asarray(zb, dtype=np.float64)
-    n = za.shape[0]
+    n = np.shape(za)[0]
     if n < 2:
         raise ValueError("partition search needs at least 2 samples")
 
-    s_ab = za @ zb.T
-    all_cols = _denominator_columns(n)
-    # row i of [S_aa | S_ab] restricted to its denominator columns
-    T = np.concatenate([za @ za.T, s_ab], axis=1)[np.arange(n)[:, None], all_cols]
-    expT = np.exp(T / config.tau)
-    s_pos = np.diag(s_ab)
-    # source sample index of each denominator column (for membership weights)
-    src = np.where(all_cols < n, all_cols, all_cols - n)
-
+    logits_val = np.zeros(n)
+    g = Graph()
+    logits = g.parameter("logits", logits_val)
+    obj = _partition_objective_graph(g, logits.sigmoid(), za, zb, config.lambda2, config.tau)
     best_obj = -np.inf
     best_mask: np.ndarray | None = None
     for restart in range(config.partition_restarts):
         gen = rng.child(restart).generator()
-        logits_val = gen.normal(size=n) * 0.5
-        g = Graph()
-        logits = g.parameter("logits", logits_val)
-        w1 = logits.sigmoid()
-        w2 = 1.0 - w1
-        obj = None
-        for w in (w1, w2):
-            w_cols = w.gather(src.ravel()).reshape((n, 2 * n - 1))
-            weighted = w_cols * g.constant(expT)
-            den = weighted.sum(axis=1)
-            per_sample = den.log() - g.constant(s_pos / config.tau)
-            mass = w.sum() + 1e-9
-            loss = (w * per_sample).sum() / mass
-            expected = (w_cols * g.constant(expT * T)).sum(axis=1) / den
-            grad_theta = ((w * (expected - g.constant(s_pos))).sum() / mass) * (1.0 / config.tau)
-            term = loss + config.lambda2 * grad_theta * grad_theta
-            obj = term if obj is None else obj + term
+        logits_val[:] = gen.normal(size=n) * 0.5
         first = np.zeros(n)
         second = np.zeros(n)
         for t in range(1, config.partition_steps + 1):
@@ -485,7 +420,8 @@ def find_partition_embeddings(
             m_hat = first / (1.0 - _ADAM_B1**t)
             v_hat = second / (1.0 - _ADAM_B2**t)
             logits_val += config.partition_lr * m_hat / (np.sqrt(v_hat) + 1e-12)
-            # sigmoid saturates far earlier; keeps the weighted denominators > 0
+            # sigmoid saturates far earlier; keeps every weight, so each
+            # subset's mass and weighted denominators, above 0
             np.clip(logits_val, -30.0, 30.0, out=logits_val)
         in_first = 1.0 / (1.0 + np.exp(-logits_val)) >= 0.5
         if in_first.all() or (~in_first).all():
@@ -528,7 +464,7 @@ def pretrain(
     rng: SeededRng,
     dtype=np.float32,
     init: dict[str, np.ndarray] | None = None,
-) -> tuple[dict[str, np.ndarray], PartitionSet, list[TraceRow]]:
+) -> tuple[dict[str, np.ndarray], list[PartitionMatrix], list[TraceRow]]:
     """Full pretraining: a training phase, then (search + train) rounds.
 
     simclr mode forces lambda1 = 0 and zero search rounds, which is exactly
@@ -554,7 +490,7 @@ def pretrain(
         params = init_params(enc_cfg, rng.child(0), dtype=dtype)
     else:
         params = {k: np.array(v, dtype=dtype) for k, v in init.items()}
-    partitions = PartitionSet(n)
+    partitions = [PartitionMatrix.trivial(n)]
     trace: list[TraceRow] = []
     epoch = 0
     step = 0

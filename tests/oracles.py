@@ -1,0 +1,70 @@
+"""Literal-loop reference implementations shared by the tests.
+
+Each oracle restates its formula term by term and shares no code with the
+package, so comparing against one checks the package's vectorized graph
+form against the definition. `subset_terms` evaluates the production
+graph on fixed embeddings so tests can compare the two.
+"""
+
+import numpy as np
+
+from metabdc.core import Graph, forward_eval
+from metabdc.ssl import _subset_terms_graph
+
+
+def unit_rows(gen: np.random.Generator, n: int, p: int) -> np.ndarray:
+    z = gen.normal(size=(n, p))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _literal_loss(za, zb, members, theta, tau):
+    total = 0.0
+    for i in members:
+        num = np.exp(float(za[i] @ zb[i]) * theta / tau)
+        den = 0.0
+        for j in members:
+            if j != i:
+                den += np.exp(float(za[i] @ za[j]) * theta / tau)
+        for j in members:
+            den += np.exp(float(za[i] @ zb[j]) * theta / tau)
+        total += -np.log(num / den)
+    return total
+
+
+def contrastive_oracle(za, zb, members, theta, tau):
+    """Subset contrastive loss with dummy scale theta, summed term by term:
+    each member's positive is its other view; its denominator runs over the
+    subset in view A except itself plus the whole subset in view B."""
+    return float(_literal_loss(za, zb, members, theta, tau))
+
+
+def complex_theta_grad(za, zb, members, tau):
+    """Complex-step derivative of the literal subset loss over theta at 1."""
+    h = 1e-20
+    return float(np.imag(_literal_loss(za, zb, members, 1.0 + 1j * h, tau)) / h)
+
+
+def subset_terms(za, zb, members, tau) -> tuple[float, float]:
+    """(loss, penalty) of the production training graph for one subset."""
+    g = Graph()
+    loss, penalty = _subset_terms_graph(g, g.constant(za), g.constant(zb), np.asarray(members), tau)
+    forward_eval(g)
+    return float(loss.value), float(penalty.value)
+
+
+def aucm_oracle(scores, labels, a, b, alpha, margin, p_hat=None):
+    """AUC-margin loss from its closed form, one score at a time: squared
+    deviations of positives from a and negatives from b, a dual term alpha
+    on the margin between class means, and -p(1-p) alpha^2; a class absent
+    from the batch drops its conditional terms."""
+    pos = [float(s) for s, y in zip(scores, labels) if y == 1]
+    neg = [float(s) for s, y in zip(scores, labels) if y == 0]
+    p = p_hat if p_hat is not None else len(pos) / (len(pos) + len(neg))
+    loss = 2.0 * alpha * margin * p * (1.0 - p) - p * (1.0 - p) * alpha * alpha
+    if pos:
+        loss += (1.0 - p) * sum((s - a) ** 2 for s in pos) / len(pos)
+        loss -= 2.0 * alpha * (1.0 - p) * sum(pos) / len(pos)
+    if neg:
+        loss += p * sum((s - b) ** 2 for s in neg) / len(neg)
+        loss += 2.0 * alpha * p * sum(neg) / len(neg)
+    return loss

@@ -13,10 +13,10 @@ from metabdc.encoder import (
     init_classifier,
     init_params,
     load_encoder_checkpoint,
-    project,
     project_head,
     save_encoder_checkpoint,
 )
+from metabdc.ssl import _embed_dataset
 
 TINY = EncoderConfig(height=8, width=8, channels=1, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
 
@@ -70,18 +70,12 @@ def test_encode_rejects_wrong_shape():
         encode(np.zeros((2, 9, 8, 1), dtype=np.float32), cfg, params)
 
 
-def test_project_unit_norm_and_zero_error():
-    cfg = TINY
-    params = init_params(cfg, SeededRng(3), dtype=np.float64)
-    rng = SeededRng(4).generator()
-    fm = FeatureMap(rng.normal(size=(cfg.feature_dim, cfg.num_positions)))
-    vec = project(fm, cfg, params)
-    assert abs(np.linalg.norm(vec.values) - 1.0) <= 1e-9
-
-    # all-zero pre-normalization: zero weights and biases collapse the embedding
-    dead = {k: np.zeros_like(v) for k, v in params.items()}
-    with pytest.raises(ValueError):
-        project(fm, cfg, dead)
+def test_projection_unit_norm():
+    params = init_params(TINY, SeededRng(3), dtype=np.float64)
+    images = SeededRng(4).generator().normal(size=(6, TINY.height, TINY.width, TINY.channels))
+    z = _embed_dataset(images, params, TINY)
+    assert z.shape == (6, TINY.proj_dim)
+    np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
 
 
 def test_classify_zero_weights_zero_scores():

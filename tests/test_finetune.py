@@ -23,7 +23,7 @@ from metabdc.finetune import (
     supervised_finetune,
     supervised_pretrain_ce,
 )
-from metabdc.optim import AucMState, aucm_loss
+from oracles import aucm_oracle
 
 ENC = EncoderConfig(height=8, width=8, channels=1, stages=((2, 3, 2),), proj_hidden=8, proj_dim=4)
 
@@ -106,9 +106,7 @@ class TestEpisodeLossOracles:
         labels = np.array([episode.class_list.index(q.fine) for q in episode.query])
         want = 0.0
         for way in range(episode.n_way):
-            state = AucMState(margin=1.0, p_hat=1.0 / episode.n_way)
-            loss, _ = aucm_loss(z[:, way], (labels == way).astype(np.int64), state)
-            want += loss
+            want += aucm_oracle(z[:, way], (labels == way).astype(np.int64), 0.0, 0.0, 0.0, 1.0, 1.0 / episode.n_way)
         assert abs(got - want) < 1e-10
 
     def test_ce_loss_grad_matches_central_difference(self):

@@ -1,7 +1,5 @@
 """Schedules, AUC-margin loss, PESG, AUROC, and aggregation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +9,16 @@ from metabdc.core import Graph, backward, forward_eval
 from metabdc.imageops import crop_with_padding, resize_bilinear
 from metabdc.metrics import aggregate_episode_metrics, auroc_binary, auroc_multiclass_ovr
 from metabdc.optim import (
-    AucMState,
     PesgConfig,
     PesgState,
     ScheduleConfig,
-    aucm_loss,
     aucm_loss_graph,
     lr_from_batch,
     pesg_step,
     schedule_lr,
     sgd_step,
 )
+from oracles import aucm_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +88,23 @@ def test_sgd_step_shape_mismatch():
 # AUC-margin loss
 
 
+def graph_aucm(scores, labels, a=0.0, b=0.0, alpha=0.0, margin=1.0, p_hat=None):
+    """aucm_loss_graph on fixed values: (loss, grads over scores, a, b, alpha)."""
+    g = Graph()
+    point = {
+        "scores": np.array(scores, dtype=np.float64),
+        "a": np.array([a]),
+        "b": np.array([b]),
+        "alpha": np.array([alpha]),
+    }
+    refs = {k: g.parameter(k, v) for k, v in point.items()}
+    loss = aucm_loss_graph(g, refs["scores"], labels, refs["a"], refs["b"], refs["alpha"], margin, p_hat)
+    forward_eval(g)
+    return float(loss.value), backward(g, loss)
+
+
 def test_aucm_perfect_separation_zero_loss():
-    scores = np.array([1.0, 1.0, 0.0, 0.0])
-    labels = np.array([1, 1, 0, 0])
-    state = AucMState(a=1.0, b=0.0, alpha=0.0)
-    loss, _ = aucm_loss(scores, labels, state)
+    loss, _ = graph_aucm(np.array([1.0, 1.0, 0.0, 0.0]), np.array([1, 1, 0, 0]), a=1.0, b=0.0, alpha=0.0)
     assert loss == pytest.approx(0.0, abs=1e-14)
 
 
@@ -103,32 +112,16 @@ def test_aucm_alpha_zero_reduces_to_deviations():
     gen = np.random.default_rng(3)
     scores = gen.normal(size=8)
     labels = np.array([1, 1, 1, 0, 0, 0, 0, 0])
-    state = AucMState(a=0.4, b=-0.2, alpha=0.0)
-    loss, _ = aucm_loss(scores, labels, state)
+    loss, _ = graph_aucm(scores, labels, a=0.4, b=-0.2, alpha=0.0)
     p = 3 / 8
     expect = (1 - p) * np.mean((scores[:3] - 0.4) ** 2) + p * np.mean((scores[3:] + 0.2) ** 2)
     assert loss == pytest.approx(expect, rel=1e-12)
 
 
-def _fd_aucm(scores, labels, state, eps=1e-6):
-    """Central differences in every coordinate of (scores, a, b, alpha)."""
-    num_scores = np.zeros_like(scores)
-    for i in range(scores.shape[0]):
-        hi = scores.copy()
-        lo = scores.copy()
-        hi[i] += eps
-        lo[i] -= eps
-        num_scores[i] = (aucm_loss(hi, labels, state)[0] - aucm_loss(lo, labels, state)[0]) / (2 * eps)
-    num_scalar = {}
-    for name in ("a", "b", "alpha"):
-        s_hi = dataclasses.replace(state, **{name: getattr(state, name) + eps})
-        s_lo = dataclasses.replace(state, **{name: getattr(state, name) - eps})
-        num_scalar[name] = (aucm_loss(scores, labels, s_hi)[0] - aucm_loss(scores, labels, s_lo)[0]) / (2 * eps)
-    return num_scores, num_scalar
-
-
 def test_aucm_gradients_match_finite_differences():
+    """Graph gradients against central differences of the closed-form loss."""
     gen = np.random.default_rng(11)
+    eps = 1e-6
     for trial in range(20):
         n = int(gen.integers(4, 16))
         labels = np.zeros(n, dtype=np.int64)
@@ -136,25 +129,26 @@ def test_aucm_gradients_match_finite_differences():
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
         scores = gen.normal(size=n)
-        state = AucMState(
-            a=float(gen.normal()), b=float(gen.normal()), alpha=float(abs(gen.normal())) + 0.1
-        )
-        loss, grads = aucm_loss(scores, labels, state)
-        num_scores, num_scalar = _fd_aucm(scores, labels, state)
-        rel = np.abs(grads["scores"] - num_scores) / np.maximum(1.0, np.abs(num_scores))
-        assert rel.max() < 1e-5
+        point = {"a": float(gen.normal()), "b": float(gen.normal()), "alpha": float(abs(gen.normal())) + 0.1}
+        _, grads = graph_aucm(scores, labels, **point)
+        for i in range(n):
+            hi, lo = scores.copy(), scores.copy()
+            hi[i] += eps
+            lo[i] -= eps
+            num = (aucm_oracle(hi, labels, margin=1.0, **point) - aucm_oracle(lo, labels, margin=1.0, **point)) / (2 * eps)
+            assert abs(grads["scores"][i] - num) / max(1.0, abs(num)) < 1e-5, f"trial {trial}, score {i}"
         for name in ("a", "b", "alpha"):
-            r = abs(grads[name] - num_scalar[name]) / max(1.0, abs(num_scalar[name]))
-            assert r < 1e-5, f"trial {trial}, {name}"
+            hi = {**point, name: point[name] + eps}
+            lo = {**point, name: point[name] - eps}
+            num = (aucm_oracle(scores, labels, margin=1.0, **hi) - aucm_oracle(scores, labels, margin=1.0, **lo)) / (2 * eps)
+            assert abs(grads[name][0] - num) / max(1.0, abs(num)) < 1e-5, f"trial {trial}, {name}"
 
 
 def test_aucm_single_class_batch_keeps_conditional_terms():
     # all positives with an externally supplied p_hat: negative-conditional
     # terms must be absent, everything else present
     scores = np.array([0.5, 1.5])
-    labels = np.array([1, 1])
-    state = AucMState(a=1.0, b=0.0, alpha=0.5, margin=1.0, p_hat=0.25)
-    loss, grads = aucm_loss(scores, labels, state)
+    loss, grads = graph_aucm(scores, np.array([1, 1]), a=1.0, b=0.0, alpha=0.5, margin=1.0, p_hat=0.25)
     p = 0.25
     expect = (
         (1 - p) * np.mean((scores - 1.0) ** 2)
@@ -163,49 +157,27 @@ def test_aucm_single_class_batch_keeps_conditional_terms():
         - p * (1 - p) * 0.25
     )
     assert loss == pytest.approx(expect, rel=1e-12)
-    assert grads["b"] == 0.0
+    assert grads["b"][0] == 0.0
 
 
 def test_aucm_empty_batch_rejected():
     with pytest.raises(ValueError):
-        aucm_loss(np.array([]), np.array([]), AucMState())
+        graph_aucm(np.array([]), np.array([]))
 
 
 def test_aucm_bad_labels_rejected():
     with pytest.raises(ValueError):
-        aucm_loss(np.array([0.1, 0.2]), np.array([1, 2]), AucMState())
-
-
-def test_aucm_state_validation():
-    with pytest.raises(ValueError):
-        AucMState(margin=0.0)
-    with pytest.raises(ValueError):
-        AucMState(alpha=-0.1)
-    with pytest.raises(ValueError):
-        AucMState(p_hat=1.0)
+        graph_aucm(np.array([0.1, 0.2]), np.array([1, 2]))
 
 
 def test_aucm_graph_matches_analytic():
     gen = np.random.default_rng(7)
-    scores_val = gen.normal(size=9)
+    scores = gen.normal(size=9)
     labels = np.array([1, 0, 0, 1, 1, 0, 0, 0, 1])
-    a_val, b_val, al_val = 0.3, -0.4, 0.7
-
-    g = Graph()
-    scores = g.parameter("scores", scores_val.copy())
-    a = g.parameter("a", np.array([a_val]))
-    b = g.parameter("b", np.array([b_val]))
-    alpha = g.parameter("alpha", np.array([al_val]))
-    loss = aucm_loss_graph(g, scores, labels, a, b, alpha, margin=1.0)
-    forward_eval(g)
-    grads = backward(g, loss)
-
-    ref_loss, ref_grads = aucm_loss(scores_val, labels, AucMState(a=a_val, b=b_val, alpha=al_val))
-    assert float(loss.value) == pytest.approx(ref_loss, rel=1e-12)
-    np.testing.assert_allclose(grads["scores"], ref_grads["scores"], atol=1e-12)
-    assert grads["a"][0] == pytest.approx(ref_grads["a"], rel=1e-10, abs=1e-12)
-    assert grads["b"][0] == pytest.approx(ref_grads["b"], rel=1e-10, abs=1e-12)
-    assert grads["alpha"][0] == pytest.approx(ref_grads["alpha"], rel=1e-10, abs=1e-12)
+    for p_hat in (None, 0.3):
+        loss, _ = graph_aucm(scores, labels, a=0.3, b=-0.4, alpha=0.7, margin=1.5, p_hat=p_hat)
+        want = aucm_oracle(scores, labels, a=0.3, b=-0.4, alpha=0.7, margin=1.5, p_hat=p_hat)
+        assert loss == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +273,13 @@ def test_pesg_separable_toy_reaches_auroc_one():
     state = _toy_state()
     cfg = PesgConfig(lr=0.05)
     state.start_epoch(params, 0, cfg)
+    g = Graph()
+    refs = {k: g.parameter(k, v) for k, v in params.items()}  # updated in place by pesg_step
+    scores = g.constant(x) * refs["w"] + refs["c"]
+    loss = aucm_loss_graph(g, scores, y, refs["a"], refs["b"], refs["alpha"], margin=1.0)
     for _ in range(200):
-        scores = params["w"][0] * x + params["c"][0]
-        mstate = AucMState(a=params["a"][0], b=params["b"][0], alpha=params["alpha"][0])
-        _, g = aucm_loss(scores, y, mstate)
-        grads = {
-            "w": np.array([float(np.sum(g["scores"] * x))]),
-            "c": np.array([float(np.sum(g["scores"]))]),
-            "a": np.array([g["a"]]),
-            "b": np.array([g["b"]]),
-            "alpha": np.array([g["alpha"]]),
-        }
-        pesg_step(params, grads, state, cfg)
+        forward_eval(g)
+        pesg_step(params, backward(g, loss), state, cfg)
     final = params["w"][0] * x + params["c"][0]
     assert auroc_binary(final, y) == 1.0
 

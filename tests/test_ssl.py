@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from metabdc.config import ExperimentConfig
 from metabdc.core import SeededRng
-from metabdc.encoder import EncoderConfig, encode, init_params, project
+from metabdc.encoder import EncoderConfig, init_params
 from metabdc.experiment import prepare_splits
 from metabdc.optim import lr_from_batch
 from metabdc.ssl import (
@@ -19,19 +19,16 @@ from metabdc.ssl import (
     IDENTITY_AUGMENT,
     IpIrmConfig,
     PartitionMatrix,
-    PartitionSet,
-    SslBatch,
+    _denominator_columns,
     _embed_dataset,
     augment_views,
-    contrastive_loss,
     eval_partition_objective,
     find_partition_embeddings,
-    irm_penalty,
     pretrain,
-    theta_grad,
     update_representation,
     write_trace_csv,
 )
+from oracles import complex_theta_grad, contrastive_oracle, subset_terms, unit_rows
 
 TINY = EncoderConfig(height=8, width=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
 
@@ -48,16 +45,16 @@ def embedding_spread(z: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((z - z.mean(axis=0)) ** 2, axis=1))))
 
 
-def unit_rows(gen, n, p):
-    z = gen.normal(size=(n, p))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def random_batch(seed, n=6, p=4, ids=None):
+def random_views(seed, n=6, p=4):
     gen = np.random.default_rng(seed)
-    if ids is None:
-        ids = np.zeros(n, dtype=np.int64)
-    return SslBatch(view_a=unit_rows(gen, n, p), view_b=unit_rows(gen, n, p), subset_ids=ids)
+    return unit_rows(gen, n, p), unit_rows(gen, n, p)
+
+
+def flat_views(n):
+    """Every row the same unit vector: all similarities equal."""
+    v = np.zeros((n, 4))
+    v[:, 0] = 1.0
+    return v, v.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +151,6 @@ def test_partition_from_mask_rows_one_hot(mask):
     assert np.all(p.assignments.sum(axis=1) == 1)
 
 
-def test_partition_set_starts_trivial_and_grows():
-    ps = PartitionSet(4)
-    assert len(ps) == 1
-    assert ps.partitions[0].is_degenerate()  # trivial: second subset empty
-    ps.append(PartitionMatrix.from_mask(np.array([True, True, False, False])))
-    assert len(ps) == 2
-    with pytest.raises(ValueError):
-        ps.append(PartitionMatrix.trivial(5))
-
-
 def test_ipirm_config_validation():
     with pytest.raises(ValueError):
         IpIrmConfig(lambda1=-0.1)
@@ -173,81 +160,62 @@ def test_ipirm_config_validation():
         IpIrmConfig(partition_steps=0)
 
 
-def test_ssl_batch_validation():
-    with pytest.raises(ValueError):
-        SslBatch(view_a=np.zeros((3, 4)), view_b=np.zeros((2, 4)), subset_ids=np.zeros(3))
-    with pytest.raises(ValueError):
-        SslBatch(view_a=np.zeros((3, 4)), view_b=np.zeros((3, 4)), subset_ids=np.zeros(2))
+# ---------------------------------------------------------------------------
+# denominator columns
+
+
+def test_denominator_columns_match_their_definition():
+    for size in range(1, 41):
+        want = np.array(
+            [[j for j in range(size) if j != i] + [size + j for j in range(size)] for i in range(size)],
+            dtype=np.int64,
+        )
+        got = _denominator_columns(size)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
 # contrastive loss
 
 
-def contrastive_oracle(batch, k, theta, tau):
-    """Literal direct summation of the subset loss, term by term."""
-    members = [i for i in range(batch.subset_ids.shape[0]) if batch.subset_ids[i] == k]
-    za, zb = batch.view_a, batch.view_b
-    total = 0.0
-    for i in members:
-        num = np.exp(float(za[i] @ zb[i]) * theta / tau)
-        den = 0.0
-        for j in members:
-            if j != i:
-                den += np.exp(float(za[i] @ za[j]) * theta / tau)
-        for j in members:
-            den += np.exp(float(za[i] @ zb[j]) * theta / tau)
-        total += -np.log(num / den)
-    return total
-
-
 def test_contrastive_uniform_similarities():
-    v = np.zeros(4)
-    v[0] = 1.0
-    ids = np.array([0, 0, 0, 0, 1])
-    batch = SslBatch(view_a=np.tile(v, (5, 1)), view_b=np.tile(v, (5, 1)), subset_ids=ids)
-    s = 4
-    assert contrastive_loss(batch, 0, theta=1.0, tau=0.5) == pytest.approx(s * np.log(2 * s - 1), rel=1e-12)
-
-
-def test_contrastive_theta_zero_flattens():
-    batch = random_batch(11, n=6)
-    assert contrastive_loss(batch, 0, theta=0.0, tau=0.5) == pytest.approx(6 * np.log(11), rel=1e-12)
+    za, zb = flat_views(5)
+    loss, _ = subset_terms(za, zb, np.arange(4), tau=0.5)  # the fifth row is outside the subset
+    assert loss == pytest.approx(4 * np.log(2 * 4 - 1), rel=1e-12)
 
 
 def test_contrastive_matches_direct_oracle():
     for seed in range(8):
+        za, zb = random_views(seed, n=6)
         ids = np.array([0, 0, 1, 0, 1, 0])
-        batch = random_batch(seed, n=6, ids=ids)
         for k in (0, 1):
-            got = contrastive_loss(batch, k, theta=1.3, tau=0.5)
-            want = contrastive_oracle(batch, k, 1.3, 0.5)
-            assert abs(got - want) <= 1e-10
+            members = np.flatnonzero(ids == k)
+            got, _ = subset_terms(za, zb, members, tau=0.5)
+            assert abs(got - contrastive_oracle(za, zb, members, 1.0, 0.5)) <= 1e-10
 
 
 def test_contrastive_nonnegative():
     for seed in range(5):
-        batch = random_batch(100 + seed, n=7)
-        assert contrastive_loss(batch, 0, theta=1.0, tau=0.5) >= 0.0
+        za, zb = random_views(100 + seed, n=7)
+        assert subset_terms(za, zb, np.arange(7), tau=0.5)[0] >= 0.0
 
 
 def test_contrastive_errors():
-    batch = random_batch(1, n=4)
-    with pytest.raises(ValueError):
-        contrastive_loss(batch, 1, theta=1.0, tau=0.5)  # subset 1 empty
-    with pytest.raises(ValueError):
-        contrastive_loss(batch, 0, theta=np.inf, tau=0.5)
-    with pytest.raises(ValueError):
-        contrastive_loss(batch, 0, theta=1.0, tau=0.0)
+    """The hard partition objective rejects a subset that is empty or a mask
+    that does not cover the batch."""
+    za, zb = random_views(1, n=4)
+    for mask in (np.ones(4, dtype=bool), np.zeros(4, dtype=bool), np.array([True, False, True])):
+        with pytest.raises(ValueError):
+            eval_partition_objective(za, zb, mask, lambda2=0.5, tau=0.5)
 
 
 def test_loss_invariant_under_member_permutation():
     gen = np.random.default_rng(13)
     za, zb = unit_rows(gen, 6, 4), unit_rows(gen, 6, 4)
-    ids = np.zeros(6, dtype=np.int64)
-    base = contrastive_loss(SslBatch(za, zb, ids), 0, 1.0, 0.5)
+    base, _ = subset_terms(za, zb, np.arange(6), 0.5)
     perm = gen.permutation(6)
-    shuffled = contrastive_loss(SslBatch(za[perm], zb[perm], ids), 0, 1.0, 0.5)
+    shuffled, _ = subset_terms(za[perm], zb[perm], np.arange(6), 0.5)
     assert abs(base - shuffled) <= 1e-12
 
 
@@ -256,30 +224,28 @@ def test_loss_invariant_under_member_permutation():
 
 
 def test_penalty_zero_for_uniform_similarities():
-    v = np.zeros(4)
-    v[0] = 1.0
-    batch = SslBatch(np.tile(v, (4, 1)), np.tile(v, (4, 1)), np.zeros(4, dtype=np.int64))
-    assert irm_penalty(batch, 0, tau=0.5) == pytest.approx(0.0, abs=1e-20)
+    za, zb = flat_views(4)
+    assert subset_terms(za, zb, np.arange(4), tau=0.5)[1] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_penalty_matches_central_fd_squared():
     h = 1e-5
     for seed in range(20):
-        batch = random_batch(200 + seed, n=6)
-        pen = irm_penalty(batch, 0, tau=0.5)
-        lo = contrastive_loss(batch, 0, theta=1.0 - h, tau=0.5)
-        hi = contrastive_loss(batch, 0, theta=1.0 + h, tau=0.5)
+        za, zb = random_views(200 + seed, n=6)
+        members = np.arange(6)
+        _, pen = subset_terms(za, zb, members, tau=0.5)
+        lo = contrastive_oracle(za, zb, members, 1.0 - h, 0.5)
+        hi = contrastive_oracle(za, zb, members, 1.0 + h, 0.5)
         fd = ((hi - lo) / (2 * h)) ** 2
         assert abs(pen - fd) / max(1.0, abs(fd)) <= 1e-6
 
 
 def test_penalty_nonnegative_and_zero_iff_flat():
-    batch = random_batch(17, n=5)
-    g = theta_grad(batch, 0, tau=0.5)
-    pen = irm_penalty(batch, 0, tau=0.5)
-    assert pen >= 0.0
-    assert pen == pytest.approx(g * g, rel=1e-15)
-    assert (pen == 0.0) == (g == 0.0)
+    for seed in range(5):
+        za, zb = random_views(17 + seed, n=5)
+        assert subset_terms(za, zb, np.arange(5), tau=0.5)[1] > 0.0
+    za, zb = flat_views(5)
+    assert subset_terms(za, zb, np.arange(5), tau=0.5)[1] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_penalty_invariant_under_view_swap_with_symmetric_similarities():
@@ -289,35 +255,17 @@ def test_penalty_invariant_under_view_swap_with_symmetric_similarities():
     u /= np.linalg.norm(u)
     reflect = np.eye(5) - 2.0 * np.outer(u, u)  # symmetric orthogonal
     zb = za @ reflect
-    ids = np.zeros(6, dtype=np.int64)
-    pen = irm_penalty(SslBatch(za, zb, ids), 0, tau=0.5)
-    pen_swapped = irm_penalty(SslBatch(zb, za, ids), 0, tau=0.5)
+    _, pen = subset_terms(za, zb, np.arange(6), tau=0.5)
+    _, pen_swapped = subset_terms(zb, za, np.arange(6), tau=0.5)
     assert pen_swapped == pytest.approx(pen, rel=1e-12)
-
-
-def _complex_theta_grad(batch, k, tau):
-    """Complex-step derivative of the literal loss over theta at 1."""
-    h = 1e-20
-    members = [i for i in range(batch.subset_ids.shape[0]) if batch.subset_ids[i] == k]
-    za, zb = batch.view_a, batch.view_b
-    theta = 1.0 + 1j * h
-    total = 0.0 + 0.0j
-    for i in members:
-        num = np.exp(float(za[i] @ zb[i]) * theta / tau)
-        den = 0.0 + 0.0j
-        for j in members:
-            if j != i:
-                den += np.exp(float(za[i] @ za[j]) * theta / tau)
-        for j in members:
-            den += np.exp(float(za[i] @ zb[j]) * theta / tau)
-        total += -np.log(num / den)
-    return total.imag / h
 
 
 def test_theta_grad_matches_complex_step():
     for seed in range(6):
-        batch = random_batch(300 + seed, n=7)
-        assert abs(theta_grad(batch, 0, tau=0.5) - _complex_theta_grad(batch, 0, 0.5)) <= 1e-10
+        za, zb = random_views(300 + seed, n=7)
+        _, pen = subset_terms(za, zb, np.arange(7), tau=0.5)
+        want = complex_theta_grad(za, zb, np.arange(7), 0.5) ** 2
+        assert abs(pen - want) <= 1e-10 * max(1.0, want)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +279,6 @@ def _single_batch_stream(images, seed, n):
     return [(np.arange(n), va, vb)]
 
 
-def _projection_batch(images, params):
-    fmaps = encode(images, TINY, params)
-    z = np.stack([project(f, TINY, params).values for f in fmaps])
-    return z
-
-
 def test_update_trivial_lambda0_equals_plain_simclr_loss():
     n = 5
     gen = np.random.default_rng(23)
@@ -345,11 +287,11 @@ def test_update_trivial_lambda0_equals_plain_simclr_loss():
     cfg = IpIrmConfig()
     stream = _single_batch_stream(images, 37, n)
     _, va, vb = stream[0]
-    za = _projection_batch(va, params)
-    zb = _projection_batch(vb, params)
-    expect = contrastive_loss(SslBatch(za, zb, np.zeros(n, dtype=np.int64)), 0, 1.0, cfg.tau)
+    za = _embed_dataset(va, params, TINY)
+    zb = _embed_dataset(vb, params, TINY)
+    expect = contrastive_oracle(za, zb, np.arange(n), 1.0, cfg.tau)
 
-    trace = update_representation(params, TINY, PartitionSet(n), stream, cfg, lr=0.0, lambda1=0.0)
+    trace = update_representation(params, TINY, [PartitionMatrix.trivial(n)], stream, cfg, lr=0.0, lambda1=0.0)
     assert len(trace) == 1
     assert abs(trace[0].loss - expect) <= 1e-12
     assert trace[0].penalty >= 0.0
@@ -361,7 +303,7 @@ def test_update_zero_lr_leaves_params():
     params = init_params(TINY, SeededRng(43), dtype=np.float64)
     before = {k: v.copy() for k, v in params.items()}
     update_representation(
-        params, TINY, PartitionSet(n), _single_batch_stream(images, 47, n), IpIrmConfig(), lr=0.0, lambda1=0.2
+        params, TINY, [PartitionMatrix.trivial(n)], _single_batch_stream(images, 47, n), IpIrmConfig(), lr=0.0, lambda1=0.2
     )
     for k in params:
         np.testing.assert_array_equal(params[k], before[k])
@@ -380,8 +322,8 @@ def test_update_step_decreases_loss_in_most_seeds():
         images = np.random.default_rng(1000 + seed).normal(size=(n, 8, 8, 1))
         params = init_params(wide, SeededRng(seed), dtype=np.float64)
         stream = _single_batch_stream(images, 2000 + seed, n)
-        before = update_representation(params, wide, PartitionSet(n), stream, cfg, lr=3e-4, lambda1=0.0)
-        after = update_representation(params, wide, PartitionSet(n), stream, cfg, lr=0.0, lambda1=0.0)
+        before = update_representation(params, wide, [PartitionMatrix.trivial(n)], stream, cfg, lr=3e-4, lambda1=0.0)
+        after = update_representation(params, wide, [PartitionMatrix.trivial(n)], stream, cfg, lr=0.0, lambda1=0.0)
         if after[0].loss < before[0].loss:
             wins += 1
     assert wins >= 18, f"loss decreased in only {wins}/20 seeds"
@@ -391,7 +333,7 @@ def test_update_skips_empty_subset_and_logs(caplog):
     n = 4
     images = np.random.default_rng(53).normal(size=(n, 8, 8, 1))
     params = init_params(TINY, SeededRng(59), dtype=np.float64)
-    ps = PartitionSet(n)  # trivial partition: subset 1 is always empty
+    ps = [PartitionMatrix.trivial(n)]  # trivial partition: subset 1 is always empty
     with caplog.at_level(logging.DEBUG, logger="metabdc.ssl"):
         trace = update_representation(
             params, TINY, ps, _single_batch_stream(images, 61, n), IpIrmConfig(), lr=0.01, lambda1=0.2
@@ -407,7 +349,7 @@ def test_update_non_finite_loss_aborts():
     params["proj_w2"][0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         update_representation(
-            params, TINY, PartitionSet(n), _single_batch_stream(images, 73, n), IpIrmConfig(), lr=0.01, lambda1=0.0
+            params, TINY, [PartitionMatrix.trivial(n)], _single_batch_stream(images, 73, n), IpIrmConfig(), lr=0.01, lambda1=0.0
         )
 
 
@@ -527,13 +469,10 @@ def test_partition_objective_matches_independent_oracle():
         za, zb = unit_rows(gen, n, 4), unit_rows(gen, n, 4)
         mask = np.zeros(n, dtype=bool)
         mask[gen.permutation(n)[: n // 2 - 1 + seed % 3]] = True
-        ids = np.where(mask, 0, 1)
-        batch = SslBatch(za, zb, ids)
         want = 0.0
-        for k in (0, 1):
-            size = int(np.sum(ids == k))
-            want += contrastive_oracle(batch, k, 1.0, cfg.tau) / size
-            want += cfg.lambda2 * (_complex_theta_grad(batch, k, cfg.tau) / size) ** 2
+        for members in (np.flatnonzero(mask), np.flatnonzero(~mask)):
+            want += contrastive_oracle(za, zb, members, 1.0, cfg.tau) / members.size
+            want += cfg.lambda2 * (complex_theta_grad(za, zb, members, cfg.tau) / members.size) ** 2
         got = eval_partition_objective(za, zb, mask, cfg.lambda2, cfg.tau)
         assert abs(got - want) <= 1e-9
 
@@ -574,8 +513,9 @@ def test_pretrain_two_outer_iterations_grow_three_partitions():
     cfg = _small_cfg(outer_iterations=2)
     _, parts, trace = pretrain("ipirm", images, cfg, TINY, SeededRng(103))
     assert len(parts) == 3
-    for p in list(parts)[1:]:
-        assert not p.is_degenerate()
+    np.testing.assert_array_equal(parts[0].assignments, PartitionMatrix.trivial(12).assignments)
+    for p in parts[1:]:
+        assert p.n == 12 and not p.is_degenerate()
     # three training phases of one epoch each over 12 images in batches of 6
     assert trace[-1].step == 3 * 2 - 1
     assert trace[-1].partition_count == 3
