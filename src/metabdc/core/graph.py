@@ -4,7 +4,9 @@ A Graph is an ordered list of op records. Leaves are named inputs, named
 parameters (which own gradient slots), or constants; interior nodes hold
 an op kind plus parent indices. Construction order is topological order,
 so a single forward sweep evaluates the graph and a single reverse sweep
-accumulates exact vector-Jacobian products.
+accumulates exact vector-Jacobian products. The reverse sweep runs VJPs
+only along paths from a parameter to the loss: constants and inputs, and
+every node computed from them alone, get no gradient.
 
 Design constraints:
   * floats only (float32 for training, float64 for oracle checks); the
@@ -245,13 +247,16 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
     return out + bias[None, :, None, None]
 
 
-def _conv2d_vjp(grad, x, w, stride, pad):
+def _conv2d_vjp(grad, x, w, stride, pad, need_x):
+    """(dx, dw, db) of one conv; dx is None unless `need_x`."""
     b, c, h, wd, oc, ic, kh, kw, ho, wo = _conv_geometry(x.shape, w.shape, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, :, :]
     gw = np.einsum("boij,bcijuv->ocuv", grad, win, optimize=True)
     gb = grad.sum(axis=(0, 2, 3))
+    if not need_x:
+        return None, gw, gb
     gxp = np.zeros_like(xp)
     for u in range(kh):
         for v in range(kw):
@@ -369,21 +374,35 @@ def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> di
 # backward
 
 
-def _vjp(graph: Graph, idx: int, grad: np.ndarray) -> list[np.ndarray | None]:
+def _vjp(graph: Graph, idx: int, grad: np.ndarray, needed: list[bool]) -> list[np.ndarray | None]:
+    """Gradients into the parents of node `idx`, None for each parent whose
+    `needed` flag is off. A unary op is only reached through a needed
+    parent, so only ops with several parents read the flags."""
     node = graph.nodes[idx]
     op = node.op
     vals = [graph.values[p] for p in node.parents]
     out = graph.values[idx]
+    need_a = needed[0]
+    need_b = len(needed) > 1 and needed[1]
 
     if op == "add":
-        return [_unbroadcast(grad, vals[0].shape), _unbroadcast(grad, vals[1].shape)]
+        return [
+            _unbroadcast(grad, vals[0].shape) if need_a else None,
+            _unbroadcast(grad, vals[1].shape) if need_b else None,
+        ]
     if op == "sub":
-        return [_unbroadcast(grad, vals[0].shape), _unbroadcast(-grad, vals[1].shape)]
+        return [
+            _unbroadcast(grad, vals[0].shape) if need_a else None,
+            _unbroadcast(-grad, vals[1].shape) if need_b else None,
+        ]
     if op == "mul":
-        return [_unbroadcast(grad * vals[1], vals[0].shape), _unbroadcast(grad * vals[0], vals[1].shape)]
+        return [
+            _unbroadcast(grad * vals[1], vals[0].shape) if need_a else None,
+            _unbroadcast(grad * vals[0], vals[1].shape) if need_b else None,
+        ]
     if op == "div":
-        ga = _unbroadcast(grad / vals[1], vals[0].shape)
-        gb = _unbroadcast(-grad * vals[0] / (vals[1] * vals[1]), vals[1].shape)
+        ga = _unbroadcast(grad / vals[1], vals[0].shape) if need_a else None
+        gb = _unbroadcast(-grad * vals[0] / (vals[1] * vals[1]), vals[1].shape) if need_b else None
         return [ga, gb]
     if op == "neg":
         return [-grad]
@@ -404,7 +423,10 @@ def _vjp(graph: Graph, idx: int, grad: np.ndarray) -> list[np.ndarray | None]:
         return [safe]
     if op == "matmul":
         a, b = vals
-        return [np.matmul(grad, np.swapaxes(b, -1, -2)), np.matmul(np.swapaxes(a, -1, -2), grad)]
+        return [
+            np.matmul(grad, np.swapaxes(b, -1, -2)) if need_a else None,
+            np.matmul(np.swapaxes(a, -1, -2), grad) if need_b else None,
+        ]
     if op == "sum":
         return [_spread(grad, vals[0].shape, node.meta["axis"], node.meta["keepdims"])]
     if op == "mean":
@@ -431,12 +453,10 @@ def _vjp(graph: Graph, idx: int, grad: np.ndarray) -> list[np.ndarray | None]:
         axis = node.meta["axis"]
         sizes = [v.shape[axis] for v in vals]
         splits = np.cumsum(sizes)[:-1]
-        return list(np.split(grad, splits, axis=axis))
+        return [part if need else None for part, need in zip(np.split(grad, splits, axis=axis), needed)]
     if op == "conv2d":
         x, w, _b = vals
-        return list(_conv2d_vjp(grad, x, w, node.meta["stride"], node.meta["pad"]))
-    if op in ("input", "param", "const"):
-        return []
+        return list(_conv2d_vjp(grad, x, w, node.meta["stride"], node.meta["pad"], need_a))
     raise GraphError(f"unknown op {op!r}")
 
 
@@ -457,11 +477,24 @@ def concat(vars_: list[Var], axis: int) -> Var:
     return g._emit("concat", tuple(vars_), axis=int(axis))
 
 
+def _param_paths(graph: Graph, last: int) -> list[bool]:
+    """Per node up to `last`: whether it is a parameter or computed from one."""
+    needed = [False] * (last + 1)
+    for idx in range(last + 1):
+        node = graph.nodes[idx]
+        needed[idx] = node.op == "param" or any(needed[p] for p in node.parents)
+    return needed
+
+
 def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
     """Reverse sweep from a scalar node; fills and returns parameter grads.
 
-    Gradient slots are replaced, not accumulated, on each call. Non-parameter
-    leaves get no slot.
+    VJPs run only along paths from a parameter to the loss: a node computed
+    from constants and inputs alone is skipped, and an op never forms the
+    gradient into such a parent. Every gradient that is formed accumulates
+    in the same order as a full sweep, so parameter grads are exactly those
+    of one. Gradient slots are replaced, not accumulated, on each call.
+    Constants and inputs get no gradient and no slot.
     """
     if loss.graph is not graph:
         raise GraphError("loss node belongs to a different graph")
@@ -471,16 +504,15 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
     if out.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {out.shape}")
 
+    needed = _param_paths(graph, loss.idx)
     grads: list[np.ndarray | None] = [None] * len(graph.nodes)
     grads[loss.idx] = np.ones_like(out)
     for idx in range(loss.idx, -1, -1):
         g = grads[idx]
-        if g is None:
-            continue
         node = graph.nodes[idx]
-        if not node.parents:
+        if g is None or not needed[idx] or not node.parents:
             continue
-        parent_grads = _vjp(graph, idx, g)
+        parent_grads = _vjp(graph, idx, g, [needed[p] for p in node.parents])
         for p_idx, p_grad in zip(node.parents, parent_grads):
             if p_grad is None:
                 continue

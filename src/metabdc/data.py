@@ -92,12 +92,6 @@ class LabeledImage:
             raise ValueError("pixel spacing must be positive")
 
 
-def check_hierarchy(images: list[LabeledImage], hierarchy: HierarchySpec) -> None:
-    for i, img in enumerate(images):
-        if img.coarse != hierarchy.coarse_of(img.fine):
-            raise ValueError(f"image {i}: coarse {img.coarse} != hierarchy({img.fine})")
-
-
 @dataclass(frozen=True)
 class EpisodeSpec:
     n_way: int
@@ -278,14 +272,6 @@ def generate_synthetic(config: SyntheticConfig) -> list[LabeledImage]:
 
 # ---------------------------------------------------------------------------
 # preprocessing
-
-
-def centroid_from_mask(mask: np.ndarray) -> tuple[float, float]:
-    """Mean (row, col) of the nonzero mask pixels."""
-    rows, cols = np.nonzero(np.asarray(mask))
-    if rows.size == 0:
-        raise ValueError("empty mask has no centroid")
-    return float(rows.mean()), float(cols.mean())
 
 
 def preprocess_image(

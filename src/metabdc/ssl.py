@@ -330,29 +330,35 @@ def _partition_objective_graph(
     contrastive loss + lambda2 * (weighted mean theta-derivative)^2. At 0/1
     weights it is the hard objective of that partition; a weight vector
     with all its mass in one subset leaves the other's mean undefined.
+
+    Sample i's denominator runs over view A except itself plus all of view
+    B, each term weighted by the membership of its source sample k. Grouped
+    by k, its weighted sum of exp(s / tau) is (M_den @ w)_i with the (n, n)
+    map M_den[i, k] = exp(S_aa[i, k] / tau) [k != i] + exp(S_ab[i, k] / tau),
+    and its weighted sum of exp(s / tau) * s is (M_num @ w)_i, built the same
+    way. Both maps are fixed once per graph, so a subset costs two matvecs.
     """
     za = np.asarray(za, dtype=np.float64)
     zb = np.asarray(zb, dtype=np.float64)
     n = za.shape[0]
+    s_aa = za @ za.T
     s_ab = za @ zb.T
-    all_cols = _denominator_columns(n)
-    # row i of [S_aa | S_ab] restricted to its denominator columns
-    T = np.concatenate([za @ za.T, s_ab], axis=1)[np.arange(n)[:, None], all_cols]
-    expT = np.exp(T / tau)
+    exp_aa = np.exp(s_aa / tau)
+    np.fill_diagonal(exp_aa, 0.0)  # a sample is not its own negative
+    exp_ab = np.exp(s_ab / tau)
+    m_den = g.constant(exp_aa + exp_ab)
+    m_num = g.constant(exp_aa * s_aa + exp_ab * s_ab)
     s_pos = np.diag(s_ab)
-    exp_terms, exp_terms_T = g.constant(expT), g.constant(expT * T)
     pos, pos_logit = g.constant(s_pos), g.constant(s_pos / tau)
-    # source sample index of each denominator column (for membership weights)
-    src = np.where(all_cols < n, all_cols, all_cols - n).ravel()
 
     obj = None
     for w in (w1, 1.0 - w1):
-        w_cols = w.gather(src).reshape((n, 2 * n - 1))
-        den = (w_cols * exp_terms).sum(axis=1)
+        w_col = w.reshape((n, 1))
+        den = (m_den @ w_col).reshape((n,))
         per_sample = den.log() - pos_logit
         mass = w.sum()
         loss = (w * per_sample).sum() / mass
-        expected = (w_cols * exp_terms_T).sum(axis=1) / den
+        expected = (m_num @ w_col).reshape((n,)) / den
         grad_theta = ((w * (expected - pos)).sum() / mass) * (1.0 / tau)
         term = loss + lambda2 * grad_theta * grad_theta
         obj = term if obj is None else obj + term

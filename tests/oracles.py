@@ -44,6 +44,35 @@ def complex_theta_grad(za, zb, members, tau):
     return float(np.imag(_literal_loss(za, zb, members, 1.0 + 1j * h, tau)) / h)
 
 
+def _literal_weighted_loss(za, zb, w, theta, tau):
+    """Membership-weighted summed loss: sample i counts with weight w[i],
+    and each denominator term with the weight of the sample it comes from."""
+    total = 0.0
+    for i in range(len(za)):
+        den = 0.0
+        for j in range(len(za)):
+            if j != i:
+                den += w[j] * np.exp(float(za[i] @ za[j]) * theta / tau)
+        for j in range(len(za)):
+            den += w[j] * np.exp(float(za[i] @ zb[j]) * theta / tau)
+        total += w[i] * (np.log(den) - float(za[i] @ zb[i]) * theta / tau)
+    return total
+
+
+def weighted_partition_objective(za, zb, w1, lambda2, tau):
+    """Partition relaxation at membership weights w1 and 1 - w1: per subset,
+    the weighted mean loss + lambda2 * (weighted mean theta-derivative)^2,
+    the derivative taken by complex step at theta = 1."""
+    h = 1e-20
+    total = 0.0
+    for w in (np.asarray(w1, dtype=float), 1.0 - np.asarray(w1, dtype=float)):
+        mass = sum(w)
+        loss = _literal_weighted_loss(za, zb, w, 1.0, tau)
+        deriv = np.imag(_literal_weighted_loss(za, zb, w, 1.0 + 1j * h, tau)) / h
+        total += loss / mass + lambda2 * (deriv / mass) ** 2
+    return float(total)
+
+
 def subset_terms(za, zb, members, tau) -> tuple[float, float]:
     """(loss, penalty) of the production training graph for one subset."""
     g = Graph()

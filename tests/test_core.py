@@ -21,6 +21,7 @@ from metabdc.core import (
     save_checkpoint,
     softmax,
 )
+from metabdc.core import graph as graph_module
 
 
 def scalar_fn(build):
@@ -175,6 +176,56 @@ def test_forward_backward_bit_identical_across_runs():
     assert np.array_equal(la, lb)
     for k in ga:
         assert np.array_equal(ga[k], gb[k])
+
+
+def test_backward_gives_constants_and_inputs_no_gradient(monkeypatch):
+    """Parameter grads of a conv -> relu -> conv -> relu -> mul-by-constant ->
+    matmul loss are bit-equal whether the images enter as an input or a
+    constant (pruned sweep) or as a parameter (full sweep), and the conv
+    that reads the images is never asked for their gradient."""
+    rng = SeededRng(5).generator()
+    images = rng.normal(size=(3, 1, 8, 8))
+    params = {
+        "w0": rng.normal(size=(4, 1, 3, 3)),
+        "b0": rng.normal(size=(4,)),
+        "w1": rng.normal(size=(5, 4, 3, 3)),
+        "b1": rng.normal(size=(5,)),
+        "head": rng.normal(size=(80, 2)),
+    }
+    scale = rng.normal(size=(3, 5, 4, 4))
+    calls = []
+    real_vjp = graph_module._conv2d_vjp
+
+    def spy(grad, x, w, stride, pad, need_x):
+        calls.append((x.shape[1], need_x))
+        return real_vjp(grad, x, w, stride, pad, need_x)
+
+    monkeypatch.setattr(graph_module, "_conv2d_vjp", spy)
+
+    def param_grads(leaf):
+        g = Graph()
+        if leaf == "input":
+            x = g.input("images", images.shape)
+        elif leaf == "const":
+            x = g.constant(images)
+        else:
+            x = g.parameter("images", images.copy())
+        refs = {name: g.parameter(name, val.copy()) for name, val in params.items()}
+        h = x.conv2d(refs["w0"], refs["b0"], stride=1, pad=1).relu()
+        h = h.conv2d(refs["w1"], refs["b1"], stride=2, pad=1).relu() * scale
+        loss = ((h.reshape((3, 80)) @ refs["head"]) ** 2).sum()
+        forward_eval(g, {"images": images} if leaf == "input" else None)
+        grads = backward(g, loss)
+        return {name: grads[name] for name in params}
+
+    full = param_grads("param")
+    assert calls == [(4, True), (1, True)]
+    for leaf in ("input", "const"):
+        calls.clear()
+        pruned = param_grads(leaf)
+        assert calls == [(4, True), (1, False)], leaf
+        for name in params:
+            assert np.array_equal(pruned[name], full[name]), (leaf, name)
 
 
 def test_conv2d_matches_explicit_loop():

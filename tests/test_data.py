@@ -10,8 +10,6 @@ from metabdc.data import (
     HierarchySpec,
     LabeledImage,
     SyntheticConfig,
-    centroid_from_mask,
-    check_hierarchy,
     fov_pixels,
     generate_synthetic,
     label_of,
@@ -56,15 +54,8 @@ def test_generated_images_respect_hierarchy():
     cfg = small_config()
     images = generate_synthetic(cfg)
     assert len(images) == 8 * cfg.count_per_fine
-    check_hierarchy(images, cfg.hierarchy)
     for img in images:
         assert img.coarse == cfg.hierarchy.coarse_of(img.fine)
-
-
-def test_check_hierarchy_rejects_mismatch():
-    img = LabeledImage(np.zeros((4, 4, 1), dtype=np.float32), fine=0, coarse=1, group=0, domain=0)
-    with pytest.raises(ValueError):
-        check_hierarchy([img], HierarchySpec.nested(8, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +195,6 @@ def test_zscore_rejects_constant_group():
     img = LabeledImage(np.ones((8, 8, 1), dtype=np.float32), fine=0, coarse=0, group=0, domain=0)
     with pytest.raises(ValueError):
         zscore_groups([img])
-
-
-def test_centroid_from_mask():
-    mask = np.zeros((10, 10))
-    mask[2, 3] = 1
-    mask[4, 5] = 1
-    assert centroid_from_mask(mask) == (3.0, 4.0)
-    with pytest.raises(ValueError):
-        centroid_from_mask(np.zeros((4, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metabdc.config import ExperimentConfig
-from metabdc.core import SeededRng
+from metabdc.core import Graph, SeededRng, backward, forward_eval, grad_check
 from metabdc.encoder import EncoderConfig, init_params
 from metabdc.experiment import prepare_splits
 from metabdc.optim import lr_from_batch
@@ -21,6 +21,7 @@ from metabdc.ssl import (
     PartitionMatrix,
     _denominator_columns,
     _embed_dataset,
+    _partition_objective_graph,
     augment_views,
     eval_partition_objective,
     find_partition_embeddings,
@@ -28,7 +29,13 @@ from metabdc.ssl import (
     update_representation,
     write_trace_csv,
 )
-from oracles import complex_theta_grad, contrastive_oracle, subset_terms, unit_rows
+from oracles import (
+    complex_theta_grad,
+    contrastive_oracle,
+    subset_terms,
+    unit_rows,
+    weighted_partition_objective,
+)
 
 TINY = EncoderConfig(height=8, width=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
 
@@ -475,6 +482,31 @@ def test_partition_objective_matches_independent_oracle():
             want += cfg.lambda2 * (complex_theta_grad(za, zb, members, cfg.tau) / members.size) ** 2
         got = eval_partition_objective(za, zb, mask, cfg.lambda2, cfg.tau)
         assert abs(got - want) <= 1e-9
+
+
+def test_partition_relaxation_matches_weighted_oracle_at_soft_weights():
+    """The search's relaxation at membership weights in (0, 1) vs literal
+    loops over the weighted objective, and its logits gradient through the
+    sigmoid vs central differences."""
+    cfg = IpIrmConfig()
+    for seed, n in enumerate((2, 3, 5, 8, 10)):
+        gen = np.random.default_rng(700 + seed)
+        za, zb = unit_rows(gen, n, 4), unit_rows(gen, n, 4)
+        w1 = gen.uniform(0.05, 0.95, size=n)
+        g = Graph()
+        obj = _partition_objective_graph(g, g.constant(w1), za, zb, cfg.lambda2, cfg.tau)
+        forward_eval(g)
+        want = weighted_partition_objective(za, zb, w1, cfg.lambda2, cfg.tau)
+        assert abs(float(obj.value) - want) <= 1e-9
+
+        def objective(point):
+            g = Graph()
+            logits = g.parameter("logits", point["logits"])
+            obj = _partition_objective_graph(g, logits.sigmoid(), za, zb, cfg.lambda2, cfg.tau)
+            forward_eval(g)
+            return float(obj.value), backward(g, obj)
+
+        assert grad_check(objective, {"logits": gen.normal(size=n)}, eps=1e-6) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
