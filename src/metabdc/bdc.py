@@ -7,6 +7,14 @@ observations. The centered matrix is symmetric with zero row sums, is
 invariant to adding a constant to every channel, and vanishes exactly
 when all channels are pairwise identical.
 
+Each computation has one implementation, a graph builder: training
+differentiates through it, and the array functions `bdc_matrix`,
+`class_prototypes` and `episode_classify` run the same builder forward
+only on a whole batch. Squared distances are taken from the Gram matrix
+alone, so a channel's distance to itself is exactly zero; the (d, d)
+identity mask is float64, which promotes the distances and everything
+downstream of them to float64 whatever the feature dtype.
+
 Square roots of computed squared distances are guarded as
 sqrt(max(x, 1e-12)), which keeps gradients finite at coincident channels
 at the cost of a ~1e-6 floor on tiny distances.
@@ -14,47 +22,15 @@ at the cost of a ~1e-6 floor on tiny distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Graph, Var
-from .encoder import FeatureMap
+from .core import Graph, Var, forward_eval
 
-
-@dataclass(frozen=True)
-class BdcMatrix:
-    values: np.ndarray  # (d, d)
-
-
-@dataclass(frozen=True)
-class Prototype:
-    class_id: int
-    values: np.ndarray  # (d, d)
-
-
-@dataclass(frozen=True)
-class EpisodeLogits:
-    scores: np.ndarray  # (n_query, n_way) raw similarities
-    probs: np.ndarray  # (n_query, n_way) softmax over classes
-
-
-def bdc_matrix(fmap: FeatureMap | np.ndarray) -> BdcMatrix:
-    """Double-centered channel distance matrix of one feature map."""
-    x = fmap.values if isinstance(fmap, FeatureMap) else np.asarray(fmap)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (d, m) feature map, got shape {x.shape}")
-    sq = np.sum(x * x, axis=1)
-    sq_dist = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    hat = np.sqrt(np.maximum(sq_dist, 1e-12))
-    row = hat.mean(axis=1, keepdims=True)
-    col = hat.mean(axis=0, keepdims=True)
-    grand = hat.mean()
-    return BdcMatrix(hat - row - col + grand)
+METRICS = ("neg_sq_distance", "inner_product")
 
 
 def bdc_matrix_graph(g: Graph, fmaps: Var, d: int) -> Var:
-    """Batched in-graph variant: (B, d, m) -> (B, d, d)."""
+    """(B, d, m) feature maps -> (B, d, d) double-centered distance matrices."""
     gram = fmaps @ fmaps.swap_last2()
     eye = g.constant(np.eye(d))
     diag = (gram * eye).sum(axis=2)  # (B, d)
@@ -66,75 +42,54 @@ def bdc_matrix_graph(g: Graph, fmaps: Var, d: int) -> Var:
     return hat - row - col + grand
 
 
-def class_prototypes(mats: list[BdcMatrix], labels: list[int] | np.ndarray) -> list[Prototype]:
-    """Element-wise mean of the matrices per class; classes sorted ascending."""
-    labels = np.asarray(labels)
-    if len(mats) != labels.shape[0]:
-        raise ValueError(f"{len(mats)} matrices but {labels.shape[0]} labels")
-    if len(mats) == 0:
-        raise ValueError("no support matrices")
-    protos = []
-    for cls in sorted(set(int(l) for l in labels)):
-        members = [m.values for m, l in zip(mats, labels) if int(l) == cls]
-        protos.append(Prototype(cls, np.mean(members, axis=0)))
-    return protos
+def prototypes_graph(support_bdc: Var, n_way: int, k_shot: int, d: int) -> Var:
+    """(N*K, d, d) class-major support matrices -> (N, d, d) class means."""
+    return support_bdc.reshape((n_way, k_shot, d, d)).mean(axis=1)
 
 
-METRICS = ("neg_sq_distance", "inner_product")
+def scores_graph(query_bdc: Var, protos: Var, n_way: int, d: int, metric: str = "neg_sq_distance") -> Var:
+    """(Q, d, d) queries against (N, d, d) prototypes -> raw (Q, N) scores.
 
-
-def episode_classify(
-    queries: list[BdcMatrix],
-    prototypes: list[Prototype],
-    metric: str = "neg_sq_distance",
-    temperature: float = 1.0,
-) -> EpisodeLogits:
-    """Score each query matrix against each prototype.
-
-    neg_sq_distance uses the negated squared Frobenius distance (the
-    default); inner_product uses the Frobenius inner product. Probabilities
-    are softmax(scores / temperature) over classes.
+    neg_sq_distance is the negated squared Frobenius distance (the
+    default); inner_product is the Frobenius inner product.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if not queries or not prototypes:
-        raise ValueError("need at least one query and one prototype")
-    q = np.stack([m.values for m in queries])  # (Q, d, d)
-    p = np.stack([pr.values for pr in prototypes])  # (N, d, d)
-    if metric == "neg_sq_distance":
-        diff = q[:, None, :, :] - p[None, :, :, :]
-        scores = -np.sum(diff * diff, axis=(2, 3))
-    else:
-        scores = np.einsum("qij,nij->qn", q, p)
-    z = scores / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    return EpisodeLogits(scores=scores, probs=probs)
-
-
-def episode_scores_graph(
-    g: Graph,
-    support_bdc: Var,
-    query_bdc: Var,
-    n_way: int,
-    k_shot: int,
-    d: int,
-    metric: str = "neg_sq_distance",
-) -> Var:
-    """In-graph episode scoring for meta-training.
-
-    `support_bdc` is (N*K, d, d) ordered class-major; `query_bdc` is
-    (Q_total, d, d). Returns raw (Q_total, N) similarity scores.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    protos = support_bdc.reshape((n_way, k_shot, d, d)).mean(axis=1)  # (N, d, d)
     qf = query_bdc.reshape((-1, 1, d * d))
     pf = protos.reshape((1, n_way, d * d))
     if metric == "neg_sq_distance":
         diff = qf - pf
         return -(diff * diff).sum(axis=2)
     return (qf * pf).sum(axis=2)
+
+
+def _forward(out: Var) -> np.ndarray:
+    forward_eval(out.graph)
+    return out.value
+
+
+def bdc_matrix(fmaps: np.ndarray) -> np.ndarray:
+    """(B, d, m) feature maps -> (B, d, d) matrices, forward-only."""
+    x = np.asarray(fmaps)
+    if x.ndim != 3:
+        raise ValueError(f"expected (B, d, m) feature maps, got shape {x.shape}")
+    g = Graph()
+    return _forward(bdc_matrix_graph(g, g.constant(x), x.shape[1]))
+
+
+def class_prototypes(support: np.ndarray, n_way: int) -> np.ndarray:
+    """(N*K, d, d) class-major support matrices -> (N, d, d) element-wise class means."""
+    s = np.asarray(support)
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or n_way < 1 or s.shape[0] == 0 or s.shape[0] % n_way:
+        raise ValueError(f"support matrices of shape {s.shape} do not split into {n_way} equal classes of (d, d)")
+    g = Graph()
+    return _forward(prototypes_graph(g.constant(s), n_way, s.shape[0] // n_way, s.shape[1]))
+
+
+def episode_classify(queries: np.ndarray, prototypes: np.ndarray, metric: str = "neg_sq_distance") -> np.ndarray:
+    """Raw (Q, N) scores of (Q, d, d) query matrices against (N, d, d) prototypes."""
+    q, p = np.asarray(queries), np.asarray(prototypes)
+    if q.ndim != 3 or q.shape[1:] != p.shape[1:] or q.shape[1] != q.shape[2] or 0 in (q.shape[0], p.shape[0]):
+        raise ValueError(f"expected (Q, d, d) queries and (N, d, d) prototypes, got {q.shape} and {p.shape}")
+    g = Graph()
+    return _forward(scores_graph(g.constant(q), g.constant(p), p.shape[0], p.shape[1], metric))

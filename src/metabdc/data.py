@@ -399,7 +399,10 @@ def split_dataset(
 
 def sample_episode(subset: list[LabeledImage], spec: EpisodeSpec, rng: SeededRng) -> Episode:
     """N-way K-shot episode, sampled without replacement, class-major order."""
-    classes = sorted({label_of(img, spec.label_space) for img in subset})
+    by_class: dict[int, list[LabeledImage]] = {}
+    for img in subset:  # one pass; each pool keeps subset order
+        by_class.setdefault(label_of(img, spec.label_space), []).append(img)
+    classes = sorted(by_class)
     if spec.n_way > len(classes):
         raise ValueError(f"{spec.n_way}-way episode over only {len(classes)} classes")
     gen = rng.generator()
@@ -408,7 +411,7 @@ def sample_episode(subset: list[LabeledImage], spec: EpisodeSpec, rng: SeededRng
     query: list[LabeledImage] = []
     need = spec.k_shot + spec.q_query
     for c in chosen:
-        pool = [img for img in subset if label_of(img, spec.label_space) == c]
+        pool = by_class[c]
         if len(pool) < need:
             raise ValueError(f"class {c} has {len(pool)} images, episode needs {need}")
         picks = gen.choice(len(pool), size=need, replace=False)

@@ -78,17 +78,6 @@ class EncoderConfig:
         )
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """d channels observed at m spatial positions."""
-
-    values: np.ndarray  # (d, m)
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError(f"feature map must be (d, m), got shape {self.values.shape}")
-
-
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
@@ -169,21 +158,15 @@ def _to_nchw(images: np.ndarray, config: EncoderConfig) -> np.ndarray:
 # pure inference APIs
 
 
-def encode(images: np.ndarray, config: EncoderConfig, params: dict[str, np.ndarray]) -> list[FeatureMap]:
-    """Batch of (H, W, C) images -> feature maps; deterministic."""
+def encode(images: np.ndarray, config: EncoderConfig, params: dict[str, np.ndarray]) -> np.ndarray:
+    """(B, H, W, C) images -> (B, d, m) feature maps, forward-only; deterministic."""
     nchw = _to_nchw(images, config).astype(params["conv0_w"].dtype)
     g = Graph()
     refs = bind_params(g, params)
     x = g.input("images", nchw.shape)
     fm = conv_stack(g, x, refs, config)
     g.mark_output("fm", fm)
-    out = forward_eval(g, {"images": nchw})["fm"]
-    return [FeatureMap(out[i]) for i in range(out.shape[0])]
-
-
-def classify(fmap: FeatureMap, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Feature map -> raw class scores."""
-    return fmap.values.mean(axis=1) @ params["cls_w"] + params["cls_b"]
+    return forward_eval(g, {"images": nchw})["fm"]
 
 
 def save_encoder_checkpoint(path: str, params: dict[str, np.ndarray], config: EncoderConfig) -> None:

@@ -207,7 +207,7 @@ def test_cell(
     repeats: list[list[float]] = []
     for rep in range(cfg.test_repeats):
         episodes = sample_episode_block(primary.test, spec, cfg.test_episodes, rng.child(10 + rep))
-        repeats.append(evaluate_episodes(params, cfg.encoder, episodes, cfg.tune.metric, cfg.tune.temperature))
+        repeats.append(evaluate_episodes(params, cfg.encoder, episodes, cfg.tune.metric))
     return repeats
 
 

@@ -24,10 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdc import METRICS, bdc_matrix, bdc_matrix_graph, class_prototypes, episode_classify, episode_scores_graph
+from .bdc import (
+    METRICS,
+    bdc_matrix,
+    bdc_matrix_graph,
+    class_prototypes,
+    episode_classify,
+    prototypes_graph,
+    scores_graph,
+)
 from .core import Graph, SeededRng, backward, forward_eval
 from .data import Episode, EpisodeSpec, LabeledImage, label_of, sample_episode
-from .encoder import EncoderConfig, bind_params, classify, classify_head, conv_stack, encode, init_classifier
+from .encoder import EncoderConfig, bind_params, classify_head, conv_stack, encode, init_classifier
 from .metrics import auroc_multiclass_ovr
 from .optim import PesgConfig, PesgState, ScheduleConfig, aucm_loss_graph, pesg_step, schedule_lr, sgd_step
 
@@ -93,18 +101,19 @@ def episode_scores(
     enc_cfg: EncoderConfig,
     episode: Episode,
     metric: str = "neg_sq_distance",
-    temperature: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (Q, N) scores plus query label indices in class-list order."""
-    sup = np.stack([im.pixels for im in episode.support])
-    qry = np.stack([im.pixels for im in episode.query])
-    sup_mats = [bdc_matrix(fm) for fm in encode(sup, enc_cfg, params)]
-    qry_mats = [bdc_matrix(fm) for fm in encode(qry, enc_cfg, params)]
+    """Raw (Q, N) scores plus query label indices in class-list order.
+
+    Support and query are encoded in one batch and summarized in one BDC
+    call; prototypes and scores run the training graph's builders forward.
+    """
+    n_sup = len(episode.support)
+    pixels = np.stack([im.pixels for im in episode.support + episode.query])
+    mats = bdc_matrix(encode(pixels, enc_cfg, params))
     # support is class-major, so way index i is the label of block i
-    sup_labels = np.repeat(np.arange(episode.n_way), episode.k_shot)
-    protos = class_prototypes(sup_mats, sup_labels)
-    logits = episode_classify(qry_mats, protos, metric=metric, temperature=temperature)
-    return logits.scores, _episode_label_indices(episode)
+    protos = class_prototypes(mats[:n_sup], episode.n_way)
+    scores = episode_classify(mats[n_sup:], protos, metric)
+    return scores, _episode_label_indices(episode)
 
 
 def evaluate_episode(
@@ -112,9 +121,8 @@ def evaluate_episode(
     enc_cfg: EncoderConfig,
     episode: Episode,
     metric: str = "neg_sq_distance",
-    temperature: float = 1.0,
 ) -> float:
-    scores, labels = episode_scores(params, enc_cfg, episode, metric, temperature)
+    scores, labels = episode_scores(params, enc_cfg, episode, metric)
     return auroc_multiclass_ovr(scores, labels)
 
 
@@ -123,9 +131,8 @@ def evaluate_episodes(
     enc_cfg: EncoderConfig,
     episodes: list[Episode],
     metric: str = "neg_sq_distance",
-    temperature: float = 1.0,
 ) -> list[float]:
-    return [evaluate_episode(params, enc_cfg, ep, metric, temperature) for ep in episodes]
+    return [evaluate_episode(params, enc_cfg, ep, metric) for ep in episodes]
 
 
 def sample_episode_block(
@@ -149,10 +156,11 @@ def _episode_loss_graph(
 ):
     sup = g.input("sup", sup_shape)
     qry = g.input("qry", qry_shape)
-    d = enc_cfg.feature_dim
+    d, n_way = enc_cfg.feature_dim, episode.n_way
     bdc_s = bdc_matrix_graph(g, conv_stack(g, sup, refs, enc_cfg), d)
     bdc_q = bdc_matrix_graph(g, conv_stack(g, qry, refs, enc_cfg), d)
-    scores = episode_scores_graph(g, bdc_s, bdc_q, episode.n_way, episode.k_shot, d, config.metric)
+    scores = scores_graph(bdc_q, prototypes_graph(bdc_s, n_way, episode.k_shot, d), n_way, d, config.metric)
+    g.mark_output("scores", scores)
     z = scores * (1.0 / config.temperature)
     labels = _episode_label_indices(episode)
     if config.loss == "ce":
@@ -246,7 +254,7 @@ def meta_finetune(
                 pesg_step(step_params, grads, state, pesg_cfg, lr=lr)
             else:
                 sgd_step(trainable, grads, lr=lr, weight_decay=config.weight_decay)
-        score = float(np.mean(evaluate_episodes(params, enc_cfg, val_episodes, config.metric, config.temperature)))
+        score = float(np.mean(evaluate_episodes(params, enc_cfg, val_episodes, config.metric)))
         history.append(score)
         log.debug("meta epoch %d: lr %.4g val auroc %.4f", epoch, lr, score)
         if score > best_score:
@@ -264,8 +272,8 @@ def classifier_scores(
     params: dict[str, np.ndarray], enc_cfg: EncoderConfig, images: list[LabeledImage]
 ) -> np.ndarray:
     """(B, n_classes) raw scores for a labeled image list."""
-    batch = np.stack([im.pixels for im in images])
-    return np.stack([classify(fm, params) for fm in encode(batch, enc_cfg, params)])
+    fmaps = encode(np.stack([im.pixels for im in images]), enc_cfg, params)
+    return fmaps.mean(axis=2) @ params["cls_w"] + params["cls_b"]
 
 
 def _class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -3,12 +3,16 @@
 Each oracle restates its formula term by term and shares no code with the
 package, so comparing against one checks the package's vectorized graph
 form against the definition. `subset_terms` evaluates the production
-graph on fixed embeddings so tests can compare the two.
+graph on fixed embeddings so tests can compare the two, and
+`sample_episode_oracle` is the literal per-class-scan episode sampler.
 """
+
+import math
 
 import numpy as np
 
 from metabdc.core import Graph, forward_eval
+from metabdc.data import Episode, label_of
 from metabdc.ssl import _subset_terms_graph
 
 
@@ -97,3 +101,71 @@ def aucm_oracle(scores, labels, a, b, alpha, margin, p_hat=None):
         loss += p * sum((s - b) ** 2 for s in neg) / len(neg)
         loss += 2.0 * alpha * p * sum(neg) / len(neg)
     return loss
+
+
+def bdc_oracle(x) -> np.ndarray:
+    """Double-centered channel distance matrix of one (d, m) map in float64,
+    term by term: guarded distance between channel rows k and l over the m
+    positions, minus its row and column means, plus the grand mean."""
+    x = np.asarray(x, dtype=np.float64)
+    d, m = x.shape
+    hat = np.zeros((d, d))
+    for k in range(d):
+        for l in range(d):
+            s = sum((float(x[k, j]) - float(x[l, j])) ** 2 for j in range(m))
+            hat[k, l] = math.sqrt(max(s, 1e-12))
+    rm = [sum(hat[k, l] for l in range(d)) / d for k in range(d)]
+    cm = [sum(hat[k, l] for k in range(d)) / d for l in range(d)]
+    gm = sum(rm) / d
+    out = np.zeros((d, d))
+    for k in range(d):
+        for l in range(d):
+            out[k, l] = hat[k, l] - rm[k] - cm[l] + gm
+    return out
+
+
+def prototype_oracle(mats, labels) -> dict[int, np.ndarray]:
+    """Per class label, the element-wise mean of its matrices, summed one
+    matrix at a time."""
+    protos = {}
+    for c in sorted({int(l) for l in labels}):
+        members = [np.asarray(m, dtype=np.float64) for m, l in zip(mats, labels) if int(l) == c]
+        total = np.zeros_like(members[0])
+        for m in members:
+            total = total + m
+        protos[c] = total / len(members)
+    return protos
+
+
+def score_oracle(queries, protos, metric="neg_sq_distance") -> np.ndarray:
+    """(Q, N) scores, one entry at a time: the negated squared Frobenius
+    distance or the Frobenius inner product of query q and prototype n."""
+    out = np.zeros((len(queries), len(protos)))
+    for qi, q in enumerate(queries):
+        for ni, p in enumerate(protos):
+            q64, p64 = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+            if metric == "neg_sq_distance":
+                out[qi, ni] = -sum(float(v) ** 2 for v in (q64 - p64).ravel())
+            else:
+                out[qi, ni] = sum(float(a) * float(b) for a, b in zip(q64.ravel(), p64.ravel()))
+    return out
+
+
+def sample_episode_oracle(subset, spec, rng) -> Episode:
+    """The episode sampler as first written: one full scan of the subset
+    for the class list, then one more per chosen class."""
+    classes = sorted({label_of(img, spec.label_space) for img in subset})
+    if spec.n_way > len(classes):
+        raise ValueError(f"{spec.n_way}-way episode over only {len(classes)} classes")
+    gen = rng.generator()
+    chosen = [classes[i] for i in gen.choice(len(classes), size=spec.n_way, replace=False)]
+    support, query = [], []
+    need = spec.k_shot + spec.q_query
+    for c in chosen:
+        pool = [img for img in subset if label_of(img, spec.label_space) == c]
+        if len(pool) < need:
+            raise ValueError(f"class {c} has {len(pool)} images, episode needs {need}")
+        picks = gen.choice(len(pool), size=need, replace=False)
+        support.extend(pool[i] for i in picks[: spec.k_shot])
+        query.extend(pool[i] for i in picks[spec.k_shot :])
+    return Episode(tuple(support), tuple(query), tuple(chosen), spec.label_space)

@@ -1,44 +1,27 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metabdc.bdc import (
-    BdcMatrix,
-    Prototype,
     bdc_matrix,
     bdc_matrix_graph,
     class_prototypes,
     episode_classify,
-    episode_scores_graph,
+    prototypes_graph,
+    scores_graph,
 )
 from metabdc.core import Graph, SeededRng, backward, forward_eval, grad_check
-from metabdc.encoder import FeatureMap
+from oracles import bdc_oracle, prototype_oracle, score_oracle
 
 
-def bdc_oracle(x: np.ndarray) -> np.ndarray:
-    """Explicit-loop reference: guarded channel distances, then double-centering."""
-    d, m = x.shape
-    hat = np.zeros((d, d))
-    for k in range(d):
-        for l in range(d):
-            s = sum((x[k, j] - x[l, j]) ** 2 for j in range(m))
-            hat[k, l] = math.sqrt(max(s, 1e-12))
-    out = np.zeros((d, d))
-    rm = [hat[k, :].sum() / d for k in range(d)]
-    cm = [hat[:, l].sum() / d for l in range(d)]
-    gm = hat.sum() / (d * d)
-    for k in range(d):
-        for l in range(d):
-            out[k, l] = hat[k, l] - rm[k] - cm[l] + gm
-    return out
+def one(x: np.ndarray) -> np.ndarray:
+    """BDC matrix of a single (d, m) map through the batched API."""
+    return bdc_matrix(x[None])[0]
 
 
 def test_hand_worked_two_channel_example():
-    fm = FeatureMap(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    got = bdc_matrix(fm).values
+    got = one(np.array([[0.0, 0.0], [3.0, 4.0]]))
     np.testing.assert_allclose(got, [[-2.5, 2.5], [2.5, -2.5]], atol=1e-5)
 
 
@@ -47,26 +30,45 @@ def test_matches_loop_oracle_on_random_maps():
     for _ in range(20):
         d = int(rng.integers(2, 9))
         m = int(rng.integers(2, 11))
-        x = rng.normal(size=(d, m)) * rng.uniform(0.1, 3.0)
-        got = bdc_matrix(FeatureMap(x)).values
-        assert np.abs(got - bdc_oracle(x)).max() <= 1e-10
+        batch = rng.normal(size=(3, d, m)) * rng.uniform(0.1, 3.0)
+        got = bdc_matrix(batch)
+        assert got.shape == (3, d, d)
+        for i in range(3):
+            assert np.abs(got[i] - bdc_oracle(batch[i])).max() <= 1e-10
 
 
 def test_symmetry_row_sums_translation_invariance():
     rng = SeededRng(29).generator()
     x = rng.normal(size=(6, 9))
-    a = bdc_matrix(FeatureMap(x)).values
+    a = one(x)
     assert np.abs(a - a.T).max() <= 1e-9
     assert np.abs(a.sum(axis=1)).max() <= 1e-8
-    shifted = bdc_matrix(FeatureMap(x + 4.2)).values
+    shifted = one(x + 4.2)
     assert np.abs(a - shifted).max() <= 1e-9
 
 
 def test_identical_channels_give_zero_matrix():
     row = np.linspace(-1, 1, 7)
     x = np.tile(row, (5, 1))
-    a = bdc_matrix(FeatureMap(x)).values
+    a = one(x)
     assert np.abs(a).max() <= 1e-9
+
+
+def test_zero_channels_have_exactly_zero_self_distance():
+    # ReLU maps often hold all-zero channels; those channels coincide, and
+    # their distance to each other is the same exact zero as to themselves.
+    gen = np.random.default_rng(3)
+    x = np.maximum(gen.normal(size=(16, 16)), 0.0).astype(np.float32)
+    zero = [2, 5, 11]
+    x[zero] = 0.0
+    a = one(x)
+    assert a.dtype == np.float64
+    assert np.abs(a - bdc_oracle(x)).max() <= 1e-6
+    block = a[np.ix_(zero, zero)]
+    assert np.array_equal(block, np.full_like(block, a[2, 2]))
+    assert np.array_equal(a[2], a[5]) and np.array_equal(a[2], a[11])
+    # all channels coincident: the whole matrix, diagonal included, is exactly zero
+    assert np.array_equal(one(np.zeros((4, 9), dtype=np.float32)), np.zeros((4, 4)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -75,21 +77,28 @@ def test_channel_permutation_conjugates_the_matrix(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(5, 6))
     perm = rng.permutation(5)
-    a = bdc_matrix(FeatureMap(x)).values
-    b = bdc_matrix(FeatureMap(x[perm])).values
+    a = one(x)
+    b = one(x[perm])
     assert np.abs(b - a[np.ix_(perm, perm)]).max() <= 1e-9
 
 
 def test_graph_variant_matches_numpy_path():
+    """The differentiable form (parameter leaves, as in training) gives the
+    forward-only array API's values and agrees with the literal oracle."""
     rng = SeededRng(5).generator()
     batch = rng.normal(size=(4, 6, 8))
     g = Graph()
     x = g.parameter("x", batch)
     g.mark_output("a", bdc_matrix_graph(g, x, d=6))
     out = forward_eval(g)["a"]
+    assert np.array_equal(out, bdc_matrix(batch))
     for i in range(4):
-        ref = bdc_matrix(FeatureMap(batch[i])).values
-        assert np.abs(out[i] - ref).max() <= 1e-9
+        assert np.abs(out[i] - bdc_oracle(batch[i])).max() <= 1e-9
+
+
+def test_rejects_a_map_that_is_not_a_batch():
+    with pytest.raises(ValueError, match="B, d, m"):
+        bdc_matrix(np.zeros((4, 6)))
 
 
 def test_scalar_of_bdc_gradchecks_including_small_distances():
@@ -112,51 +121,61 @@ def test_scalar_of_bdc_gradchecks_including_small_distances():
 
 
 def test_prototypes_are_classwise_means():
-    mats = [BdcMatrix(np.full((2, 2), v)) for v in [1.0, 3.0, 10.0, 20.0]]
-    protos = class_prototypes(mats, [0, 0, 1, 1])
-    assert protos[0].class_id == 0
-    np.testing.assert_allclose(protos[0].values, np.full((2, 2), 2.0))
-    np.testing.assert_allclose(protos[1].values, np.full((2, 2), 15.0))
+    mats = np.stack([np.full((2, 2), v) for v in [1.0, 3.0, 10.0, 20.0]])
+    protos = class_prototypes(mats, 2)
+    assert protos.shape == (2, 2, 2)
+    np.testing.assert_allclose(protos[0], np.full((2, 2), 2.0))
+    np.testing.assert_allclose(protos[1], np.full((2, 2), 15.0))
+    rng = SeededRng(8).generator()
+    support = rng.normal(size=(6, 3, 3))
+    want = prototype_oracle(support, [0, 0, 1, 1, 2, 2])
+    got = class_prototypes(support, 3)
+    for c in range(3):
+        assert np.abs(got[c] - want[c]).max() <= 1e-12
     with pytest.raises(ValueError):
-        class_prototypes(mats, [0, 0, 1])
+        class_prototypes(mats, 3)
+    with pytest.raises(ValueError):
+        class_prototypes(mats[:, :, :1], 2)
 
 
 def test_episode_classify_prefers_nearer_prototype():
-    q = [BdcMatrix(np.eye(3))]
+    q = np.eye(3)[None]
     # class 0 prototype equals the query, class 1 is far away
-    protos = [Prototype(0, np.eye(3)), Prototype(1, np.eye(3) * 5.0)]
-    out = episode_classify(q, protos, metric="neg_sq_distance", temperature=0.5)
-    assert out.scores.shape == (1, 2)
-    assert out.scores[0, 0] > out.scores[0, 1]
-    assert out.probs.argmax(axis=1)[0] == 0
-    np.testing.assert_allclose(out.probs.sum(axis=1), [1.0], atol=1e-12)
+    protos = np.stack([np.eye(3), np.eye(3) * 5.0])
+    scores = episode_classify(q, protos, metric="neg_sq_distance")
+    assert scores.shape == (1, 2)
+    assert scores[0, 0] > scores[0, 1]
+    np.testing.assert_allclose(scores, score_oracle(q, protos), atol=1e-12)
 
 
 def test_episode_classify_inner_product_and_validation():
-    q = [BdcMatrix(np.eye(2))]
-    protos = [Prototype(0, np.eye(2)), Prototype(1, -np.eye(2))]
-    out = episode_classify(q, protos, metric="inner_product")
-    assert out.scores[0, 0] > out.scores[0, 1]
+    q = np.eye(2)[None]
+    protos = np.stack([np.eye(2), -np.eye(2)])
+    scores = episode_classify(q, protos, metric="inner_product")
+    assert scores[0, 0] > scores[0, 1]
+    np.testing.assert_allclose(scores, score_oracle(q, protos, "inner_product"), atol=1e-12)
     with pytest.raises(ValueError):
         episode_classify(q, protos, metric="cosine")
     with pytest.raises(ValueError):
-        episode_classify(q, protos, temperature=0.0)
+        episode_classify(np.zeros((0, 2, 2)), protos)
     with pytest.raises(ValueError):
-        episode_classify([], protos)
+        episode_classify(np.eye(3)[None], protos)
 
 
 def test_episode_scores_graph_matches_numpy():
+    """Prototype and scoring builders composed on parameter leaves, as the
+    episode loss composes them, against the literal oracles."""
     rng = SeededRng(44).generator()
     n, k, qn, d = 3, 2, 4, 5
     support = rng.normal(size=(n * k, d, d))
     queries = rng.normal(size=(qn, d, d))
-
-    g = Graph()
-    s = g.parameter("s", support)
-    q = g.parameter("q", queries)
-    g.mark_output("scores", episode_scores_graph(g, s, q, n, k, d))
-    got = forward_eval(g)["scores"]
-
-    protos = [Prototype(c, support[c * k : (c + 1) * k].mean(axis=0)) for c in range(n)]
-    ref = episode_classify([BdcMatrix(queries[i]) for i in range(qn)], protos).scores
-    assert np.abs(got - ref).max() <= 1e-9
+    protos = prototype_oracle(support, np.repeat(np.arange(n), k))
+    for metric in ("neg_sq_distance", "inner_product"):
+        g = Graph()
+        s = g.parameter("s", support)
+        q = g.parameter("q", queries)
+        g.mark_output("scores", scores_graph(q, prototypes_graph(s, n, k, d), n, d, metric))
+        got = forward_eval(g)["scores"]
+        ref = score_oracle(queries, [protos[c] for c in range(n)], metric)
+        assert np.abs(got - ref).max() <= 1e-9
+        assert np.array_equal(got, episode_classify(queries, class_prototypes(support, n), metric))

@@ -22,6 +22,7 @@ from metabdc.data import (
     zscore_groups,
 )
 from metabdc.metrics import auroc_multiclass_ovr
+from oracles import sample_episode_oracle
 
 
 def small_config(**kw):
@@ -293,6 +294,19 @@ def test_episode_sampler_deterministic():
     assert e1.class_list == e2.class_list
     for a, b in zip(e1.support + e1.query, e2.support + e2.query):
         assert a is b
+
+
+def test_episode_sampler_matches_the_per_class_scan_sampler():
+    images = generate_synthetic(small_config(count_per_fine=24))
+    root = SeededRng(41)
+    specs = (EpisodeSpec(3, 2, 4, "fine"), EpisodeSpec(8, 1, 1, "fine"), EpisodeSpec(2, 5, 10, "coarse"))
+    for seed in range(60):
+        for spec in specs:
+            got = sample_episode(images, spec, root.child(seed))
+            want = sample_episode_oracle(images, spec, root.child(seed))
+            assert got.class_list == want.class_list and got.label_space == want.label_space
+            assert len(got.support) == len(want.support) and len(got.query) == len(want.query)
+            assert all(a is b for a, b in zip(got.support + got.query, want.support + want.query))
 
 
 def test_episode_invariants_over_many_samples():

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from metabdc.core import Graph, SeededRng, backward, forward_eval, grad_check
+from metabdc.data import LabeledImage
 from metabdc.encoder import (
     EncoderConfig,
-    FeatureMap,
     bind_params,
-    classify,
     classify_head,
     conv_stack,
     encode,
@@ -16,6 +15,7 @@ from metabdc.encoder import (
     project_head,
     save_encoder_checkpoint,
 )
+from metabdc.finetune import classifier_scores
 from metabdc.ssl import _embed_dataset
 
 TINY = EncoderConfig(height=8, width=8, channels=1, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
@@ -56,11 +56,10 @@ def test_encode_zero_image_finite_and_deterministic():
     params = init_params(cfg, SeededRng(1))
     imgs = np.zeros((2, 8, 8, 1), dtype=np.float32)
     fms = encode(imgs, cfg, params)
-    assert len(fms) == 2
-    assert fms[0].values.shape == (cfg.feature_dim, cfg.num_positions)
-    assert np.isfinite(fms[0].values).all()
+    assert fms.shape == (2, cfg.feature_dim, cfg.num_positions)
+    assert np.isfinite(fms).all()
     again = encode(imgs, cfg, params)
-    assert np.array_equal(fms[1].values, again[1].values)
+    assert np.array_equal(fms, again)
 
 
 def test_encode_rejects_wrong_shape():
@@ -81,11 +80,12 @@ def test_projection_unit_norm():
 def test_classify_zero_weights_zero_scores():
     cfg = TINY
     head = init_classifier(cfg, 3, SeededRng(9))
-    head = {k: np.zeros_like(v) for k, v in head.items()}
-    fm = FeatureMap(np.ones((cfg.feature_dim, cfg.num_positions), dtype=np.float32))
-    scores = classify(fm, head)
-    assert scores.shape == (3,)
-    assert np.array_equal(scores, np.zeros(3))
+    params = init_params(cfg, SeededRng(1))
+    params.update({k: np.zeros_like(v) for k, v in head.items()})
+    images = [LabeledImage(np.ones((8, 8, 1), dtype=np.float32), 0, 0, i, 0) for i in range(2)]
+    scores = classifier_scores(params, cfg, images)
+    assert scores.shape == (2, 3)
+    assert np.array_equal(scores, np.zeros((2, 3)))
     with pytest.raises(ValueError):
         init_classifier(cfg, 1, SeededRng(9))
 

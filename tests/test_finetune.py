@@ -6,7 +6,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from metabdc.bdc import bdc_matrix, class_prototypes, episode_classify
 from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.data import Episode, EpisodeSpec, LabeledImage
 from metabdc.encoder import EncoderConfig, bind_params, encode, init_params
@@ -23,7 +22,7 @@ from metabdc.finetune import (
     supervised_finetune,
     supervised_pretrain_ce,
 )
-from oracles import aucm_oracle
+from oracles import aucm_oracle, bdc_oracle, prototype_oracle, score_oracle
 
 ENC = EncoderConfig(height=8, width=8, channels=1, stages=((2, 3, 2),), proj_hidden=8, proj_dim=4)
 
@@ -71,14 +70,13 @@ def graph_episode_loss(params, episode, config, with_grads=False):
 
 
 def numpy_episode_scores(params, episode, temperature):
+    """Episode scores from the encoder's maps through the literal oracles."""
     sup = np.stack([im.pixels for im in episode.support]).astype(np.float64)
     qry = np.stack([im.pixels for im in episode.query]).astype(np.float64)
-    sup_mats = [bdc_matrix(fm) for fm in encode(sup, ENC, params)]
-    qry_mats = [bdc_matrix(fm) for fm in encode(qry, ENC, params)]
-    sup_labels = np.repeat(np.arange(episode.n_way), episode.k_shot)
-    protos = class_prototypes(sup_mats, sup_labels)
-    out = episode_classify(qry_mats, protos, metric="neg_sq_distance", temperature=1.0)
-    return out.scores / temperature
+    sup_mats = [bdc_oracle(fm) for fm in encode(sup, ENC, params)]
+    qry_mats = [bdc_oracle(fm) for fm in encode(qry, ENC, params)]
+    protos = prototype_oracle(sup_mats, np.repeat(np.arange(episode.n_way), episode.k_shot))
+    return score_oracle(qry_mats, [protos[c] for c in range(episode.n_way)]) / temperature
 
 
 class TestEpisodeLossOracles:
@@ -141,6 +139,23 @@ class TestEpisodeEvaluation:
         assert scores.shape == (4, 4)
         assert np.array_equal(scores.argmax(axis=1), labels)
         assert evaluate_episode(params, ENC, episode) == 1.0
+
+    @pytest.mark.parametrize(
+        "enc, spec", [(ENC, EpisodeSpec(3, 2, 4, "fine")), (EncoderConfig(), EpisodeSpec(2, 5, 10, "fine"))]
+    )
+    def test_scores_are_the_training_graphs_scores_node(self, enc, spec):
+        params = init_params(enc, SeededRng(6))
+        images = make_images(15, spec.n_way, seed=12, hw=enc.height)
+        config = FinetuneConfig(epochs=1)
+        for episode in sample_episode_block(images, spec, 3, SeededRng(21)):
+            sup = _nchw(list(episode.support), enc, np.float32)
+            qry = _nchw(list(episode.query), enc, np.float32)
+            g = Graph()
+            _episode_loss_graph(g, bind_params(g, params), enc, episode, config, sup.shape, qry.shape)
+            want = forward_eval(g, {"sup": sup, "qry": qry})["scores"]
+            got, _ = episode_scores(params, enc, episode)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
 
     def test_evaluate_episodes_in_unit_interval(self):
         params = init_params(ENC, SeededRng(5))
