@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands cover the pipeline phase by phase (generate-data, pretrain,
-finetune, evaluate), plus grid search and full-ablation report
-assembly. Every subcommand takes the same four flags; phase artifacts
-land under --out, named by pretraining kind, cell, and seed, so phases
-can be run separately and pick up each other's checkpoints.
+Subcommands cover the pipeline phase by phase (pretrain, finetune,
+evaluate), plus grid search and full-ablation report assembly. Every
+subcommand takes the same four flags; phase artifacts land under --out,
+named by pretraining kind, cell, and seed, so phases can be run
+separately and pick up each other's checkpoints.
 
 finetune and evaluate operate on the first configured cell (the first
 fine-tune kind at the first shot setting).
@@ -20,7 +20,6 @@ from dataclasses import replace
 
 from .config import ExperimentConfig, apply_profile, load_config, save_config, train_source
 from .core import SeededRng
-from .data import generate_synthetic, save_dataset
 from .encoder import load_encoder_checkpoint, save_encoder_checkpoint
 from .experiment import (
     MetricsRow,
@@ -41,7 +40,7 @@ from .ssl import PRETRAIN_MODES
 
 log = logging.getLogger(__name__)
 
-COMMANDS = ("generate-data", "pretrain", "finetune", "evaluate", "grid", "report")
+COMMANDS = ("pretrain", "finetune", "evaluate", "grid", "report")
 
 
 def _pretrain_ckpt(out: str, cfg: ExperimentConfig, seed: int) -> str:
@@ -64,15 +63,6 @@ def _pretrained_params(cfg: ExperimentConfig, seed: int, out: str):
         return load_encoder_checkpoint(path, cfg.encoder)
     primary = prepare_splits(cfg, "same")
     return pretrain_encoder(cfg, primary.train, SeededRng(seed).child(1), out, f"-s{seed}")
-
-
-def cmd_generate_data(cfg: ExperimentConfig, seed: int, out: str) -> int:
-    for name, data_cfg in (("primary", cfg.data), ("other", cfg.other_data)):
-        images = generate_synthetic(data_cfg)
-        target = os.path.join(out, "data", name)
-        save_dataset(target, images)
-        print(f"{name}: {len(images)} images -> {target}")
-    return 0
 
 
 def cmd_pretrain(cfg: ExperimentConfig, seed: int, out: str) -> int:
@@ -184,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile:
             cfg = apply_profile(cfg, args.profile)
         handler = {
-            "generate-data": cmd_generate_data,
             "pretrain": cmd_pretrain,
             "finetune": cmd_finetune,
             "evaluate": cmd_evaluate,

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass, field, replace
 
 from .core import config_digest
@@ -140,7 +143,7 @@ class ExperimentConfig:
                 f"{self.n_way}-way evaluation over {self.data.hierarchy.n_coarse} coarse classes"
             )
         for path, values in self.grid:
-            _grid_target(self, path)  # raises on a bad path
+            _grid_target(path)  # raises on a bad path
             if not values:
                 raise ValueError(f"grid axis {path!r} has no values")
 
@@ -150,142 +153,87 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # dict <-> config
+#
+# A field's name and type live only in its dataclass: parsing walks
+# dataclasses.fields and the resolved annotations and coerces nothing (an
+# int field takes a JSON integer, a float field a finite integer or float,
+# a tuple field a list, null only a field that allows None; a bool is never
+# a number). Every rejection names the dotted path of the value. Two fields
+# have their own JSON form: a HierarchySpec is its fine -> coarse list, and
+# the grid maps each axis path to a list of values of that field's type.
+
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "list", dict: "object"}
 
 
-def _strict(kind: str, raw: dict, builders: dict) -> dict:
+def _json_type(value) -> str:
+    return "null" if value is None else _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def _from_json(tp, raw, path: str):
+    """`raw`, as parsed from JSON, converted to a value of annotation `tp`."""
+    if tp is HierarchySpec:
+        return _construct(HierarchySpec, {"mapping": _from_json(tuple[int, ...], raw, path)}, path)
+    if dataclasses.is_dataclass(tp):
+        return _from_object(tp, raw, path)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        if raw is None and type(None) in args:
+            return None
+        (tp,) = [arg for arg in args if arg is not type(None)]
+        return _from_json(tp, raw, path)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ValueError(f"{path}: expected a list, got {_json_type(raw)}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(raw)
+        elif len(raw) != len(args):
+            raise ValueError(f"{path}: expected {len(args)} items, got {len(raw)}")
+        return tuple(_from_json(arg, item, f"{path}[{i}]") for i, (arg, item) in enumerate(zip(args, raw)))
+    if tp not in _EXPECTED:
+        raise TypeError(f"{path}: no JSON form for annotation {tp!r}")
+    if tp is float and type(raw) in (int, float) and abs(raw) <= sys.float_info.max:
+        return float(raw)
+    if tp is not float and type(raw) is tp:
+        return raw
+    raise ValueError(f"{path}: expected {_EXPECTED[tp]}, got {_json_type(raw)}")
+
+
+def _from_object(cls, raw, path: str):
+    section = path or "config"
     if not isinstance(raw, dict):
-        raise ValueError(f"{kind} section must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(builders)
+        raise ValueError(f"{section} section must be an object, got {_json_type(raw)}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
-    return {key: builders[key](raw[key]) for key in raw}
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in raw.items():
+        sub = f"{path}.{name}" if path else name
+        kwargs[name] = _grid_axes(value) if sub == "grid" else _from_json(hints[name], value, sub)
+    return _construct(cls, kwargs, path)
 
 
-def _pair(conv):
-    def build(v):
-        if len(v) != 2:
-            raise ValueError(f"expected a 2-element range, got {v!r}")
-        return (conv(v[0]), conv(v[1]))
-
-    return build
-
-
-def _tuple_of(conv):
-    return lambda v: tuple(conv(x) for x in v)
+def _construct(cls, kwargs: dict, path: str):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _stage(v):
-    if len(v) != 3:
-        raise ValueError(f"conv stage must be [channels, kernel, stride], got {v!r}")
-    return tuple(int(x) for x in v)
-
-
-def _opt_float(v):
-    return None if v is None else float(v)
-
-
-_ENCODER = {
-    "height": int,
-    "width": int,
-    "channels": int,
-    "stages": _tuple_of(_stage),
-    "proj_hidden": int,
-    "proj_dim": int,
-}
-
-_DATA = {
-    "count_per_fine": int,
-    "image_size": int,
-    "hierarchy": lambda v: HierarchySpec(tuple(int(x) for x in v)),
-    "texture_family": str,
-    "intensity_bias": float,
-    "rotation_jitter": float,
-    "phase_jitter": float,
-    "noise": float,
-    "domain_shift": float,
-    "confound": float,
-    "band_base": float,
-    "band_step": float,
-    "group_size": int,
-    "px": float,
-    "py": float,
-    "seed": int,
-}
-
-_AUGMENT = {
-    "crop_scale": _pair(float),
-    "gain": _pair(float),
-    "bias": _pair(float),
-    "rotation": float,
-    "ramp": float,
-}
-
-_IPIRM = {
-    "lambda1": float,
-    "lambda2": float,
-    "tau": float,
-    "outer_iterations": int,
-    "partition_steps": int,
-    "partition_restarts": int,
-    "partition_lr": float,
-    "tolerance": float,
-    "epochs_per_iter": int,
-    "batch_size": int,
-    "weight_decay": float,
-    "base_lr": _opt_float,
-    "augment": lambda v: AugmentConfig(**_strict("augment", v, _AUGMENT)),
-}
-
-_PROXY = {"epochs": int, "batch_size": int, "lr": float, "weight_decay": float, "label_space": str}
-
-_TUNE = {
-    "lr": float,
-    "weight_decay": float,
-    "epochs": int,
-    "decay_epochs": _tuple_of(int),
-    "episodes_per_epoch": int,
-    "val_episodes": int,
-    "loss": str,
-    "metric": str,
-    "temperature": float,
-    "aucm_margin": float,
-    "batch_size": int,
-    "proximal": float,
-}
-
-
-def _grid_axes(v):
-    if not isinstance(v, dict):
-        raise ValueError("grid must map axis paths to value lists")
-    return tuple((str(path), tuple(values)) for path, values in v.items())
-
-
-_TOP = {
-    "pretrain": str,
-    "pretrain_kinds": _tuple_of(str),
-    "finetune_kinds": _tuple_of(str),
-    "k_shots": _tuple_of(int),
-    "n_way": int,
-    "q_query": int,
-    "encoder": lambda v: EncoderConfig(**_strict("encoder", v, _ENCODER)),
-    "data": lambda v: SyntheticConfig(**_strict("data", v, _DATA)),
-    "other_data": lambda v: SyntheticConfig(**_strict("other_data", v, _DATA)),
-    "fractions": lambda v: tuple(float(x) for x in v),
-    "train_domain": int,
-    "eval_domain": int,
-    "fov_mm": float,
-    "out_size": int,
-    "ipirm": lambda v: IpIrmConfig(**_strict("ipirm", v, _IPIRM)),
-    "proxy": lambda v: ProxyConfig(**_strict("proxy", v, _PROXY)),
-    "tune": lambda v: FinetuneConfig(**_strict("tune", v, _TUNE)),
-    "test_episodes": int,
-    "test_repeats": int,
-    "grid": _grid_axes,
-}
+def _grid_axes(raw) -> tuple[tuple[str, tuple], ...]:
+    if not isinstance(raw, dict):
+        raise ValueError(f"grid section must be an object, got {_json_type(raw)}")
+    return tuple(
+        (axis, _from_json(tuple[_grid_target(axis)[2], ...], values, f"grid.{axis}"))
+        for axis, values in raw.items()
+    )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    return ExperimentConfig(**_strict("config", raw, _TOP))
+    return _from_object(ExperimentConfig, raw, "")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -293,18 +241,19 @@ def load_config(path: str) -> ExperimentConfig:
         return config_from_dict(json.load(f))
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    def plain(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            if isinstance(obj, HierarchySpec):
-                return list(obj.mapping)
-            return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        if isinstance(obj, tuple):
-            return [plain(x) for x in obj]
-        return obj
+def _plain(obj):
+    if isinstance(obj, HierarchySpec):
+        return list(obj.mapping)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [_plain(x) for x in obj]
+    return obj
 
-    out = plain(cfg)
-    out["grid"] = {path: list(values) for path, values in cfg.grid}
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    out = _plain(cfg)
+    out["grid"] = {path: _plain(values) for path, values in cfg.grid}
     return out
 
 
@@ -318,23 +267,22 @@ def save_config(path: str, cfg: ExperimentConfig) -> None:
 # grid paths and profiles
 
 
-def _grid_target(cfg: ExperimentConfig, path: str) -> tuple[str, str]:
-    """Split a dotted grid path and check it names a real tunable field."""
+def _grid_target(path: str) -> tuple[str, str, object]:
+    """Split a dotted grid path into (section, field, field annotation),
+    checking it names a real tunable field."""
     parts = path.split(".")
     if len(parts) != 2 or parts[0] not in ("tune", "ipirm", "proxy"):
         raise ValueError(f"grid path {path!r} must look like tune.lr, ipirm.weight_decay, ...")
     section, name = parts
-    target = getattr(cfg, section)
-    if name not in {f.name for f in dataclasses.fields(target)}:
+    hints = typing.get_type_hints(typing.get_type_hints(ExperimentConfig)[section])
+    if name not in hints:
         raise ValueError(f"grid path {path!r}: no field {name!r} in {section}")
-    return section, name
+    return section, name, hints[name]
 
 
 def apply_grid_overrides(cfg: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:
     for path, value in overrides.items():
-        section, name = _grid_target(cfg, path)
-        if isinstance(value, (list, tuple)):
-            value = tuple(value)
+        section, name, _ = _grid_target(path)
         cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
     return cfg
 

@@ -17,9 +17,7 @@ from .rng import SeededRng
 from .serial import (
     SerializationError,
     config_digest,
-    dumps_array,
     load_checkpoint,
-    loads_array,
     read_array,
     save_checkpoint,
     write_array,
@@ -40,9 +38,7 @@ __all__ = [
     "SeededRng",
     "SerializationError",
     "config_digest",
-    "dumps_array",
     "load_checkpoint",
-    "loads_array",
     "read_array",
     "save_checkpoint",
     "write_array",

@@ -22,7 +22,6 @@ identical bytes.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import struct
 from typing import BinaryIO
@@ -82,16 +81,6 @@ def _read_exact(stream: BinaryIO, n: int) -> bytes:
     if len(data) != n:
         raise SerializationError(f"truncated stream: wanted {n} bytes, got {len(data)}")
     return data
-
-
-def dumps_array(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    write_array(buf, arr)
-    return buf.getvalue()
-
-
-def loads_array(data: bytes) -> np.ndarray:
-    return read_array(io.BytesIO(data))
 
 
 def config_digest(obj) -> str:

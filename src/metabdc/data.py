@@ -11,14 +11,11 @@ group-level z-scoring that removes flat offsets.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import SeededRng
-from .core.serial import read_array, write_array
 from .imageops import crop_with_padding, resize_bilinear
 
 
@@ -418,47 +415,3 @@ def sample_episode(subset: list[LabeledImage], spec: EpisodeSpec, rng: SeededRng
         support.extend(pool[i] for i in picks[: spec.k_shot])
         query.extend(pool[i] for i in picks[spec.k_shot :])
     return Episode(tuple(support), tuple(query), tuple(chosen), spec.label_space)
-
-
-# ---------------------------------------------------------------------------
-# disk format
-
-MANIFEST_NAME = "manifest.csv"
-_MANIFEST_FIELDS = ("path", "fine", "coarse", "group", "domain", "px", "py")
-
-
-def save_dataset(dirpath: str, images: list[LabeledImage]) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    os.makedirs(os.path.join(dirpath, "images"), exist_ok=True)
-    with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_MANIFEST_FIELDS)
-        for i, img in enumerate(images):
-            rel = f"images/im_{i:05d}.arr"
-            with open(os.path.join(dirpath, rel), "wb") as arr_f:
-                write_array(arr_f, img.pixels.astype(np.float32))
-            writer.writerow([rel, img.fine, img.coarse, img.group, img.domain, f"{img.px:.10g}", f"{img.py:.10g}"])
-
-
-def load_dataset(dirpath: str) -> list[LabeledImage]:
-    manifest = os.path.join(dirpath, MANIFEST_NAME)
-    images: list[LabeledImage] = []
-    with open(manifest, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != list(_MANIFEST_FIELDS):
-            raise ValueError(f"bad manifest columns {reader.fieldnames}")
-        for row in reader:
-            with open(os.path.join(dirpath, row["path"]), "rb") as arr_f:
-                pixels = read_array(arr_f)
-            images.append(
-                LabeledImage(
-                    pixels=pixels,
-                    fine=int(row["fine"]),
-                    coarse=int(row["coarse"]),
-                    group=int(row["group"]),
-                    domain=int(row["domain"]),
-                    px=float(row["px"]),
-                    py=float(row["py"]),
-                )
-            )
-    return images

@@ -14,6 +14,7 @@ Heads:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,16 +67,7 @@ class EncoderConfig:
         return h * w
 
     def digest(self) -> str:
-        return config_digest(
-            {
-                "height": self.height,
-                "width": self.width,
-                "channels": self.channels,
-                "stages": [list(s) for s in self.stages],
-                "proj_hidden": self.proj_hidden,
-                "proj_dim": self.proj_dim,
-            }
-        )
+        return config_digest(dataclasses.asdict(self))
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:

@@ -142,6 +142,52 @@ def sample_episode_block(
 
 
 # ---------------------------------------------------------------------------
+# one-vs-rest AUC-margin objective, shared by the episodic and supervised loops
+
+
+def _aucm_stepper(
+    step_params: dict[str, np.ndarray], prefix: str, n_columns: int, config: FinetuneConfig
+) -> tuple[PesgConfig, PesgState]:
+    """Add zeroed (a, b, alpha) slots per score column to `step_params` and
+    return the saddle-point stepper that updates them."""
+    for k in range(n_columns):
+        for slot in ("a", "b", "alpha"):
+            step_params[f"{prefix}{slot}{k}"] = np.zeros(1)
+    pesg_cfg = PesgConfig(
+        lr=config.lr,
+        weight_decay=config.weight_decay,
+        proximal=config.proximal,
+        decay_epochs=config.decay_epochs,
+    )
+    state = PesgState(
+        center_names=tuple(f"{prefix}{slot}{k}" for k in range(n_columns) for slot in ("a", "b")),
+        dual_names=tuple(f"{prefix}alpha{k}" for k in range(n_columns)),
+    )
+    return pesg_cfg, state
+
+
+def _aucm_columns_graph(g: Graph, z, labels: np.ndarray, refs: dict, prefix: str, p_hat, margin: float):
+    """Sum over columns k of z of the AUC-margin loss of column k against a
+    one-vs-rest split at label k, with positive rate p_hat[k]."""
+    n_columns = len(p_hat)
+    total = None
+    for k in range(n_columns):
+        col = (z * g.constant(np.eye(n_columns)[k])).sum(axis=1)
+        term = aucm_loss_graph(
+            g,
+            col,
+            (labels == k).astype(np.int64),
+            refs[f"{prefix}a{k}"],
+            refs[f"{prefix}b{k}"],
+            refs[f"{prefix}alpha{k}"],
+            margin=margin,
+            p_hat=float(p_hat[k]),
+        )
+        total = term if total is None else total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
 # episodic meta fine-tuning
 
 
@@ -166,23 +212,8 @@ def _episode_loss_graph(
     if config.loss == "ce":
         onehot = g.constant(np.eye(episode.n_way)[labels])
         return (z.logsumexp(axis=1) - (z * onehot).sum(axis=1)).mean()
-    # per-way AUC-margin: way k scored by column k against a one-vs-rest split;
     # every way holds exactly q_query positives, so the positive rate is 1/N
-    total = None
-    for way in range(episode.n_way):
-        col = (z * g.constant(np.eye(episode.n_way)[way])).sum(axis=1)
-        term = aucm_loss_graph(
-            g,
-            col,
-            (labels == way).astype(np.int64),
-            refs[f"ep_a{way}"],
-            refs[f"ep_b{way}"],
-            refs[f"ep_alpha{way}"],
-            margin=config.aucm_margin,
-            p_hat=1.0 / episode.n_way,
-        )
-        total = term if total is None else total + term
-    return total
+    return _aucm_columns_graph(g, z, labels, refs, "ep_", [1.0 / n_way] * n_way, config.aucm_margin)
 
 
 def meta_finetune(
@@ -207,25 +238,8 @@ def meta_finetune(
     dtype = params["conv0_w"].dtype
 
     use_aucm = config.loss == "aucm"
-    state = None
-    pesg_cfg = None
     if use_aucm:
-        for way in range(train_spec.n_way):
-            step_params[f"ep_a{way}"] = np.zeros(1)
-            step_params[f"ep_b{way}"] = np.zeros(1)
-            step_params[f"ep_alpha{way}"] = np.zeros(1)
-        pesg_cfg = PesgConfig(
-            lr=config.lr,
-            weight_decay=config.weight_decay,
-            proximal=config.proximal,
-            decay_epochs=config.decay_epochs,
-        )
-        state = PesgState(
-            center_names=tuple(
-                n for way in range(train_spec.n_way) for n in (f"ep_a{way}", f"ep_b{way}")
-            ),
-            dual_names=tuple(f"ep_alpha{way}" for way in range(train_spec.n_way)),
-        )
+        pesg_cfg, state = _aucm_stepper(step_params, "ep_", train_spec.n_way, config)
 
     val_episodes = sample_episode_block(val_images, val_spec, config.val_episodes, rng.child(2_000_000))
     sched = ScheduleConfig("step", config.lr, config.epochs, config.decay_epochs)
@@ -356,20 +370,7 @@ def supervised_finetune(
     params.update(init_classifier(enc_cfg, n_classes, rng.child(1), dtype=dtype))
 
     step_params = {k: v for k, v in params.items() if k.startswith(("conv", "cls"))}
-    for k in range(n_classes):
-        step_params[f"aucm_a{k}"] = np.zeros(1)
-        step_params[f"aucm_b{k}"] = np.zeros(1)
-        step_params[f"aucm_alpha{k}"] = np.zeros(1)
-    pesg_cfg = PesgConfig(
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        proximal=config.proximal,
-        decay_epochs=config.decay_epochs,
-    )
-    state = PesgState(
-        center_names=tuple(n for k in range(n_classes) for n in (f"aucm_a{k}", f"aucm_b{k}")),
-        dual_names=tuple(f"aucm_alpha{k}" for k in range(n_classes)),
-    )
+    pesg_cfg, state = _aucm_stepper(step_params, "aucm_", n_classes, config)
 
     all_nchw = _nchw(train_images, enc_cfg, dtype)
     val_labels = np.array([label_of(im, label_space) for im in val_images])
@@ -387,25 +388,11 @@ def supervised_finetune(
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue
-            batch_labels = labels[idx]
             g = Graph()
             refs = bind_params(g, step_params)
             x = g.input("x", (idx.size,) + all_nchw.shape[1:])
             z = classify_head(g, conv_stack(g, x, refs, enc_cfg), refs)
-            total = None
-            for k in range(n_classes):
-                col = (z * g.constant(np.eye(n_classes)[k])).sum(axis=1)
-                term = aucm_loss_graph(
-                    g,
-                    col,
-                    (batch_labels == k).astype(np.int64),
-                    refs[f"aucm_a{k}"],
-                    refs[f"aucm_b{k}"],
-                    refs[f"aucm_alpha{k}"],
-                    margin=config.aucm_margin,
-                    p_hat=float(p_hat[k]),
-                )
-                total = term if total is None else total + term
+            total = _aucm_columns_graph(g, z, labels[idx], refs, "aucm_", p_hat, config.aucm_margin)
             forward_eval(g, {"x": all_nchw[idx]})
             if not np.isfinite(float(total.value)):
                 raise FloatingPointError(f"non-finite supervised loss at epoch {epoch}")

@@ -12,14 +12,14 @@ from metabdc.core import (
     backward,
     concat,
     config_digest,
-    dumps_array,
     forward_eval,
     grad_check,
     l2_normalize,
     load_checkpoint,
-    loads_array,
+    read_array,
     save_checkpoint,
     softmax,
+    write_array,
 )
 from metabdc.core import graph as graph_module
 
@@ -321,20 +321,30 @@ def test_every_primitive_op_gradchecks():
         assert err <= 1e-5, f"{name}: {err}"
 
 
+def _to_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    write_array(buf, arr)
+    return buf.getvalue()
+
+
+def _from_bytes(blob: bytes) -> np.ndarray:
+    return read_array(io.BytesIO(blob))
+
+
 def test_array_roundtrip_both_dtypes():
     rng = SeededRng(2).generator()
     for dtype in (np.float32, np.float64):
         arr = rng.normal(size=(3, 1, 5)).astype(dtype)
-        back = loads_array(dumps_array(arr))
+        back = _from_bytes(_to_bytes(arr))
         assert back.dtype == dtype
         assert np.array_equal(arr, back)
     scalar = np.array(4.25)
-    assert loads_array(dumps_array(scalar)).shape == ()
+    assert _from_bytes(_to_bytes(scalar)).shape == ()
 
 
 def test_array_header_layout():
     arr = np.arange(6, dtype=np.float64).reshape(2, 3)
-    blob = dumps_array(arr)
+    blob = _to_bytes(arr)
     assert blob[:4] == b"MBDC"
     assert int.from_bytes(blob[4:6], "little") == 1
     assert blob[6] == 1  # float64 tag
@@ -345,13 +355,13 @@ def test_array_header_layout():
 
 def test_array_bad_magic_and_truncation():
     arr = np.ones((2, 2))
-    blob = dumps_array(arr)
+    blob = _to_bytes(arr)
     with pytest.raises(SerializationError):
-        loads_array(b"XXXX" + blob[4:])
+        _from_bytes(b"XXXX" + blob[4:])
     with pytest.raises(SerializationError):
-        loads_array(blob[:-8])
+        _from_bytes(blob[:-8])
     with pytest.raises(SerializationError):
-        loads_array(blob[:4] + b"\x09\x00" + blob[6:])  # unsupported version
+        _from_bytes(blob[:4] + b"\x09\x00" + blob[6:])  # unsupported version
 
 
 def test_checkpoint_roundtrip_and_digest_mismatch(tmp_path):

@@ -13,11 +13,9 @@ from metabdc.data import (
     fov_pixels,
     generate_synthetic,
     label_of,
-    load_dataset,
     preprocess_dataset,
     preprocess_image,
     sample_episode,
-    save_dataset,
     split_dataset,
     zscore_groups,
 )
@@ -337,34 +335,3 @@ def test_episode_constructor_validation():
         Episode((imgs[0], imgs[1]), (imgs[2], imgs[3]), (0, 1))  # class 1 missing from support
     with pytest.raises(ValueError):
         Episode((imgs[0], imgs[2]), (imgs[1], imgs[3]), (0,))  # below 2 ways
-
-
-# ---------------------------------------------------------------------------
-# disk format
-
-
-def test_dataset_roundtrip(tmp_path):
-    images = generate_synthetic(small_config())
-    save_dataset(str(tmp_path / "ds"), images)
-    loaded = load_dataset(str(tmp_path / "ds"))
-    assert len(loaded) == len(images)
-    for a, b in zip(images, loaded):
-        np.testing.assert_array_equal(a.pixels, b.pixels)
-        assert (a.fine, a.coarse, a.group, a.domain, a.px, a.py) == (b.fine, b.coarse, b.group, b.domain, b.px, b.py)
-
-
-def test_manifest_layout(tmp_path):
-    images = generate_synthetic(small_config())[:2]
-    save_dataset(str(tmp_path / "ds"), images)
-    lines = (tmp_path / "ds" / "manifest.csv").read_text().strip().split("\n")
-    assert lines[0] == "path,fine,coarse,group,domain,px,py"
-    assert len(lines) == 3
-    assert lines[1].startswith("images/im_00000.arr,")
-
-
-def test_load_rejects_bad_manifest(tmp_path):
-    d = tmp_path / "ds"
-    d.mkdir()
-    (d / "manifest.csv").write_text("path,fine\nx,0\n")
-    with pytest.raises(ValueError):
-        load_dataset(str(d))

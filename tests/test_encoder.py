@@ -28,6 +28,11 @@ def test_default_config_geometry():
     assert cfg.num_positions == 16
 
 
+def test_default_digest_is_pinned():
+    # checkpoints carry this digest; a change would refuse every saved .mbcp
+    assert EncoderConfig().digest() == "82d765ca386e0723800c47ef0884cfce05a4a0b17b10ac5f447546b7772f7c63"
+
+
 def test_config_rejects_bad_stages():
     with pytest.raises(ValueError):
         EncoderConfig(stages=((16, 7, 2),))  # kernel beyond 5x5

@@ -3,6 +3,7 @@ failure isolation, grid search, report emission, and the CLI."""
 
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from metabdc.experiment import (
 )
 from metabdc.finetune import FinetuneConfig
 from metabdc.report import ResultsTable, column_label, emit_report
-from metabdc.ssl import IpIrmConfig
+from metabdc.ssl import AugmentConfig, IpIrmConfig
 
 
 def tiny_cfg(**kw):
@@ -70,6 +71,57 @@ def tiny_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def all_non_default_cfg():
+    """A config in which every leaf field differs from its default."""
+    return ExperimentConfig(
+        pretrain="simclr",
+        pretrain_kinds=("none", "simclr"),
+        finetune_kinds=("meta-coarse-same", "meta-fine-same"),
+        k_shots=(2,),
+        n_way=3,
+        q_query=4,
+        encoder=EncoderConfig(
+            height=12, width=12, channels=2, stages=((6, 3, 1), (12, 5, 2)), proj_hidden=24, proj_dim=8
+        ),
+        data=SyntheticConfig(
+            count_per_fine=48, image_size=20, hierarchy=HierarchySpec.nested(9, 3), texture_family="rings",
+            intensity_bias=0.5, rotation_jitter=0.2, phase_jitter=0.4, noise=0.3, domain_shift=0.5,
+            confound=1.0, band_base=2.5, band_step=1.5, group_size=6, px=5.0, py=4.0, seed=8,
+        ),
+        other_data=SyntheticConfig(
+            count_per_fine=32, image_size=24, hierarchy=HierarchySpec((0, 1, 2, 0, 1, 2)),
+            texture_family="grating", intensity_bias=0.1, rotation_jitter=0.1, phase_jitter=0.2,
+            noise=0.2, domain_shift=2.0, confound=0.5, band_base=4.0, band_step=2.0, group_size=8,
+            px=3.0, py=3.5, seed=9,
+        ),
+        fractions=(0.6, 0.2, 0.2),
+        train_domain=1,
+        eval_domain=0,
+        fov_mm=80.0,
+        out_size=12,
+        ipirm=IpIrmConfig(
+            lambda1=0.3, lambda2=0.4, tau=0.7, outer_iterations=2, partition_steps=20,
+            partition_restarts=3, partition_lr=0.05, tolerance=1e-4, epochs_per_iter=2, batch_size=16,
+            weight_decay=5e-4, base_lr=None,
+            augment=AugmentConfig(crop_scale=(0.5, 0.9), gain=(0.9, 1.1), bias=(-0.2, 0.2), rotation=0.5, ramp=1.0),
+        ),
+        proxy=ProxyConfig(epochs=3, batch_size=16, lr=0.05, weight_decay=1e-3, label_space="coarse"),
+        tune=FinetuneConfig(
+            lr=0.003, weight_decay=1e-3, epochs=5, decay_epochs=(2, 4), episodes_per_epoch=20,
+            val_episodes=10, loss="aucm", metric="inner_product", temperature=2.0, aucm_margin=0.5,
+            batch_size=16, proximal=0.1,
+        ),
+        test_episodes=50,
+        test_repeats=2,
+        grid=(
+            ("tune.lr", (0.01, 0.003)),
+            ("tune.decay_epochs", ((1,), (2, 3))),
+            ("ipirm.base_lr", (None, 0.002)),
+            ("proxy.label_space", ("fine",)),
+        ),
+    )
+
+
 class TestConfigParsing:
     def test_empty_dict_gives_defaults(self):
         assert config_from_dict({}) == ExperimentConfig()
@@ -83,6 +135,57 @@ class TestConfigParsing:
         path = str(tmp_path / "cfg.json")
         save_config(path, cfg)
         assert load_config(path) == cfg
+
+    def test_every_leaf_off_default_roundtrips(self):
+        def leaves(d, prefix=""):
+            for key, value in d.items():
+                if isinstance(value, dict) and key != "grid":
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield f"{prefix}{key}", value
+
+        cfg = all_non_default_cfg()
+        raw = config_to_dict(cfg)
+        default = dict(leaves(config_to_dict(ExperimentConfig())))
+        assert [path for path, value in leaves(raw) if value == default[path]] == []
+        assert config_from_dict(json.loads(json.dumps(raw))) == cfg
+
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"k_shots": "15"}, "k_shots"),
+            ({"k_shots": 5}, "k_shots"),
+            ({"fractions": "523"}, "fractions"),
+            ({"fractions": [0.5, 0.5]}, "fractions"),
+            ({"n_way": True}, "n_way"),
+            ({"tune": {"lr": "abc"}}, "tune.lr"),
+            ({"tune": {"lr": None}}, "tune.lr"),
+            ({"tune": {"epochs": 2.9}}, "tune.epochs"),
+            ({"tune": {"temperature": float("nan")}}, "tune.temperature"),
+            ({"fov_mm": float("inf")}, "fov_mm"),
+            ({"fov_mm": 10**400}, "fov_mm"),
+            ({"tune": {"decay_epochs": [1, "2"]}}, "tune.decay_epochs[1]"),
+            ({"data": {"seed": 7.9}}, "data.seed"),
+            ({"data": {"hierarchy": "00001111"}}, "data.hierarchy"),
+            ({"proxy": {"label_space": ["fine"]}}, "proxy.label_space"),
+            ({"encoder": {"stages": [[8, 3]]}}, "encoder.stages[0]"),
+            ({"ipirm": {"augment": {"gain": [1.0]}}}, "ipirm.augment.gain"),
+            ({"ipirm": {"augment": {"crop_scale": [0.5, 2.0]}}}, "ipirm.augment"),
+            ({"grid": {"tune.lr": "0.003"}}, "grid.tune.lr"),
+            ({"grid": {"tune.lr": ["0.003"]}}, "grid.tune.lr[0]"),
+            ({"grid": {"tune.lr": [0.01, "0.003"]}}, "grid.tune.lr[1]"),
+            ({"grid": {"tune.epochs": [2.9]}}, "grid.tune.epochs[0]"),
+        ],
+    )
+    def test_mistyped_value_is_rejected_naming_its_path(self, raw, path):
+        with pytest.raises(ValueError, match="^" + re.escape(path) + ":"):
+            config_from_dict(raw)
+
+    def test_integers_fill_float_fields_and_null_fills_optional_ones(self):
+        cfg = config_from_dict({"tune": {"lr": 1}, "grid": {"ipirm.base_lr": [None, 2]}})
+        assert type(cfg.tune.lr) is float
+        assert cfg.grid == (("ipirm.base_lr", (None, 2.0)),)
+        assert type(cfg.grid[0][1][1]) is float
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -338,12 +441,6 @@ class TestCli:
         save_config(cfg_path, cfg)
         return cfg, cfg_path, str(tmp_path / "out")
 
-    def test_generate_data(self, setup):
-        _, cfg_path, out = setup
-        assert main(["generate-data", "--config", cfg_path, "--out", out]) == 0
-        assert os.path.exists(os.path.join(out, "data", "primary", "manifest.csv"))
-        assert os.path.exists(os.path.join(out, "data", "other", "manifest.csv"))
-
     def test_pretrain_finetune_evaluate_chain(self, setup):
         _, cfg_path, out = setup
         assert main(["pretrain", "--config", cfg_path, "--seed", "4", "--out", out]) == 0
@@ -396,3 +493,10 @@ class TestCli:
             json.dump({"bogus": 1}, f)
         assert main(["report", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_mistyped_config_exits_2_naming_the_field(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as f:
+            json.dump({"k_shots": 5}, f)
+        assert main(["report", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "k_shots" in capsys.readouterr().err
