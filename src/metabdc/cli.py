@@ -18,18 +18,23 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import ExperimentConfig, apply_profile, load_config, save_config, train_source
+from .config import ExperimentConfig, apply_profile, load_config, save_config
 from .core import SeededRng
 from .encoder import load_encoder_checkpoint, save_encoder_checkpoint
 from .experiment import (
     MetricsRow,
     RowFragment,
+    cell_checkpoint,
     cell_list,
     finetune_cell,
     grid_search,
+    other_splits,
+    pretrain_checkpoint,
     pretrain_encoder,
     prepare_splits,
     run_experiment,
+    run_id,
+    seed_tag,
     shot_label,
     test_cell,
     write_metrics_csv,
@@ -43,33 +48,25 @@ log = logging.getLogger(__name__)
 COMMANDS = ("pretrain", "finetune", "evaluate", "grid", "report")
 
 
-def _pretrain_ckpt(out: str, cfg: ExperimentConfig, seed: int) -> str:
-    return os.path.join(out, f"pretrain-{cfg.pretrain}-s{seed}.mbcp")
-
-
-def _cell_ckpt(out: str, cfg: ExperimentConfig, kind: str, shots: int, seed: int) -> str:
-    return os.path.join(out, f"cell-{cfg.pretrain}-{kind}-{shot_label(shots)}-s{seed}.mbcp")
-
-
 def _first_cell(cfg: ExperimentConfig) -> tuple[str, int]:
     return cell_list(cfg)[0]
 
 
 def _pretrained_params(cfg: ExperimentConfig, seed: int, out: str):
     """Load the pretraining checkpoint, running the phase when absent."""
-    path = _pretrain_ckpt(out, cfg, seed)
+    path = pretrain_checkpoint(out, cfg.pretrain, seed_tag(seed))
     if os.path.exists(path):
         log.info("using existing checkpoint %s", path)
         return load_encoder_checkpoint(path, cfg.encoder)
     primary = prepare_splits(cfg, "same")
-    return pretrain_encoder(cfg, primary.train, SeededRng(seed).child(1), out, f"-s{seed}")
+    return pretrain_encoder(cfg, primary.train, SeededRng(seed).child(1), out, seed_tag(seed))
 
 
 def cmd_pretrain(cfg: ExperimentConfig, seed: int, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     primary = prepare_splits(cfg, "same")
-    pretrain_encoder(cfg, primary.train, SeededRng(seed).child(1), out, f"-s{seed}")
-    path = _pretrain_ckpt(out, cfg, seed)
+    pretrain_encoder(cfg, primary.train, SeededRng(seed).child(1), out, seed_tag(seed))
+    path = pretrain_checkpoint(out, cfg.pretrain, seed_tag(seed))
     extra = " (with trace CSV)" if cfg.pretrain in PRETRAIN_MODES else ""
     print(f"pretrained {cfg.pretrain} -> {path}{extra}")
     return 0
@@ -80,14 +77,14 @@ def cmd_finetune(cfg: ExperimentConfig, seed: int, out: str) -> int:
     kind, shots = _first_cell(cfg)
     params = _pretrained_params(cfg, seed, out)
     primary = prepare_splits(cfg, "same")
-    other = prepare_splits(cfg, "other") if kind != "fully-supervised" and train_source(kind) == "other" else None
+    other = other_splits(cfg, (kind,))
     rng = SeededRng(seed).child(100)
     result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(0))
-    ckpt = _cell_ckpt(out, cfg, kind, shots, seed)
+    ckpt = cell_checkpoint(out, cfg, kind, shots, seed)
     save_encoder_checkpoint(ckpt, result.params, cfg.encoder)
-    run_id = f"{cfg.pretrain}+{kind}-{shot_label(shots)}-s{seed}"
-    rows = [MetricsRow(run_id, "val", epoch, 0, score) for epoch, score in enumerate(result.val_history)]
-    write_metrics_csv(os.path.join(out, f"val-{run_id}.csv"), rows)
+    cell_id = run_id(cfg, kind, shots, seed)
+    rows = [MetricsRow(cell_id, "val", epoch, 0, score) for epoch, score in enumerate(result.val_history)]
+    write_metrics_csv(os.path.join(out, f"val-{cell_id}.csv"), rows)
     print(f"fine-tuned {kind} ({shot_label(shots)}): best epoch {result.best_epoch}, "
           f"val AUROC {result.val_history[result.best_epoch]:.4f} -> {ckpt}")
     return 0
@@ -95,7 +92,7 @@ def cmd_finetune(cfg: ExperimentConfig, seed: int, out: str) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, seed: int, out: str) -> int:
     kind, shots = _first_cell(cfg)
-    ckpt = _cell_ckpt(out, cfg, kind, shots, seed)
+    ckpt = cell_checkpoint(out, cfg, kind, shots, seed)
     if not os.path.exists(ckpt):
         print(f"no fine-tuned checkpoint at {ckpt}; run the finetune subcommand first", file=sys.stderr)
         return 2
@@ -103,19 +100,19 @@ def cmd_evaluate(cfg: ExperimentConfig, seed: int, out: str) -> int:
     primary = prepare_splits(cfg, "same")
     rng = SeededRng(seed).child(100)
     repeats = test_cell(cfg, params, primary, kind, shots, rng)
-    run_id = f"{cfg.pretrain}+{kind}-{shot_label(shots)}-s{seed}"
+    cell_id = run_id(cfg, kind, shots, seed)
     rows = [
-        MetricsRow(run_id, "test", e_idx, rep, score)
+        MetricsRow(cell_id, "test", e_idx, rep, score)
         for rep, scores in enumerate(repeats)
         for e_idx, score in enumerate(scores)
     ]
-    path = os.path.join(out, f"test-{run_id}.csv")
+    path = os.path.join(out, f"test-{cell_id}.csv")
     write_metrics_csv(path, rows)
     if kind == "fully-supervised":
-        print(f"{run_id}: test AUROC {repeats[0][0]:.4f} -> {path}")
+        print(f"{cell_id}: test AUROC {repeats[0][0]:.4f} -> {path}")
     else:
         agg = aggregate_episode_metrics(repeats)
-        print(f"{run_id}: test AUROC {agg.mean:.4f} +- {agg.std:.4f} "
+        print(f"{cell_id}: test AUROC {agg.mean:.4f} +- {agg.std:.4f} "
               f"({len(repeats)} repeats x {len(repeats[0])} episodes) -> {path}")
     return 0
 

@@ -7,10 +7,8 @@ from .graph import (
     ShapeMismatch,
     Var,
     backward,
-    concat,
     forward_eval,
     l2_normalize,
-    softmax,
 )
 from .gradcheck import grad_check
 from .rng import SeededRng
@@ -30,10 +28,8 @@ __all__ = [
     "ShapeMismatch",
     "Var",
     "backward",
-    "concat",
     "forward_eval",
     "l2_normalize",
-    "softmax",
     "grad_check",
     "SeededRng",
     "SerializationError",

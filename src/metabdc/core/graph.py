@@ -133,9 +133,6 @@ class Var:
     def reshape(self, shape):
         return self.graph._emit("reshape", (self,), shape=tuple(int(s) for s in shape))
 
-    def transpose(self, axes):
-        return self.graph._emit("transpose", (self,), axes=tuple(int(a) for a in axes))
-
     def swap_last2(self):
         return self.graph._emit("swap_last2", (self,))
 
@@ -333,14 +330,10 @@ def _forward_one(graph: Graph, idx: int, feeds: dict[str, np.ndarray]) -> np.nda
             return out if node.meta["keepdims"] else np.squeeze(out, axis=axis)
         if op == "reshape":
             return vals[0].reshape(node.meta["shape"])
-        if op == "transpose":
-            return vals[0].transpose(node.meta["axes"])
         if op == "swap_last2":
             return np.swapaxes(vals[0], -1, -2)
         if op == "gather":
             return vals[0][node.meta["indices"]]
-        if op == "concat":
-            return np.concatenate(vals, axis=node.meta["axis"])
         if op == "conv2d":
             x, w, b = vals
             if x.ndim != 4 or w.ndim != 4:
@@ -441,19 +434,12 @@ def _vjp(graph: Graph, idx: int, grad: np.ndarray, needed: list[bool]) -> list[n
         return [g * soft]
     if op == "reshape":
         return [grad.reshape(vals[0].shape)]
-    if op == "transpose":
-        return [grad.transpose(np.argsort(node.meta["axes"]))]
     if op == "swap_last2":
         return [np.swapaxes(grad, -1, -2)]
     if op == "gather":
         gx = np.zeros_like(vals[0])
         np.add.at(gx, node.meta["indices"], grad)
         return [gx]
-    if op == "concat":
-        axis = node.meta["axis"]
-        sizes = [v.shape[axis] for v in vals]
-        splits = np.cumsum(sizes)[:-1]
-        return [part if need else None for part, need in zip(np.split(grad, splits, axis=axis), needed)]
     if op == "conv2d":
         x, w, _b = vals
         return list(_conv2d_vjp(grad, x, w, node.meta["stride"], node.meta["pad"], need_a))
@@ -468,13 +454,6 @@ def _spread(grad, shape, axis, keepdims):
         for a in sorted(axis):
             g = np.expand_dims(g, a)
     return np.broadcast_to(g, shape).copy()
-
-
-def concat(vars_: list[Var], axis: int) -> Var:
-    if not vars_:
-        raise GraphError("concat needs at least one node")
-    g = vars_[0].graph
-    return g._emit("concat", tuple(vars_), axis=int(axis))
 
 
 def _param_paths(graph: Graph, last: int) -> list[bool]:
@@ -532,11 +511,6 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # composite helpers
-
-
-def softmax(x: Var, axis: int) -> Var:
-    """Numerically stable softmax built from logsumexp."""
-    return (x - x.logsumexp(axis=axis, keepdims=True)).exp()
 
 
 def l2_normalize(x: Var, axis: int = -1, eps: float = SQRT_GUARD_EPS) -> Var:

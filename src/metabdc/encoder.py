@@ -133,7 +133,7 @@ def project_head(g: Graph, fmaps: Var, refs: dict[str, Var], config: EncoderConf
 
 
 def classify_head(g: Graph, fmaps: Var, refs: dict[str, Var]) -> Var:
-    """(B, d, m) -> (B, n_classes) raw scores (no softmax)."""
+    """(B, d, m) -> (B, n_classes) raw, unnormalized scores."""
     return fmaps.mean(axis=2) @ refs["cls_w"] + refs["cls_b"]
 
 

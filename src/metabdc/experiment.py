@@ -94,6 +94,32 @@ def prepare_splits(cfg: ExperimentConfig, which: str = "same") -> Splits:
     return Splits(train, val, test)
 
 
+def other_splits(cfg: ExperimentConfig, kinds: tuple[str, ...]) -> Splits | None:
+    """The other-source splits when any of the fine-tune `kinds` trains on
+    them, else None."""
+    return prepare_splits(cfg, "other") if any(train_source(k) == "other" for k in kinds) else None
+
+
+# ---------------------------------------------------------------------------
+# artifact names
+
+
+def seed_tag(seed: int) -> str:
+    return f"-s{seed}"
+
+
+def run_id(cfg: ExperimentConfig, kind: str, shots: int, seed: int) -> str:
+    return f"{cfg.pretrain}+{kind}-{shot_label(shots)}{seed_tag(seed)}"
+
+
+def pretrain_checkpoint(out_dir: str, kind: str, tag: str = "") -> str:
+    return os.path.join(out_dir, f"pretrain-{kind}{tag}.mbcp")
+
+
+def cell_checkpoint(out_dir: str, cfg: ExperimentConfig, kind: str, shots: int, seed: int) -> str:
+    return os.path.join(out_dir, f"cell-{cfg.pretrain}-{kind}-{shot_label(shots)}{seed_tag(seed)}.mbcp")
+
+
 # ---------------------------------------------------------------------------
 # pretraining dispatch
 
@@ -142,7 +168,7 @@ def pretrain_encoder(
         if out_dir is not None:
             write_trace_csv(os.path.join(out_dir, f"pretrain-{kind}{tag}-trace.csv"), trace)
     if out_dir is not None:
-        save_encoder_checkpoint(os.path.join(out_dir, f"pretrain-{kind}{tag}.mbcp"), params, cfg.encoder)
+        save_encoder_checkpoint(pretrain_checkpoint(out_dir, kind, tag), params, cfg.encoder)
     return params
 
 
@@ -219,11 +245,10 @@ def run_cell(
     kind: str,
     shots: int,
     rng: SeededRng,
-) -> tuple[FinetuneResult, list[float], list[list[float]]]:
+) -> tuple[FinetuneResult, list[list[float]]]:
     """Fine-tune one cell, then meta-test its selected checkpoint."""
     result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(0))
-    repeats = test_cell(cfg, result.params, primary, kind, shots, rng)
-    return result, result.val_history, repeats
+    return result, test_cell(cfg, result.params, primary, kind, shots, rng)
 
 
 def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
@@ -243,38 +268,33 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir: str) -> RowFragmen
     os.makedirs(out_dir, exist_ok=True)
     rng = SeededRng(seed)
     primary = prepare_splits(cfg, "same")
-    need_other = any(train_source(k) == "other" for k in cfg.finetune_kinds if k != "fully-supervised")
-    other = prepare_splits(cfg, "other") if need_other else None
+    other = other_splits(cfg, cfg.finetune_kinds)
 
-    tag = f"-s{seed}"
+    tag = seed_tag(seed)
     params = pretrain_encoder(cfg, primary.train, rng.child(1), out_dir, tag)
 
     rows: list[MetricsRow] = []
     cells: dict[tuple[str, int], CellOutcome] = {}
     for idx, (kind, shots) in enumerate(cell_list(cfg)):
-        run_id = f"{cfg.pretrain}+{kind}-{shot_label(shots)}-s{seed}"
+        cell_id = run_id(cfg, kind, shots, seed)
         try:
-            result, history, repeats = run_cell(cfg, params, primary, other, kind, shots, rng.child(100 + idx))
+            result, repeats = run_cell(cfg, params, primary, other, kind, shots, rng.child(100 + idx))
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            log.warning("cell %s failed: %s", run_id, exc)
+            log.warning("cell %s failed: %s", cell_id, exc)
             cells[(kind, shots)] = CellOutcome(reason=_failure_reason(exc))
             continue
-        for epoch, score in enumerate(history):
-            rows.append(MetricsRow(run_id, "val", epoch, 0, score))
+        for epoch, score in enumerate(result.val_history):
+            rows.append(MetricsRow(cell_id, "val", epoch, 0, score))
         if kind == "fully-supervised":
-            rows.append(MetricsRow(run_id, "test", 0, 0, repeats[0][0]))
+            rows.append(MetricsRow(cell_id, "test", 0, 0, repeats[0][0]))
             cells[(kind, shots)] = CellOutcome(mean=repeats[0][0], std=0.0)
         else:
             for rep, scores in enumerate(repeats):
                 for e_idx, score in enumerate(scores):
-                    rows.append(MetricsRow(run_id, "test", e_idx, rep, score))
+                    rows.append(MetricsRow(cell_id, "test", e_idx, rep, score))
             agg = aggregate_episode_metrics(repeats)
             cells[(kind, shots)] = CellOutcome(mean=agg.mean, std=agg.std)
-        save_encoder_checkpoint(
-            os.path.join(out_dir, f"cell-{cfg.pretrain}-{kind}-{shot_label(shots)}{tag}.mbcp"),
-            result.params,
-            cfg.encoder,
-        )
+        save_encoder_checkpoint(cell_checkpoint(out_dir, cfg, kind, shots, seed), result.params, cfg.encoder)
     metrics_path = os.path.join(out_dir, f"metrics-{cfg.pretrain}{tag}.csv")
     write_metrics_csv(metrics_path, rows)
     return RowFragment(cfg.pretrain, seed, cells, metrics_path)
@@ -300,8 +320,7 @@ def _grid_score(cfg: ExperimentConfig, seed: int) -> float:
     rng = SeededRng(seed)
     primary = prepare_splits(cfg, "same")
     kind, shots = cell_list(cfg)[0]
-    need_other = kind != "fully-supervised" and train_source(kind) == "other"
-    other = prepare_splits(cfg, "other") if need_other else None
+    other = other_splits(cfg, (kind,))
     params = pretrain_encoder(cfg, primary.train, rng.child(1))
     result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(100).child(0))
     return max(result.val_history)

@@ -23,9 +23,17 @@ The theta-derivative has a closed form in the pairwise similarities,
 
     dL/dtheta = sum_i (E_{p_i}[s] - s_pos_i) / tau,
 
-with p_i the softmax over sample i's denominator terms, so the penalty
-is an ordinary first-order expression and never needs second-order
-autodiff.
+with p_i sample i's denominator terms exp(s / tau) normalized to sum to
+one, so the penalty is an ordinary first-order expression and never
+needs second-order autodiff.
+
+Both sides build these terms with one builder. `_contrastive_maps` turns
+the two views into two (n, n) maps and the positive similarities, and
+`_subset_sums` reads any subset's summed loss and derivative off them with
+two matvecs at that subset's membership weights. Training builds the maps
+on the differentiable batch embeddings and weighs each subset 0/1; the
+search evaluates them once on the frozen embeddings and ascends over soft
+weights.
 """
 
 from __future__ import annotations
@@ -35,8 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Graph, SeededRng, Var, backward, concat, forward_eval
-from .core.graph import softmax as graph_softmax
+from .core import Graph, SeededRng, Var, backward, forward_eval
 from .encoder import EncoderConfig, bind_params, conv_stack, init_params, project_head
 from .imageops import resize_bilinear  # noqa: F401 - perfbench traces this module's binding
 from .optim import ScheduleConfig, lr_from_batch, schedule_lr, sgd_step
@@ -190,41 +197,56 @@ class IpIrmConfig:
             raise ValueError("temperature must be positive")
         if self.partition_steps <= 0 or self.partition_restarts <= 0:
             raise ValueError("partition search budget must be positive")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be at least 2 for a contrastive term, got {self.batch_size}")
+        if self.epochs_per_iter < 1:
+            raise ValueError(f"epochs_per_iter must be at least 1, got {self.epochs_per_iter}")
+        if self.outer_iterations < 0:
+            raise ValueError(f"outer_iterations must be nonnegative, got {self.outer_iterations}")
+        if self.partition_lr <= 0:
+            raise ValueError(f"partition_lr must be positive, got {self.partition_lr}")
+        if self.tolerance < 0:
+            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
+        if self.base_lr is not None and self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive when set, got {self.base_lr}")
 
 
-def _denominator_columns(size: int) -> np.ndarray:
-    """Per-row column picks into [S_aa | S_ab]: every column except own aa diagonal."""
-    pos = np.arange(2 * size - 1, dtype=np.int64)
-    return pos + (pos >= np.arange(size)[:, None])
+def _contrastive_maps(g: Graph, za: Var, zb: Var, n: int, tau: float) -> tuple[Var, Var, Var]:
+    """Graph nodes (M_den, M_num, s_pos) for n samples' two views at theta = 1.
 
-
-def _subset_terms_graph(g: Graph, za: Var, zb: Var, members: np.ndarray, tau: float) -> tuple[Var, Var]:
-    """Graph nodes for (loss, penalty) of one subset at theta = 1: the summed
-    two-view contrastive loss and its squared summed theta-derivative.
-
-    Every member's positive is its own other-view embedding; the
-    denominator runs over the member's subset companions in view A plus
-    the whole subset in view B, excluding only the member itself.
+    Sample i's denominator runs over view A except itself plus all of view
+    B, each term weighted by the membership of its source sample k. Grouped
+    by k, its weighted sum of exp(s / tau) is (M_den @ w)_i with the (n, n)
+    map M_den[i, k] = exp(S_aa[i, k] / tau) [k != i] + exp(S_ab[i, k] / tau),
+    and its weighted sum of exp(s / tau) * s is (M_num @ w)_i, built the same
+    way; s_pos[i] = S_ab[i, i] is the positive similarity. The exponentials
+    are not shifted: for unit-norm embeddings they stay below exp(1 / tau).
     """
-    s = members.size
-    za_k = za.gather(members)
-    zb_k = zb.gather(members)
-    s_ab = za_k @ zb_k.transpose((1, 0))
-    s_aa = za_k @ za_k.transpose((1, 0))
-    both = concat([s_aa, s_ab], axis=1)  # (s, 2s)
-    cols = _denominator_columns(s)
-    flat_idx = (np.arange(s)[:, None] * 2 * s + cols).ravel()
-    terms = both.reshape((s * 2 * s,)).gather(flat_idx).reshape((s, 2 * s - 1))
-    x = terms * (1.0 / tau)
-    lse = x.logsumexp(axis=1)
-    eye = g.constant(np.eye(s))
-    s_pos = (s_ab * eye).sum(axis=1)
-    loss = (lse - s_pos * (1.0 / tau)).sum()
-    p = graph_softmax(x, axis=1)
-    expected = (p * terms).sum(axis=1)
-    grad_theta = (expected - s_pos).sum() * (1.0 / tau)
-    penalty = grad_theta * grad_theta
-    return loss, penalty
+    s_aa = za @ za.swap_last2()
+    s_ab = za @ zb.swap_last2()
+    eye = np.eye(n)
+    exp_aa = (s_aa / tau).exp() * g.constant(1.0 - eye)  # a sample is not its own negative
+    exp_ab = (s_ab / tau).exp()
+    m_den = exp_aa + exp_ab
+    m_num = exp_aa * s_aa + exp_ab * s_ab
+    s_pos = (s_ab * g.constant(eye)).sum(axis=1)
+    return m_den, m_num, s_pos
+
+
+def _subset_sums(maps: tuple[Var, Var, Var], w: Var, n: int, tau: float) -> tuple[Var, Var, Var]:
+    """Membership-weighted sums over the n samples at weights w: (sum of w,
+    summed contrastive loss, summed theta-derivative). At 0/1 weights they
+    are the subset's size, loss and derivative; the maps are shared by all
+    subsets, so each costs two matvecs."""
+    m_den, m_num, pos = maps
+    w_col = w.reshape((n, 1))
+    den = (m_den @ w_col).reshape((n,))
+    per_sample = den.log() - pos / tau
+    mass = w.sum()
+    loss = (w * per_sample).sum()
+    expected = (m_num @ w_col).reshape((n,)) / den
+    grad_theta = (w * (expected - pos)).sum() * (1.0 / tau)
+    return mass, loss, grad_theta
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +301,7 @@ def update_representation(
         refs, z = _embed_batch_graph(g, nchw, params, enc_cfg)
         za = z.gather(np.arange(bsz))
         zb = z.gather(np.arange(bsz, 2 * bsz))
+        maps = _contrastive_maps(g, za, zb, bsz, config.tau)
 
         total = None
         loss_val_nodes: list[Var] = []
@@ -286,17 +309,17 @@ def update_representation(
         for p_idx, partition in enumerate(partitions):
             batch_cols = partition.assignments[indices]
             for k in (0, 1):
-                members = np.flatnonzero(batch_cols[:, k] == 1)
-                if members.size == 0:
+                weights = batch_cols[:, k].astype(np.float64)
+                if not weights.any():
                     log.debug("step %d: partition %d subset %d empty on this batch, skipped", step, p_idx, k)
                     continue
-                loss_node, pen_node = _subset_terms_graph(g, za, zb, members, config.tau)
+                mass, loss_node, grad_theta = _subset_sums(maps, g.constant(weights), bsz, config.tau)
                 loss_val_nodes.append(loss_node)
-                if members.size == bsz:
+                if weights.all():
                     # one environment on this batch: no invariance to enforce
                     total = loss_node if total is None else total + loss_node
                     continue
-                pen_node = pen_node * (1.0 / members.size)
+                pen_node = grad_theta * grad_theta / mass
                 term = loss_node + lambda1 * pen_node
                 total = term if total is None else total + term
                 pen_val_nodes.append(pen_node)
@@ -331,35 +354,22 @@ def _partition_objective_graph(
     weights it is the hard objective of that partition; a weight vector
     with all its mass in one subset leaves the other's mean undefined.
 
-    Sample i's denominator runs over view A except itself plus all of view
-    B, each term weighted by the membership of its source sample k. Grouped
-    by k, its weighted sum of exp(s / tau) is (M_den @ w)_i with the (n, n)
-    map M_den[i, k] = exp(S_aa[i, k] / tau) [k != i] + exp(S_ab[i, k] / tau),
-    and its weighted sum of exp(s / tau) * s is (M_num @ w)_i, built the same
-    way. Both maps are fixed once per graph, so a subset costs two matvecs.
+    The embeddings are fixed, so the training maps are evaluated once, in
+    float64, and enter this graph as constants.
     """
-    za = np.asarray(za, dtype=np.float64)
-    zb = np.asarray(zb, dtype=np.float64)
-    n = za.shape[0]
-    s_aa = za @ za.T
-    s_ab = za @ zb.T
-    exp_aa = np.exp(s_aa / tau)
-    np.fill_diagonal(exp_aa, 0.0)  # a sample is not its own negative
-    exp_ab = np.exp(s_ab / tau)
-    m_den = g.constant(exp_aa + exp_ab)
-    m_num = g.constant(exp_aa * s_aa + exp_ab * s_ab)
-    s_pos = np.diag(s_ab)
-    pos, pos_logit = g.constant(s_pos), g.constant(s_pos / tau)
+    n = np.shape(za)[0]
+    mg = Graph()
+    maps = _contrastive_maps(
+        mg, mg.constant(np.asarray(za, dtype=np.float64)), mg.constant(np.asarray(zb, dtype=np.float64)), n, tau
+    )
+    forward_eval(mg)
+    maps = tuple(g.constant(m.value) for m in maps)
 
     obj = None
     for w in (w1, 1.0 - w1):
-        w_col = w.reshape((n, 1))
-        den = (m_den @ w_col).reshape((n,))
-        per_sample = den.log() - pos_logit
-        mass = w.sum()
-        loss = (w * per_sample).sum() / mass
-        expected = (m_num @ w_col).reshape((n,)) / den
-        grad_theta = ((w * (expected - pos)).sum() / mass) * (1.0 / tau)
+        mass, loss, grad_theta = _subset_sums(maps, w, n, tau)
+        loss = loss / mass
+        grad_theta = grad_theta / mass
         term = loss + lambda2 * grad_theta * grad_theta
         obj = term if obj is None else obj + term
     return obj

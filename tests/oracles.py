@@ -2,8 +2,9 @@
 
 Each oracle restates its formula term by term and shares no code with the
 package, so comparing against one checks the package's vectorized graph
-form against the definition. `subset_terms` evaluates the production
-graph on fixed embeddings so tests can compare the two, and
+form against the definition. `subset_terms` evaluates the one production
+builder of the contrastive terms, shared by training and the partition
+search, on fixed embeddings so tests can compare the two, and
 `sample_episode_oracle` is the literal per-class-scan episode sampler.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from metabdc.core import Graph, forward_eval
 from metabdc.data import Episode, label_of
-from metabdc.ssl import _subset_terms_graph
+from metabdc.ssl import _contrastive_maps, _subset_sums
 
 
 def unit_rows(gen: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -78,9 +79,15 @@ def weighted_partition_objective(za, zb, w1, lambda2, tau):
 
 
 def subset_terms(za, zb, members, tau) -> tuple[float, float]:
-    """(loss, penalty) of the production training graph for one subset."""
+    """(summed loss, squared summed theta-derivative) of one subset from the
+    production builder, its rows weighted 1 and all others 0."""
+    n = len(za)
+    w = np.zeros(n)
+    w[np.asarray(members)] = 1.0
     g = Graph()
-    loss, penalty = _subset_terms_graph(g, g.constant(za), g.constant(zb), np.asarray(members), tau)
+    maps = _contrastive_maps(g, g.constant(za), g.constant(zb), n, tau)
+    _, loss, grad_theta = _subset_sums(maps, g.constant(w), n, tau)
+    penalty = grad_theta * grad_theta
     forward_eval(g)
     return float(loss.value), float(penalty.value)
 

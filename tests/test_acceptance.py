@@ -39,7 +39,8 @@ from metabdc.metrics import auroc_binary, auroc_multiclass_ovr
 from metabdc.optim import lr_from_batch
 from metabdc.ssl import (
     IpIrmConfig,
-    _subset_terms_graph,
+    _contrastive_maps,
+    _subset_sums,
     eval_partition_objective,
     find_partition_embeddings,
     pretrain,
@@ -82,8 +83,12 @@ def _contrastive_fn(members: np.ndarray, tau: float, want_penalty: bool):
     def fn(point):
         g = Graph()
         refs = bind_params(g, point)
-        loss, pen = _subset_terms_graph(g, refs["za"], refs["zb"], members, tau)
-        node = pen if want_penalty else loss
+        n = point["za"].shape[0]
+        w = np.zeros(n)
+        w[members] = 1.0
+        maps = _contrastive_maps(g, refs["za"], refs["zb"], n, tau)
+        _, loss, grad_theta = _subset_sums(maps, g.constant(w), n, tau)
+        node = grad_theta * grad_theta if want_penalty else loss
         forward_eval(g)
         return float(node.value), backward(g, node)
 

@@ -10,7 +10,6 @@ from metabdc.core import (
     SerializationError,
     ShapeMismatch,
     backward,
-    concat,
     config_digest,
     forward_eval,
     grad_check,
@@ -18,7 +17,6 @@ from metabdc.core import (
     load_checkpoint,
     read_array,
     save_checkpoint,
-    softmax,
     write_array,
 )
 from metabdc.core import graph as graph_module
@@ -43,14 +41,6 @@ def test_forward_times_two():
     g.mark_output("y", x * 2.0)
     out = forward_eval(g, {"x": np.array([1.0, 2.0, 3.0])})
     assert np.array_equal(out["y"], [2.0, 4.0, 6.0])
-
-
-def test_forward_softmax_of_zeros():
-    g = Graph()
-    z = g.parameter("z", np.zeros(2))
-    g.mark_output("p", softmax(z, axis=0))
-    out = forward_eval(g)
-    np.testing.assert_allclose(out["p"], [0.5, 0.5], atol=1e-15)
 
 
 def test_backward_square_at_three():
@@ -280,17 +270,6 @@ def test_l2_normalize_unit_norm():
     np.testing.assert_allclose(np.linalg.norm(z, axis=1), [1.0, 1.0], atol=1e-9)
 
 
-def test_gather_and_concat_roundtrip_gradients():
-    def build(g, refs):
-        x = refs["x"]
-        top = x.gather(np.array([0, 2]))
-        bot = x.gather(np.array([1, 1]))
-        return ((concat([top, bot], axis=0)) ** 2).sum()
-
-    rng = SeededRng(8).generator()
-    assert grad_check(scalar_fn(build), {"x": rng.normal(size=(3, 4))}, eps=1e-6) <= 1e-6
-
-
 def test_every_primitive_op_gradchecks():
     rng = SeededRng(77).generator()
 
@@ -311,7 +290,6 @@ def test_every_primitive_op_gradchecks():
         "mean": lambda g, r: (r["a"].mean(axis=0) ** 2).sum(),
         "logsumexp": lambda g, r: r["a"].logsumexp(axis=1).sum(),
         "reshape": lambda g, r: (r["a"].reshape((16,)) ** 2).sum(),
-        "transpose": lambda g, r: ((r["a"].transpose((1, 0)) @ r["a"]) ** 2).sum(),
         "swap_last2": lambda g, r: (r["a"].swap_last2() @ r["a"]).sum(),
         "gather": lambda g, r: (r["a"].gather(np.array([1, 1, 0])) ** 2).sum(),
     }

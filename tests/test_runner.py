@@ -175,6 +175,14 @@ class TestConfigParsing:
             ({"grid": {"tune.lr": ["0.003"]}}, "grid.tune.lr[0]"),
             ({"grid": {"tune.lr": [0.01, "0.003"]}}, "grid.tune.lr[1]"),
             ({"grid": {"tune.epochs": [2.9]}}, "grid.tune.epochs[0]"),
+            ({"ipirm": {"batch_size": 1}}, "ipirm"),
+            ({"ipirm": {"batch_size": 0}}, "ipirm"),
+            ({"ipirm": {"epochs_per_iter": 0}}, "ipirm"),
+            ({"ipirm": {"outer_iterations": -1}}, "ipirm"),
+            ({"ipirm": {"partition_lr": -0.1}}, "ipirm"),
+            ({"ipirm": {"partition_lr": 0}}, "ipirm"),
+            ({"ipirm": {"tolerance": -1e-3}}, "ipirm"),
+            ({"ipirm": {"base_lr": 0.0}}, "ipirm"),
         ],
     )
     def test_mistyped_value_is_rejected_naming_its_path(self, raw, path):

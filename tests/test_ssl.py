@@ -19,7 +19,6 @@ from metabdc.ssl import (
     IDENTITY_AUGMENT,
     IpIrmConfig,
     PartitionMatrix,
-    _denominator_columns,
     _embed_dataset,
     _partition_objective_graph,
     augment_views,
@@ -165,21 +164,16 @@ def test_ipirm_config_validation():
         IpIrmConfig(tau=0.0)
     with pytest.raises(ValueError):
         IpIrmConfig(partition_steps=0)
-
-
-# ---------------------------------------------------------------------------
-# denominator columns
-
-
-def test_denominator_columns_match_their_definition():
-    for size in range(1, 41):
-        want = np.array(
-            [[j for j in range(size) if j != i] + [size + j for j in range(size)] for i in range(size)],
-            dtype=np.int64,
-        )
-        got = _denominator_columns(size)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
+    for field, bad in (
+        ("batch_size", 1),
+        ("epochs_per_iter", 0),
+        ("outer_iterations", -1),
+        ("partition_lr", -0.1),
+        ("tolerance", -1e-3),
+        ("base_lr", 0.0),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            IpIrmConfig(**{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +296,32 @@ def test_update_trivial_lambda0_equals_plain_simclr_loss():
     assert len(trace) == 1
     assert abs(trace[0].loss - expect) <= 1e-12
     assert trace[0].penalty >= 0.0
+
+
+def test_update_two_subset_trace_matches_oracle():
+    """With a split partition and lambda1 > 0, the trace's loss is the sum of
+    every subset's literal loss and its penalty the sum over the split's two
+    subsets of the squared complex-step derivative over the subset size."""
+    n = 6
+    gen = np.random.default_rng(127)
+    images = gen.normal(size=(n, 8, 8, 1))
+    params = init_params(TINY, SeededRng(131), dtype=np.float64)
+    stream = _single_batch_stream(images, 137, n)
+    _, va, vb = stream[0]
+    za = _embed_dataset(va, params, TINY)
+    zb = _embed_dataset(vb, params, TINY)
+    mask = np.array([True, False, False, True, True, False])
+    cfg = IpIrmConfig()
+    split = [np.flatnonzero(mask), np.flatnonzero(~mask)]
+    want_loss = sum(contrastive_oracle(za, zb, m, 1.0, cfg.tau) for m in [np.arange(n), *split])
+    want_pen = sum(complex_theta_grad(za, zb, m, cfg.tau) ** 2 / m.size for m in split)
+
+    partitions = [PartitionMatrix.trivial(n), PartitionMatrix.from_mask(mask)]
+    trace = update_representation(params, TINY, partitions, stream, cfg, lr=0.0, lambda1=0.3)
+    assert len(trace) == 1 and trace[0].partition_count == 2
+    assert abs(trace[0].loss - want_loss) <= 1e-10
+    assert want_pen > 0.0
+    assert abs(trace[0].penalty - want_pen) <= 1e-10
 
 
 def test_update_zero_lr_leaves_params():
