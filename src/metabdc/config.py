@@ -215,12 +215,17 @@ def _from_object(cls, raw, path: str):
 
 
 def _construct(cls, kwargs: dict, path: str):
+    """cls(**kwargs), its ValueError prefixed with `path`; a message that
+    starts with a field's own path, as in "stages[0]: ...", extends it."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
         if not path:
             raise
-        raise ValueError(f"{path}: {exc}") from None
+        msg = str(exc)
+        head = msg.partition(":")[0].partition("[")[0]
+        sep = "." if head in {f.name for f in dataclasses.fields(cls)} else ": "
+        raise ValueError(f"{path}{sep}{msg}") from None
 
 
 def _grid_axes(raw) -> tuple[tuple[str, tuple], ...]:

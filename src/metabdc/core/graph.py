@@ -15,8 +15,12 @@ Design constraints:
   * activations are stored on the graph by forward_eval and reused by
     backward; backward without a prior forward is an error,
   * backward starts from a scalar node only,
-  * convolution is direct cross-correlation with explicit zero padding,
-    no FFT, so results are bit-reproducible across runs on one machine.
+  * convolution is cross-correlation as im2col plus matmul: the zero-padded
+    input is gathered into a (C*kh*kw, B*ho*wo) column matrix by kh*kw
+    strided slice copies, and forward, weight gradient and input gradient
+    are one matmul each, the last scattered back by kh*kw strided
+    slice-adds (col2im). No FFT, so results are bit-reproducible across
+    runs on one machine.
 
 The square root used on computed squared distances is `sqrt_guard`,
 sqrt(max(x, eps)) with eps = 1e-12, whose derivative is defined as 0 on
@@ -235,33 +239,47 @@ def _conv_geometry(x_shape, w_shape, stride, pad):
     return b, c, h, w, oc, ic, kh, kw, ho, wo
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """(C*kh*kw, B*ho*wo) columns: row (c, u, v) holds input channel c at
+    kernel offset (u, v) for every output position (b, i, j)."""
+    b, c, h, w = x.shape
+    xp = x
+    if pad:
+        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+    cols = np.empty((c, kh, kw, b, ho, wo), dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            window = xp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
+            cols[:, u, v] = window.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, b * ho * wo)
+
+
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int, pad: int) -> np.ndarray:
     b, c, h, wd, oc, ic, kh, kw, ho, wo = _conv_geometry(x.shape, w.shape, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    out = np.einsum("bcijuv,ocuv->boij", win, w, optimize=True)
-    return out + bias[None, :, None, None]
+    cols = _im2col(x, kh, kw, stride, pad, ho, wo)
+    prod = (w.reshape(oc, -1) @ cols).reshape(oc, b, ho, wo).transpose(1, 0, 2, 3)
+    out = np.empty((b, oc, ho, wo), dtype=np.result_type(prod, bias))
+    return np.add(prod, bias[None, :, None, None], out=out)
 
 
 def _conv2d_vjp(grad, x, w, stride, pad, need_x):
-    """(dx, dw, db) of one conv; dx is None unless `need_x`."""
+    """(dx, dw, db) of one conv; dx is None unless `need_x`, else in x's dtype."""
     b, c, h, wd, oc, ic, kh, kw, ho, wo = _conv_geometry(x.shape, w.shape, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    gw = np.einsum("boij,bcijuv->ocuv", grad, win, optimize=True)
+    cols = _im2col(x, kh, kw, stride, pad, ho, wo)
+    g2 = grad.transpose(1, 0, 2, 3).reshape(oc, b * ho * wo)
+    gw = (g2 @ cols.T).reshape(w.shape)
     gb = grad.sum(axis=(0, 2, 3))
     if not need_x:
         return None, gw, gb
-    gxp = np.zeros_like(xp)
+    gcols = (w.reshape(oc, -1).T @ g2).reshape(c, kh, kw, b, ho, wo)
+    gxp = np.zeros((b, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
     for u in range(kh):
         for v in range(kw):
-            # Each (u, v) offset hits disjoint strided positions, so += is safe.
-            patch = np.einsum("boij,oc->bcij", grad, w[:, :, u, v], optimize=True)
-            gxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride] += patch
-    gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
-    return gx, gw, gb
+            # One offset's strided positions are distinct, so the slice-add is exact.
+            window = gxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
+            window += gcols[:, u, v].transpose(1, 0, 2, 3)
+    return gxp[:, :, pad : pad + h, pad : pad + wd], gw, gb
 
 
 def _forward_one(graph: Graph, idx: int, feeds: dict[str, np.ndarray]) -> np.ndarray:

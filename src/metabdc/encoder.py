@@ -38,11 +38,11 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ValueError("encoder needs at least one conv stage")
-        for out_ch, k, s in self.stages:
-            if k > 5:
-                raise ValueError(f"kernel {k} exceeds the supported 5x5 maximum")
+        for i, (out_ch, k, s) in enumerate(self.stages):
+            if not 1 <= k <= 5:
+                raise ValueError(f"stages[{i}]: kernel {k} is outside the supported 1x1 to 5x5 range")
             if out_ch < 1 or s < 1:
-                raise ValueError("conv stage channels and stride must be positive")
+                raise ValueError(f"stages[{i}]: conv stage channels and stride must be positive")
         if self.feature_dim < 2:
             raise ValueError("feature map needs at least 2 channels")
         if self.num_positions < 2:

@@ -199,6 +199,15 @@ class IpIrmConfig:
             raise ValueError("partition search budget must be positive")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be at least 2 for a contrastive term, got {self.batch_size}")
+        # The contrastive maps hold exp(s / tau) unshifted, in float64 (tau
+        # enters the graph as a float64 constant), and a denominator sums up
+        # to 2 * batch_size of them at s <= 1; it must stay finite.
+        tau_floor = 1.0 / (np.log(np.finfo(np.float64).max) - np.log(2 * self.batch_size))
+        if self.tau < tau_floor:
+            raise ValueError(
+                f"tau {self.tau!r} is below {tau_floor!r}, where 2 * batch_size * exp(1 / tau) "
+                "overflows float64"
+            )
         if self.epochs_per_iter < 1:
             raise ValueError(f"epochs_per_iter must be at least 1, got {self.epochs_per_iter}")
         if self.outer_iterations < 0:

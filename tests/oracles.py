@@ -6,6 +6,8 @@ form against the definition. `subset_terms` evaluates the one production
 builder of the contrastive terms, shared by training and the partition
 search, on fixed embeddings so tests can compare the two, and
 `sample_episode_oracle` is the literal per-class-scan episode sampler.
+`conv2d_oracle` is the convolution and its VJP, one multiply-add per
+output position, kernel tap and channel.
 """
 
 import math
@@ -90,6 +92,36 @@ def subset_terms(za, zb, members, tau) -> tuple[float, float]:
     penalty = grad_theta * grad_theta
     forward_eval(g)
     return float(loss.value), float(penalty.value)
+
+
+def conv2d_oracle(x, w, b, stride, pad, grad):
+    """Zero-padded, strided cross-correlation of x (B, C, H, W) with
+    w (O, C, kh, kw) plus bias b, and its VJP at the output gradient `grad`:
+    (y, dx, dw, db). Taps that fall in the padding read zero, so they are
+    skipped rather than padded."""
+    nb, nc, h, wd = x.shape
+    no, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    y = np.zeros((nb, no, ho, wo))
+    dx, dw, db = np.zeros(x.shape), np.zeros(w.shape), np.zeros(b.shape)
+    for n in range(nb):
+        for o in range(no):
+            for i in range(ho):
+                for j in range(wo):
+                    acc = float(b[o])
+                    g = float(grad[n, o, i, j])
+                    db[o] += g
+                    for c in range(nc):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r, q = i * stride + u - pad, j * stride + v - pad
+                                if 0 <= r < h and 0 <= q < wd:
+                                    acc += float(x[n, c, r, q]) * float(w[o, c, u, v])
+                                    dx[n, c, r, q] += g * float(w[o, c, u, v])
+                                    dw[o, c, u, v] += g * float(x[n, c, r, q])
+                    y[n, o, i, j] = acc
+    return y, dx, dw, db
 
 
 def aucm_oracle(scores, labels, a, b, alpha, margin, p_hat=None):

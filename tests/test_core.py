@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from metabdc.core import (
     write_array,
 )
 from metabdc.core import graph as graph_module
+from oracles import conv2d_oracle
 
 
 def scalar_fn(build):
@@ -219,27 +221,45 @@ def test_backward_gives_constants_and_inputs_no_gradient(monkeypatch):
 
 
 def test_conv2d_matches_explicit_loop():
+    """Forward, dx, dw and db of the graph's conv equal the literal-loop
+    oracle in float64 over kernels 1-5, strides 1-3, every padding up to
+    k // 2, a non-square odd input and one or three input channels."""
     rng = SeededRng(41).generator()
-    x = rng.normal(size=(2, 3, 7, 7))
-    w = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=(4,))
-    stride, pad = 2, 1
+    cases = 0
+    for k, stride, channels in itertools.product((1, 2, 3, 5), (1, 2, 3), (1, 3)):
+        for pad in range(k // 2 + 1):
+            x = rng.normal(size=(2, channels, 7, 9))
+            w = rng.normal(size=(3, channels, k, k))
+            b = rng.normal(size=(3,))
+            g = Graph()
+            xv, wv, bv = g.parameter("x", x), g.parameter("w", w), g.parameter("b", b)
+            y = xv.conv2d(wv, bv, stride, pad)
+            out_hw = ((7 + 2 * pad - k) // stride + 1, (9 + 2 * pad - k) // stride + 1)
+            up = g.constant(rng.normal(size=(2, 3, *out_hw)))
+            loss = (y * up).sum()
+            forward_eval(g)
+            grads = backward(g, loss)
+            want = conv2d_oracle(x, w, b, stride, pad, up.value)
+            for got, ref in zip((y.value, grads["x"], grads["w"], grads["b"]), want):
+                assert got.shape == ref.shape, (k, stride, pad, channels)
+                assert np.abs(got - ref).max() <= 1e-12, (k, stride, pad, channels)
+            dx, dw, db = graph_module._conv2d_vjp(up.value, x, w, stride, pad, need_x=False)
+            assert dx is None
+            assert np.array_equal(dw, grads["w"]) and np.array_equal(db, grads["b"])
+            cases += 1
+    assert cases == 48
 
-    g = Graph()
-    y = g.parameter("x", x).conv2d(g.parameter("w", w), g.parameter("b", b), stride, pad)
-    g.mark_output("y", y)
-    got = forward_eval(g)["y"]
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (7 + 2 * pad - 3) // stride + 1
-    ref = np.zeros((2, 4, ho, ho))
-    for bi in range(2):
-        for o in range(4):
-            for i in range(ho):
-                for j in range(ho):
-                    patch = xp[bi, :, i * stride : i * stride + 3, j * stride : j * stride + 3]
-                    ref[bi, o, i, j] = (patch * w[o]).sum() + b[o]
-    assert np.abs(got - ref).max() <= 1e-12
+def test_conv2d_vjp_returns_dx_in_the_input_dtype():
+    """A float64 output gradient, as fine-tuning sends through the BDC head,
+    gives a float32 input a float32 dx."""
+    rng = SeededRng(43).generator()
+    x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    grad = rng.normal(size=(2, 4, 4, 4))
+    dx, dw, _ = graph_module._conv2d_vjp(grad, x, w, 2, 1, need_x=True)
+    assert dx.dtype == np.float32 and dx.shape == x.shape
+    assert dw.dtype == np.float64
 
 
 def test_sqrt_guard_clamps_and_zeroes_gradient_below_eps():

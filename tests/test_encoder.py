@@ -40,6 +40,31 @@ def test_config_rejects_bad_stages():
         EncoderConfig(height=2, width=2, stages=((4, 3, 2), (4, 3, 2), (4, 3, 2)))  # m collapses
     with pytest.raises(ValueError):
         EncoderConfig(stages=((1, 3, 2),))  # d < 2
+    with pytest.raises(ValueError, match=r"^stages\[0\]: kernel 0 "):
+        EncoderConfig(stages=((8, 0, 2), (16, 3, 2)))
+    with pytest.raises(ValueError, match=r"^stages\[1\]: kernel -1 "):
+        EncoderConfig(stages=((8, 3, 2), (16, -1, 2)))
+
+
+def test_conv_stack_output_does_not_depend_on_batch_size():
+    """Each image's feature map is bit-identical whether it is encoded alone
+    or in a batch of up to 256. Training encodes support and query as two
+    batches and evaluation encodes them as one, so their bit parity rests
+    on this."""
+    cfg = EncoderConfig()
+    params = init_params(cfg, SeededRng(7))
+    images = SeededRng(9).generator().normal(size=(256, 1, 16, 16)).astype(np.float32)
+
+    def fmaps(batch):
+        g = Graph()
+        x = g.input("images", batch.shape)
+        g.mark_output("f", conv_stack(g, x, bind_params(g, params), cfg))
+        return forward_eval(g, {"images": batch})["f"]
+
+    whole = fmaps(images)
+    for size in (1, 10, 20, 30, 64, 256):
+        for start in (0, 256 - size):
+            assert np.array_equal(fmaps(images[start : start + size]), whole[start : start + size]), (size, start)
 
 
 def test_init_bounds_and_determinism():

@@ -183,6 +183,10 @@ class TestConfigParsing:
             ({"ipirm": {"partition_lr": 0}}, "ipirm"),
             ({"ipirm": {"tolerance": -1e-3}}, "ipirm"),
             ({"ipirm": {"base_lr": 0.0}}, "ipirm"),
+            ({"encoder": {"stages": [[8, 0, 2], [16, 3, 2]]}}, "encoder.stages[0]"),
+            ({"encoder": {"stages": [[8, 3, 2], [16, -1, 2]]}}, "encoder.stages[1]"),
+            ({"encoder": {"stages": [[8, 3, 0], [16, 3, 2]]}}, "encoder.stages[0]"),
+            ({"ipirm": {"tau": 0.001}}, "ipirm"),
         ],
     )
     def test_mistyped_value_is_rejected_naming_its_path(self, raw, path):

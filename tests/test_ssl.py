@@ -176,6 +176,26 @@ def test_ipirm_config_validation():
             IpIrmConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("batch_size", [6, 32])
+def test_tau_floor_keeps_the_contrastive_maps_finite(batch_size):
+    """The maps hold exp(s / tau) unshifted in float64 and a denominator sums
+    up to 2 * batch_size of them, so the floor is where that sum reaches the
+    float64 maximum: a tau just above it trains a split-partition step on
+    identical images (every similarity 1), one just below is rejected."""
+    floor = 1.0 / (np.log(np.finfo(np.float64).max) - np.log(2 * batch_size))
+    with pytest.raises(ValueError, match="^tau "):
+        IpIrmConfig(tau=floor * (1 - 1e-9), batch_size=batch_size)
+    cfg = IpIrmConfig(tau=floor * (1 + 1e-9), batch_size=batch_size)
+    images = np.repeat(np.random.default_rng(5).normal(size=(1, 8, 8, 1)), batch_size, axis=0)
+    params = init_params(TINY, SeededRng(3))
+    partitions = [PartitionMatrix.trivial(batch_size), PartitionMatrix.from_mask(np.arange(batch_size) % 2 == 0)]
+    trace = update_representation(
+        params, TINY, partitions, [(np.arange(batch_size), images, images)], cfg, lr=0.01, lambda1=0.2
+    )
+    assert len(trace) == 1 and np.isfinite(trace[0].loss) and np.isfinite(trace[0].penalty)
+    assert all(np.isfinite(v).all() for v in params.values())
+
+
 # ---------------------------------------------------------------------------
 # contrastive loss
 
