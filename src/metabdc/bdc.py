@@ -10,10 +10,11 @@ when all channels are pairwise identical.
 Each computation has one implementation, a graph builder: training
 differentiates through it, and the array functions `bdc_matrix`,
 `class_prototypes` and `episode_classify` run the same builder forward
-only on a whole batch. Squared distances are taken from the Gram matrix
-alone, so a channel's distance to itself is exactly zero; the (d, d)
-identity mask is float64, which promotes the distances and everything
-downstream of them to float64 whatever the feature dtype.
+only on a whole batch. The BDC matrix is one graph op, `bdc`, whose
+forward and closed-form VJP live in `core.graph`. Squared distances are
+taken from the Gram matrix alone, so a channel's distance to itself is
+exactly zero, and they are float64 whatever the feature dtype, which
+promotes everything downstream of them to float64.
 
 Square roots of computed squared distances are guarded as
 sqrt(max(x, 1e-12)), which keeps gradients finite at coincident channels
@@ -31,15 +32,7 @@ METRICS = ("neg_sq_distance", "inner_product")
 
 def bdc_matrix_graph(g: Graph, fmaps: Var, d: int) -> Var:
     """(B, d, m) feature maps -> (B, d, d) double-centered distance matrices."""
-    gram = fmaps @ fmaps.swap_last2()
-    eye = g.constant(np.eye(d))
-    diag = (gram * eye).sum(axis=2)  # (B, d)
-    sq_dist = diag.reshape((-1, d, 1)) + diag.reshape((-1, 1, d)) - 2.0 * gram
-    hat = sq_dist.sqrt_guard()
-    row = hat.mean(axis=2, keepdims=True)
-    col = hat.mean(axis=1, keepdims=True)
-    grand = hat.mean(axis=(1, 2), keepdims=True)
-    return hat - row - col + grand
+    return fmaps.bdc()
 
 
 def prototypes_graph(support_bdc: Var, n_way: int, k_shot: int, d: int) -> Var:

@@ -10,7 +10,6 @@ from .graph import (
     forward_eval,
     l2_normalize,
 )
-from .gradcheck import grad_check
 from .rng import SeededRng
 from .serial import (
     SerializationError,
@@ -30,7 +29,6 @@ __all__ = [
     "backward",
     "forward_eval",
     "l2_normalize",
-    "grad_check",
     "SeededRng",
     "SerializationError",
     "config_digest",

@@ -14,13 +14,20 @@ Design constraints:
     stays float64 throughout,
   * activations are stored on the graph by forward_eval and reused by
     backward; backward without a prior forward is an error,
-  * backward starts from a scalar node only,
+  * forward_eval also fills a per-node slot, `Graph.saved`, with what an
+    op's VJP reuses: conv2d's column matrix, bdc's squared distances and
+    their roots,
+  * backward starts from a scalar node only; it caches per loss node which
+    nodes depend on a parameter, so a graph that is built once and replayed
+    walks that once,
   * convolution is cross-correlation as im2col plus matmul: the zero-padded
-    input is gathered into a (C*kh*kw, B*ho*wo) column matrix by kh*kw
-    strided slice copies, and forward, weight gradient and input gradient
+    input is gathered into a (C*kh*kw, B*ho*wo) column matrix by one
+    strided-view copy, and forward, weight gradient and input gradient
     are one matmul each, the last scattered back by kh*kw strided
     slice-adds (col2im). No FFT, so results are bit-reproducible across
-    runs on one machine.
+    runs on one machine,
+  * bdc, the double-centred distance matrix of (B, d, m) maps, is one node
+    with a closed-form VJP (`_bdc_forward`, `_bdc_vjp`).
 
 The square root used on computed squared distances is `sqrt_guard`,
 sqrt(max(x, eps)) with eps = 1e-12, whose derivative is defined as 0 on
@@ -149,6 +156,9 @@ class Var:
         b = self._lift(bias)
         return self.graph._emit("conv2d", (self, w, b), stride=int(stride), pad=int(pad))
 
+    def bdc(self):
+        return self.graph._emit("bdc", (self,))
+
     @property
     def value(self) -> np.ndarray:
         val = self.graph.values[self.idx]
@@ -171,14 +181,17 @@ class Graph:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.values: list[np.ndarray | None] = []
+        self.saved: list[tuple | None] = []
         self.inputs: dict[str, int] = {}
         self.params: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
         self.param_grads: dict[str, np.ndarray] = {}
+        self._path_cache: dict[int, list[bool]] = {}
 
     def _append(self, node: _Node) -> Var:
         self.nodes.append(node)
         self.values.append(None)
+        self.saved.append(None)
         return Var(self, len(self.nodes) - 1)
 
     def _emit(self, op: str, parents: tuple[Var, ...], **meta) -> Var:
@@ -247,26 +260,26 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ho: int, wo:
     if pad:
         xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         xp[:, :, pad : pad + h, pad : pad + w] = x
-    cols = np.empty((c, kh, kw, b, ho, wo), dtype=x.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            window = xp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
-            cols[:, u, v] = window.transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, b * ho * wo)
+    sb, sc, sh, sw = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, (c, kh, kw, b, ho, wo), (sc, sh, sw, sb, stride * sh, stride * sw), writeable=False
+    )
+    return view.reshape(c * kh * kw, b * ho * wo)
 
 
-def _conv2d_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int, pad: int) -> np.ndarray:
+def _conv2d_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int, pad: int):
+    """Output of one conv and the column matrix its VJP reuses."""
     b, c, h, wd, oc, ic, kh, kw, ho, wo = _conv_geometry(x.shape, w.shape, stride, pad)
     cols = _im2col(x, kh, kw, stride, pad, ho, wo)
     prod = (w.reshape(oc, -1) @ cols).reshape(oc, b, ho, wo).transpose(1, 0, 2, 3)
     out = np.empty((b, oc, ho, wo), dtype=np.result_type(prod, bias))
-    return np.add(prod, bias[None, :, None, None], out=out)
+    return np.add(prod, bias[None, :, None, None], out=out), cols
 
 
-def _conv2d_vjp(grad, x, w, stride, pad, need_x):
-    """(dx, dw, db) of one conv; dx is None unless `need_x`, else in x's dtype."""
+def _conv2d_vjp(grad, x, w, stride, pad, need_x, cols):
+    """(dx, dw, db) of one conv from its forward's column matrix `cols`; dx
+    is None unless `need_x`, else in x's dtype."""
     b, c, h, wd, oc, ic, kh, kw, ho, wo = _conv_geometry(x.shape, w.shape, stride, pad)
-    cols = _im2col(x, kh, kw, stride, pad, ho, wo)
     g2 = grad.transpose(1, 0, 2, 3).reshape(oc, b * ho * wo)
     gw = (g2 @ cols.T).reshape(w.shape)
     gb = grad.sum(axis=(0, 2, 3))
@@ -280,6 +293,43 @@ def _conv2d_vjp(grad, x, w, stride, pad, need_x):
             window = gxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
             window += gcols[:, u, v].transpose(1, 0, 2, 3)
     return gxp[:, :, pad : pad + h, pad : pad + wd], gw, gb
+
+
+def _bdc_forward(fm: np.ndarray):
+    """(B, d, m) maps -> (B, d, d) double-centred guarded distances between
+    channel rows, plus the squared distances and distances the VJP reads.
+
+    Squared distances come from the Gram matrix alone, diag_i + diag_j -
+    2 gram_ij, so a channel's distance to itself is exactly zero. The Gram
+    matrix is formed in the map's dtype and cast to float64, so the
+    distances are float64 whatever the map dtype.
+    """
+    gram = np.matmul(fm, np.swapaxes(fm, -1, -2))
+    gram64 = gram.astype(np.float64)
+    diag = np.diagonal(gram64, axis1=1, axis2=2)
+    sq = diag[:, :, None] + diag[:, None, :] - 2.0 * gram64
+    hat = np.sqrt(np.maximum(sq, SQRT_GUARD_EPS))
+    row = hat.mean(axis=2, keepdims=True)
+    col = hat.mean(axis=1, keepdims=True)
+    grand = hat.mean(axis=(1, 2), keepdims=True)
+    return hat - row - col + grand, (sq, hat)
+
+
+def _bdc_vjp(grad: np.ndarray, fm: np.ndarray, sq: np.ndarray, hat: np.ndarray) -> np.ndarray:
+    """Gradient into the (B, d, m) maps of `_bdc_forward` for upstream `grad`.
+
+    Double-centring is self-adjoint; the guarded root passes 0.5 / hat
+    above eps and nothing on the clamped branch; a squared distance sends
+    its gradient to the two diagonal Gram entries and, doubled and negated,
+    to its own entry; and the Gram matrix F F^T sends (G + G^T) F to F.
+    """
+    gh = grad - grad.mean(axis=2, keepdims=True) - grad.mean(axis=1, keepdims=True)
+    gh += grad.mean(axis=(1, 2), keepdims=True)
+    gs = np.where(sq > SQRT_GUARD_EPS, gh * 0.5 / hat, 0.0)
+    g_gram = -2.0 * gs
+    d = np.arange(gs.shape[1])
+    g_gram[:, d, d] += gs.sum(axis=1) + gs.sum(axis=2)
+    return (g_gram + np.swapaxes(g_gram, -1, -2)) @ fm
 
 
 def _forward_one(graph: Graph, idx: int, feeds: dict[str, np.ndarray]) -> np.ndarray:
@@ -358,7 +408,14 @@ def _forward_one(graph: Graph, idx: int, feeds: dict[str, np.ndarray]) -> np.nda
                 raise ShapeMismatch(idx, op, "(B,C,H,W) and (O,C,kh,kw)", (x.shape, w.shape))
             if x.shape[1] != w.shape[1]:
                 raise ShapeMismatch(idx, op, f"in-channels {w.shape[1]}", f"in-channels {x.shape[1]}")
-            return _conv2d_forward(x, w, b, node.meta["stride"], node.meta["pad"])
+            out, graph.saved[idx] = _conv2d_forward(x, w, b, node.meta["stride"], node.meta["pad"])
+            return out
+        if op == "bdc":
+            fm = vals[0]
+            if fm.ndim != 3:
+                raise ShapeMismatch(idx, op, "(B, d, m) feature maps", fm.shape)
+            out, graph.saved[idx] = _bdc_forward(fm)
+            return out
     except ShapeMismatch:
         raise
     except ValueError as exc:
@@ -460,7 +517,9 @@ def _vjp(graph: Graph, idx: int, grad: np.ndarray, needed: list[bool]) -> list[n
         return [gx]
     if op == "conv2d":
         x, w, _b = vals
-        return list(_conv2d_vjp(grad, x, w, node.meta["stride"], node.meta["pad"], need_a))
+        return list(_conv2d_vjp(grad, x, w, node.meta["stride"], node.meta["pad"], need_a, graph.saved[idx]))
+    if op == "bdc":
+        return [_bdc_vjp(grad, vals[0], *graph.saved[idx])]
     raise GraphError(f"unknown op {op!r}")
 
 
@@ -501,7 +560,9 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
     if out.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {out.shape}")
 
-    needed = _param_paths(graph, loss.idx)
+    needed = graph._path_cache.get(loss.idx)
+    if needed is None:
+        needed = graph._path_cache[loss.idx] = _param_paths(graph, loss.idx)
     grads: list[np.ndarray | None] = [None] * len(graph.nodes)
     grads[loss.idx] = np.ones_like(out)
     for idx in range(loss.idx, -1, -1):

@@ -121,9 +121,11 @@ def evaluate_episode(
     enc_cfg: EncoderConfig,
     episode: Episode,
     metric: str = "neg_sq_distance",
+    pair_totals: list[int] | None = None,
 ) -> float:
+    """Episode AUROC; `pair_totals` as in `auroc_multiclass_ovr`."""
     scores, labels = episode_scores(params, enc_cfg, episode, metric)
-    return auroc_multiclass_ovr(scores, labels)
+    return auroc_multiclass_ovr(scores, labels, pair_totals)
 
 
 def evaluate_episodes(
@@ -131,8 +133,9 @@ def evaluate_episodes(
     enc_cfg: EncoderConfig,
     episodes: list[Episode],
     metric: str = "neg_sq_distance",
+    pair_totals: list[int] | None = None,
 ) -> list[float]:
-    return [evaluate_episode(params, enc_cfg, ep, metric) for ep in episodes]
+    return [evaluate_episode(params, enc_cfg, ep, metric, pair_totals) for ep in episodes]
 
 
 def sample_episode_block(
@@ -192,25 +195,24 @@ def _aucm_columns_graph(g: Graph, z, labels: np.ndarray, refs: dict, prefix: str
 
 
 def _episode_loss_graph(
-    g: Graph,
-    refs: dict,
-    enc_cfg: EncoderConfig,
-    episode: Episode,
-    config: FinetuneConfig,
-    sup_shape,
-    qry_shape,
+    g: Graph, refs: dict, enc_cfg: EncoderConfig, episode_shape: tuple[int, int, int], config: FinetuneConfig
 ):
-    sup = g.input("sup", sup_shape)
-    qry = g.input("qry", qry_shape)
-    d, n_way = enc_cfg.feature_dim, episode.n_way
+    """Loss of any (n_way, k_shot, q_query) episode, fed as NCHW inputs "sup"
+    and "qry". The sampler is class-major, so query labels are always
+    repeat(arange(n_way), q_query) and one graph serves every episode."""
+    n_way, k_shot, q_query = episode_shape
+    image = (enc_cfg.channels, enc_cfg.height, enc_cfg.width)
+    sup = g.input("sup", (n_way * k_shot, *image))
+    qry = g.input("qry", (n_way * q_query, *image))
+    d = enc_cfg.feature_dim
     bdc_s = bdc_matrix_graph(g, conv_stack(g, sup, refs, enc_cfg), d)
     bdc_q = bdc_matrix_graph(g, conv_stack(g, qry, refs, enc_cfg), d)
-    scores = scores_graph(bdc_q, prototypes_graph(bdc_s, n_way, episode.k_shot, d), n_way, d, config.metric)
+    scores = scores_graph(bdc_q, prototypes_graph(bdc_s, n_way, k_shot, d), n_way, d, config.metric)
     g.mark_output("scores", scores)
     z = scores * (1.0 / config.temperature)
-    labels = _episode_label_indices(episode)
+    labels = np.repeat(np.arange(n_way), q_query)
     if config.loss == "ce":
-        onehot = g.constant(np.eye(episode.n_way)[labels])
+        onehot = g.constant(np.eye(n_way)[labels])
         return (z.logsumexp(axis=1) - (z * onehot).sum(axis=1)).mean()
     # every way holds exactly q_query positives, so the positive rate is 1/N
     return _aucm_columns_graph(g, z, labels, refs, "ep_", [1.0 / n_way] * n_way, config.aucm_margin)
@@ -229,8 +231,12 @@ def meta_finetune(
     """Episodic fine-tuning of the conv backbone from a pretrained start.
 
     Only conv parameters move; projection weights ride along untouched.
-    The validation episode set is sampled once up front so per-epoch
-    selection scores are comparable. Input params are not mutated.
+    The episode loss graph is built once and replayed every step: the
+    steppers update the parameter arrays it references in place. The
+    validation episode set is sampled once up front, so every epoch's
+    episodes hold the same pairs and epochs are compared by their summed
+    integer pair counts; exact ties go to the earliest epoch. Input params
+    are not mutated.
     """
     params = {k: v.copy() for k, v in params.items()}
     trainable = {k: v for k, v in params.items() if k.startswith("conv")}
@@ -244,8 +250,12 @@ def meta_finetune(
     val_episodes = sample_episode_block(val_images, val_spec, config.val_episodes, rng.child(2_000_000))
     sched = ScheduleConfig("step", config.lr, config.epochs, config.decay_epochs)
 
+    g = Graph()
+    episode_shape = (train_spec.n_way, train_spec.k_shot, train_spec.q_query)
+    loss = _episode_loss_graph(g, bind_params(g, step_params), enc_cfg, episode_shape, config)
+
     best_params = {k: v.copy() for k, v in params.items()}
-    best_score = -np.inf
+    best_total = -1
     best_epoch = -1
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -257,9 +267,6 @@ def meta_finetune(
             episode = sample_episode(train_images, train_spec, epoch_rng.child(e_idx))
             sup = _nchw(list(episode.support), enc_cfg, dtype)
             qry = _nchw(list(episode.query), enc_cfg, dtype)
-            g = Graph()
-            refs = bind_params(g, step_params)
-            loss = _episode_loss_graph(g, refs, enc_cfg, episode, config, sup.shape, qry.shape)
             forward_eval(g, {"sup": sup, "qry": qry})
             if not np.isfinite(float(loss.value)):
                 raise FloatingPointError(f"non-finite episode loss at epoch {epoch}, episode {e_idx}")
@@ -268,11 +275,12 @@ def meta_finetune(
                 pesg_step(step_params, grads, state, pesg_cfg, lr=lr)
             else:
                 sgd_step(trainable, grads, lr=lr, weight_decay=config.weight_decay)
-        score = float(np.mean(evaluate_episodes(params, enc_cfg, val_episodes, config.metric)))
+        totals: list[int] = []
+        score = float(np.mean(evaluate_episodes(params, enc_cfg, val_episodes, config.metric, totals)))
         history.append(score)
         log.debug("meta epoch %d: lr %.4g val auroc %.4f", epoch, lr, score)
-        if score > best_score:
-            best_score = score
+        if sum(totals) > best_total:
+            best_total = sum(totals)
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
     return FinetuneResult(best_params, best_epoch, history)

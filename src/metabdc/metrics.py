@@ -10,8 +10,33 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
+def ovr_pair_counts(scores: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Per column k of (n, K) scores: 2 * (positive-negative pairs ranked
+    right) + (tied pairs), as int64. `positive` is the (n, K) mask of each
+    column's positives; every other row is a negative of that column.
+
+    With scores sorted per column, a row in the tie run [i, j] has i scores
+    below it and j + 1 at or below it. Summing i + j + 1 over the positives
+    gives the wanted count plus n_pos**2: every positive-positive pair
+    counts twice, and each positive once against itself.
+    """
+    order = np.argsort(scores, axis=0, kind="mergesort")
+    ranked = np.take_along_axis(scores, order, axis=0)
+    n = ranked.shape[0]
+    rows = np.arange(n)[:, None]
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    ends = np.ones(ranked.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    below = np.maximum.accumulate(np.where(starts, rows, 0), axis=0)
+    at_or_below = np.minimum.accumulate(np.where(ends, rows + 1, n)[::-1], axis=0)[::-1]
+    pos = np.take_along_axis(positive, order, axis=0)
+    n_pos = pos.sum(axis=0)
+    return np.where(pos, below + at_or_below, 0).sum(axis=0) - n_pos * n_pos
+
+
 def auroc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUROC: P(s+ > s-) + 0.5 P(s+ = s-), via mid-ranks."""
+    """Mann-Whitney AUROC: P(s+ > s-) + 0.5 P(s+ = s-), from pair counts."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
@@ -24,27 +49,17 @@ def auroc_binary(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both classes present")
-
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # 1-based mid-rank shared across the tie run
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    return float(ovr_pair_counts(scores[:, None], pos[:, None])[0] / (2 * n_pos * n_neg))
 
 
-def auroc_multiclass_ovr(scores: np.ndarray, labels: np.ndarray) -> float:
+def auroc_multiclass_ovr(scores: np.ndarray, labels: np.ndarray, pair_totals: list[int] | None = None) -> float:
     """Unweighted mean of per-class one-vs-rest AUROC.
 
     Column k of `scores` ranks class k against the rest. Classes absent
-    from `labels` are skipped and reported via logging.
+    from `labels` are skipped and reported via logging. With `pair_totals`,
+    also appends the `ovr_pair_counts` of the present classes summed, an
+    exact integer that orders score sets with equal per-class pair numbers
+    as their AUROC does, ties included.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -56,8 +71,12 @@ def auroc_multiclass_ovr(scores: np.ndarray, labels: np.ndarray) -> float:
     skipped = [k for k in range(scores.shape[1]) if k not in present]
     if skipped:
         log.warning("auroc_multiclass_ovr: classes %s absent from labels, skipped", skipped)
-    per_class = [auroc_binary(scores[:, k], (labels == k).astype(np.int64)) for k in present]
-    return float(np.mean(per_class))
+    positive = labels[:, None] == np.array(present)
+    n_pos = positive.sum(axis=0)
+    counts = ovr_pair_counts(scores[:, present], positive)
+    if pair_totals is not None:
+        pair_totals.append(int(counts.sum()))
+    return float(np.mean(counts / (2 * n_pos * (len(labels) - n_pos))))
 
 
 @dataclass(frozen=True)

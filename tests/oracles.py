@@ -7,7 +7,9 @@ builder of the contrastive terms, shared by training and the partition
 search, on fixed embeddings so tests can compare the two, and
 `sample_episode_oracle` is the literal per-class-scan episode sampler.
 `conv2d_oracle` is the convolution and its VJP, one multiply-add per
-output position, kernel tap and channel.
+output position, kernel tap and channel. `bdc_vjp_oracle` is the BDC
+matrix's VJP term by term, and `bdc_chain_graph` is the BDC matrix as the
+chain of primitive graph ops it was built from before it became one op.
 """
 
 import math
@@ -161,6 +163,47 @@ def bdc_oracle(x) -> np.ndarray:
         for l in range(d):
             out[k, l] = hat[k, l] - rm[k] - cm[l] + gm
     return out
+
+
+def bdc_vjp_oracle(x, grad, sq) -> np.ndarray:
+    """Gradient into one (d, m) map of sum(grad * bdc_oracle(x)), in float64,
+    term by term, differentiated at the (d, d) squared channel distances
+    `sq` that a forward computed (a Gram-matrix forward rounds them
+    differently from summing squared differences)."""
+    x = np.asarray(x, dtype=np.float64)
+    d, m = x.shape
+    # out[k, l] = hat[k, l] - row mean k - column mean l + grand mean
+    row = [sum(float(grad[k, l]) for l in range(d)) / d for k in range(d)]
+    col = [sum(float(grad[k, l]) for k in range(d)) / d for l in range(d)]
+    grand = sum(row) / d
+    g_hat = [[float(grad[a, b]) - row[a] - col[b] + grand for b in range(d)] for a in range(d)]
+    out = np.zeros((d, m))
+    for a in range(d):
+        for b in range(d):
+            s = float(sq[a, b])
+            if s <= 1e-12:  # clamped: sqrt(max(s, eps)) has derivative 0 here
+                continue
+            g_sq = g_hat[a][b] * 0.5 / math.sqrt(s)
+            for j in range(m):
+                # s = sum_j (x[a, j] - x[b, j])^2
+                out[a, j] += g_sq * 2.0 * (x[a, j] - x[b, j])
+                out[b, j] -= g_sq * 2.0 * (x[a, j] - x[b, j])
+    return out
+
+
+def bdc_chain_graph(g: Graph, fmaps, d: int):
+    """(B, d, m) maps -> (B, d, d) BDC matrices from primitive graph ops: the
+    Gram matrix, its diagonal by an identity mask, squared distances, the
+    guarded root and the double centring, one node per step."""
+    gram = fmaps @ fmaps.swap_last2()
+    eye = g.constant(np.eye(d))
+    diag = (gram * eye).sum(axis=2)
+    sq_dist = diag.reshape((-1, d, 1)) + diag.reshape((-1, 1, d)) - 2.0 * gram
+    hat = sq_dist.sqrt_guard()
+    row = hat.mean(axis=2, keepdims=True)
+    col = hat.mean(axis=1, keepdims=True)
+    grand = hat.mean(axis=(1, 2), keepdims=True)
+    return hat - row - col + grand
 
 
 def prototype_oracle(mats, labels) -> dict[int, np.ndarray]:

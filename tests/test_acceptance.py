@@ -16,7 +16,7 @@ import numpy as np
 
 from metabdc.bdc import bdc_matrix, bdc_matrix_graph
 from metabdc.config import ExperimentConfig
-from metabdc.core import Graph, SeededRng, backward, forward_eval, grad_check
+from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.data import (
     Episode,
     EpisodeSpec,
@@ -45,6 +45,7 @@ from metabdc.ssl import (
     find_partition_embeddings,
     pretrain,
 )
+from gradcheck import grad_check
 from oracles import bdc_oracle, contrastive_oracle, subset_terms
 
 TINY = EncoderConfig(height=8, width=8, channels=1, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from metabdc.bdc import (
     prototypes_graph,
     scores_graph,
 )
-from metabdc.core import Graph, SeededRng, backward, forward_eval, grad_check
-from oracles import bdc_oracle, prototype_oracle, score_oracle
+from metabdc.core import Graph, SeededRng, backward, forward_eval
+from gradcheck import grad_check
+from oracles import bdc_chain_graph, bdc_oracle, bdc_vjp_oracle, prototype_oracle, score_oracle
 
 
 def one(x: np.ndarray) -> np.ndarray:
@@ -118,6 +121,52 @@ def test_scalar_of_bdc_gradchecks_including_small_distances():
         return float(loss.value), {"x": grads["x"].reshape(4, 6)}
 
     assert grad_check(fn, {"x": base}, eps=1e-7) <= 1e-4
+
+
+def test_bdc_op_forward_equals_the_primitive_chain_bit_for_bit():
+    """The op repeats the primitive chain's float ops in order, on float32
+    maps as training feeds it and on float64 maps, coincident and all-zero
+    channels included; its VJP differs from the chain's only in rounding."""
+    rng = SeededRng(73).generator()
+    for dtype, (b, d, m) in itertools.product((np.float32, np.float64), ((1, 2, 1), (3, 4, 3), (25, 16, 16))):
+        batch = np.maximum(rng.normal(size=(b, d, m)), 0.0).astype(dtype)
+        batch[0, 1] = batch[0, 0]
+        batch[-1, -1] = 0.0
+        upstream = rng.normal(size=(b, d, d))
+        out, grads = [], []
+        for build in (bdc_chain_graph, bdc_matrix_graph):
+            g = Graph()
+            x = g.parameter("x", batch)
+            a = build(g, x, d)
+            loss = (a * g.constant(upstream)).sum()
+            forward_eval(g)
+            out.append(a.value)
+            grads.append(backward(g, loss)["x"])
+        assert out[0].dtype == out[1].dtype == np.float64
+        assert np.array_equal(out[1], out[0]), (dtype, b, d, m)
+        assert np.abs(grads[1] - grads[0]).max() <= 1e-13 * max(1.0, np.abs(grads[0]).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bdc_vjp_matches_loop_oracle(dtype):
+    """The op's gradient into its maps against the term-by-term oracle at the
+    squared distances the forward kept, with channels 0 and 1 of the first
+    map coincident so the clamp branch runs off the diagonal too."""
+    rng = SeededRng(71).generator()
+    for b, d, m in itertools.product((1, 3, 30), (2, 4, 16), (1, 3, 16)):
+        batch = rng.normal(size=(b, d, m)).astype(dtype)
+        batch[0, 1] = batch[0, 0]
+        upstream = rng.normal(size=(b, d, d))
+        g = Graph()
+        x = g.parameter("x", batch)
+        a = x.bdc()
+        loss = (a * g.constant(upstream)).sum()
+        forward_eval(g)
+        got = backward(g, loss)["x"]
+        sq = g.saved[a.idx][0]
+        for i in range(b):
+            want = bdc_vjp_oracle(batch[i], upstream[i], sq[i])
+            assert np.abs(got[i] - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (b, d, m, i)
 
 
 def test_prototypes_are_classwise_means():

@@ -13,7 +13,6 @@ from metabdc.core import (
     backward,
     config_digest,
     forward_eval,
-    grad_check,
     l2_normalize,
     load_checkpoint,
     read_array,
@@ -21,6 +20,7 @@ from metabdc.core import (
     write_array,
 )
 from metabdc.core import graph as graph_module
+from gradcheck import grad_check
 from oracles import conv2d_oracle
 
 
@@ -188,9 +188,9 @@ def test_backward_gives_constants_and_inputs_no_gradient(monkeypatch):
     calls = []
     real_vjp = graph_module._conv2d_vjp
 
-    def spy(grad, x, w, stride, pad, need_x):
+    def spy(grad, x, w, stride, pad, need_x, cols):
         calls.append((x.shape[1], need_x))
-        return real_vjp(grad, x, w, stride, pad, need_x)
+        return real_vjp(grad, x, w, stride, pad, need_x, cols)
 
     monkeypatch.setattr(graph_module, "_conv2d_vjp", spy)
 
@@ -243,7 +243,7 @@ def test_conv2d_matches_explicit_loop():
             for got, ref in zip((y.value, grads["x"], grads["w"], grads["b"]), want):
                 assert got.shape == ref.shape, (k, stride, pad, channels)
                 assert np.abs(got - ref).max() <= 1e-12, (k, stride, pad, channels)
-            dx, dw, db = graph_module._conv2d_vjp(up.value, x, w, stride, pad, need_x=False)
+            dx, dw, db = graph_module._conv2d_vjp(up.value, x, w, stride, pad, False, g.saved[y.idx])
             assert dx is None
             assert np.array_equal(dw, grads["w"]) and np.array_equal(db, grads["b"])
             cases += 1
@@ -257,7 +257,8 @@ def test_conv2d_vjp_returns_dx_in_the_input_dtype():
     x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
     w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     grad = rng.normal(size=(2, 4, 4, 4))
-    dx, dw, _ = graph_module._conv2d_vjp(grad, x, w, 2, 1, need_x=True)
+    _, cols = graph_module._conv2d_forward(x, w, np.zeros(4, dtype=np.float32), 2, 1)
+    dx, dw, _ = graph_module._conv2d_vjp(grad, x, w, 2, 1, True, cols)
     assert dx.dtype == np.float32 and dx.shape == x.shape
     assert dw.dtype == np.float64
 
@@ -312,6 +313,7 @@ def test_every_primitive_op_gradchecks():
         "reshape": lambda g, r: (r["a"].reshape((16,)) ** 2).sum(),
         "swap_last2": lambda g, r: (r["a"].swap_last2() @ r["a"]).sum(),
         "gather": lambda g, r: (r["a"].gather(np.array([1, 1, 0])) ** 2).sum(),
+        "bdc": lambda g, r: (r["a"].reshape((1, 4, 4)).bdc() * r["b"].reshape((1, 4, 4))).sum(),
     }
     for name, build in cases.items():
         point = {"a": rng.normal(size=(4, 4)) * 0.7, "b": rng.normal(size=(4, 4)) * 0.7}

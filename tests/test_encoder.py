@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metabdc.core import Graph, SeededRng, backward, forward_eval, grad_check
+from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.data import LabeledImage
 from metabdc.encoder import (
     EncoderConfig,
@@ -17,6 +17,7 @@ from metabdc.encoder import (
 )
 from metabdc.finetune import classifier_scores
 from metabdc.ssl import _embed_dataset
+from gradcheck import grad_check
 
 TINY = EncoderConfig(height=8, width=8, channels=1, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
 

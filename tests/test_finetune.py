@@ -61,7 +61,7 @@ def graph_episode_loss(params, episode, config, with_grads=False):
             step[f"ep_alpha{way}"] = np.zeros(1)
     g = Graph()
     refs = bind_params(g, step)
-    loss = _episode_loss_graph(g, refs, ENC, episode, config, sup.shape, qry.shape)
+    loss = _episode_loss_graph(g, refs, ENC, (episode.n_way, episode.k_shot, episode.q_query), config)
     forward_eval(g, {"sup": sup, "qry": qry})
     value = float(loss.value)
     if not with_grads:
@@ -151,7 +151,7 @@ class TestEpisodeEvaluation:
             sup = _nchw(list(episode.support), enc, np.float32)
             qry = _nchw(list(episode.query), enc, np.float32)
             g = Graph()
-            _episode_loss_graph(g, bind_params(g, params), enc, episode, config, sup.shape, qry.shape)
+            _episode_loss_graph(g, bind_params(g, params), enc, (spec.n_way, spec.k_shot, spec.q_query), config)
             want = forward_eval(g, {"sup": sup, "qry": qry})["scores"]
             got, _ = episode_scores(params, enc, episode)
             assert got.dtype == want.dtype == np.float64

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from metabdc.core import Graph, backward, forward_eval
 from metabdc.imageops import crop_with_padding, resize_bilinear
-from metabdc.metrics import aggregate_episode_metrics, auroc_binary, auroc_multiclass_ovr
+from metabdc.metrics import aggregate_episode_metrics, auroc_binary, auroc_multiclass_ovr, ovr_pair_counts
 from metabdc.optim import (
     PesgConfig,
     PesgState,
@@ -302,6 +302,45 @@ def auroc_pair_oracle(scores, labels):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def auroc_midrank_oracle(scores, labels):
+    """Mann-Whitney U from 1-based mid-ranks found by walking each tie run."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def test_pair_counts_are_the_exact_pair_tally():
+    """2 * (pairs ranked right) + (tied pairs) per column, as integers, and
+    AUROCs derived from them equal the mid-rank formula bit for bit; the
+    multiclass AUROC reports the columns' summed count when asked."""
+    gen = np.random.default_rng(31)
+    for n, k in ((2, 2), (7, 3), (90, 5)):
+        scores = np.round(gen.normal(size=(n, k)), 1)  # rounding forces tie runs
+        labels = np.arange(n) % k
+        positive = labels[:, None] == np.arange(k)
+        want = []
+        for c in range(k):
+            pos, neg = scores[positive[:, c], c], scores[~positive[:, c], c]
+            want.append(sum(2 * int(sp > sn) + int(sp == sn) for sp in pos for sn in neg))
+        got = ovr_pair_counts(scores, positive)
+        assert got.dtype == np.int64 and got.tolist() == want
+        per_class = [auroc_midrank_oracle(scores[:, c], positive[:, c]) for c in range(k)]
+        totals = []
+        assert auroc_multiclass_ovr(scores, labels, totals) == float(np.mean(per_class))
+        assert totals == [sum(want)]
+        assert auroc_binary(scores[:, 0], positive[:, 0].astype(np.int64)) == per_class[0]
 
 
 def test_auroc_perfect_ranking():
