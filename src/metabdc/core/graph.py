@@ -32,6 +32,13 @@ Design constraints:
 The square root used on computed squared distances is `sqrt_guard`,
 sqrt(max(x, eps)) with eps = 1e-12, whose derivative is defined as 0 on
 the clamped branch.
+
+Every interior op kind is one entry of `_OPS`, its forward and its VJP
+side by side; `forward_eval` and `backward` call the entry of each node,
+and `Graph._emit` rejects a kind the table lacks. To add an op, add one
+`_OPS` entry, one `Var` method that emits it, and one case in the
+gradcheck test `test_every_primitive_op_gradchecks`, which fails while
+any table entry has no case.
 """
 
 from __future__ import annotations
@@ -112,11 +119,6 @@ class Var:
     def __matmul__(self, other):
         return self.graph._emit("matmul", (self, self._lift(other)))
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise GraphError("pow exponent must be a Python number")
-        return self.graph._emit("pow_const", (self,), exponent=float(exponent))
-
     def exp(self):
         return self.graph._emit("exp", (self,))
 
@@ -195,6 +197,8 @@ class Graph:
         return Var(self, len(self.nodes) - 1)
 
     def _emit(self, op: str, parents: tuple[Var, ...], **meta) -> Var:
+        if op not in _OPS:
+            raise GraphError(f"unknown op {op!r}")
         return self._append(_Node(op, tuple(p.idx for p in parents), meta))
 
     def input(self, name: str, shape) -> Var:
@@ -231,7 +235,7 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# forward
+# ops
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -242,6 +246,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if s == 1 and grad.shape[ax] != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad
+
+
+def _spread(grad, shape, axis, keepdims):
+    g = grad
+    if axis is not None and not keepdims:
+        for a in sorted(axis):
+            g = np.expand_dims(g, a)
+    return np.broadcast_to(g, shape).copy()
 
 
 def _conv_geometry(x_shape, w_shape, stride, pad):
@@ -332,96 +344,150 @@ def _bdc_vjp(grad: np.ndarray, fm: np.ndarray, sq: np.ndarray, hat: np.ndarray) 
     return (g_gram + np.swapaxes(g_gram, -1, -2)) @ fm
 
 
-def _forward_one(graph: Graph, idx: int, feeds: dict[str, np.ndarray]) -> np.ndarray:
-    node = graph.nodes[idx]
-    op = node.op
-    vals = [graph.values[p] for p in node.parents]
+def _sigmoid_eval(vals, *_):
+    x = vals[0]
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    if op == "input":
-        if node.name not in feeds:
-            raise GraphError(f"missing input {node.name!r}")
-        arr = np.asarray(feeds[node.name])
-        want = node.meta["shape"]
-        if len(arr.shape) != len(want) or any(w is not None and w != a for w, a in zip(want, arr.shape)):
-            raise ShapeMismatch(idx, "input:" + str(node.name), want, arr.shape)
-        return arr
-    if op in ("param", "const"):
-        return graph.values[idx]
 
-    try:
-        if op == "add":
-            return vals[0] + vals[1]
-        if op == "sub":
-            return vals[0] - vals[1]
-        if op == "mul":
-            return vals[0] * vals[1]
-        if op == "div":
-            return vals[0] / vals[1]
-        if op == "neg":
-            return -vals[0]
-        if op == "pow_const":
-            return vals[0] ** node.meta["exponent"]
-        if op == "exp":
-            return np.exp(vals[0])
-        if op == "log":
-            return np.log(vals[0])
-        if op == "relu":
-            return np.maximum(vals[0], 0)
-        if op == "sigmoid":
-            x = vals[0]
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-        if op == "sqrt_guard":
-            return np.sqrt(np.maximum(vals[0], node.meta["eps"]))
-        if op == "matmul":
-            a, b = vals
-            if a.ndim != b.ndim or a.ndim < 2:
-                raise ShapeMismatch(idx, op, f"equal ranks >= 2, lhs rank {a.ndim}", f"rhs rank {b.ndim}")
-            if a.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-                raise ShapeMismatch(idx, op, a.shape[:-2], b.shape[:-2])
-            if a.shape[-1] != b.shape[-2]:
-                raise ShapeMismatch(idx, op, f"inner dim {a.shape[-1]}", f"inner dim {b.shape[-2]}")
-            return np.matmul(a, b)
-        if op == "sum":
-            return vals[0].sum(axis=node.meta["axis"], keepdims=node.meta["keepdims"])
-        if op == "mean":
-            return vals[0].mean(axis=node.meta["axis"], keepdims=node.meta["keepdims"])
-        if op == "logsumexp":
-            x = vals[0]
-            axis = node.meta["axis"]
-            m = np.max(x, axis=axis, keepdims=True)
-            out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-            return out if node.meta["keepdims"] else np.squeeze(out, axis=axis)
-        if op == "reshape":
-            return vals[0].reshape(node.meta["shape"])
-        if op == "swap_last2":
-            return np.swapaxes(vals[0], -1, -2)
-        if op == "gather":
-            return vals[0][node.meta["indices"]]
-        if op == "conv2d":
-            x, w, b = vals
-            if x.ndim != 4 or w.ndim != 4:
-                raise ShapeMismatch(idx, op, "(B,C,H,W) and (O,C,kh,kw)", (x.shape, w.shape))
-            if x.shape[1] != w.shape[1]:
-                raise ShapeMismatch(idx, op, f"in-channels {w.shape[1]}", f"in-channels {x.shape[1]}")
-            out, graph.saved[idx] = _conv2d_forward(x, w, b, node.meta["stride"], node.meta["pad"])
-            return out
-        if op == "bdc":
-            fm = vals[0]
-            if fm.ndim != 3:
-                raise ShapeMismatch(idx, op, "(B, d, m) feature maps", fm.shape)
-            out, graph.saved[idx] = _bdc_forward(fm)
-            return out
-    except ShapeMismatch:
-        raise
-    except ValueError as exc:
-        shapes = [v.shape for v in vals]
-        raise ShapeMismatch(idx, op, "broadcast-compatible operands", shapes) from exc
-    raise GraphError(f"unknown op {op!r}")
+def _matmul_eval(vals, meta, graph, idx):
+    a, b = vals
+    if a.ndim != b.ndim or a.ndim < 2:
+        raise ShapeMismatch(idx, "matmul", f"equal ranks >= 2, lhs rank {a.ndim}", f"rhs rank {b.ndim}")
+    if a.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        raise ShapeMismatch(idx, "matmul", a.shape[:-2], b.shape[:-2])
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatch(idx, "matmul", f"inner dim {a.shape[-1]}", f"inner dim {b.shape[-2]}")
+    return np.matmul(a, b)
+
+
+def _mean_grad(grad, vals, out, meta, *_):
+    axis = meta["axis"]
+    count = vals[0].size if axis is None else int(np.prod([vals[0].shape[a] for a in axis]))
+    return [_spread(grad, vals[0].shape, axis, meta["keepdims"]) / count]
+
+
+def _logsumexp_eval(vals, meta, *_):
+    x = vals[0]
+    axis = meta["axis"]
+    m = np.max(x, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    return out if meta["keepdims"] else np.squeeze(out, axis=axis)
+
+
+def _logsumexp_grad(grad, vals, out, meta, *_):
+    axis = meta["axis"]
+    lse = out if meta["keepdims"] else np.expand_dims(out, axis)
+    soft = np.exp(vals[0] - lse)
+    g = grad if meta["keepdims"] else np.expand_dims(grad, axis)
+    return [g * soft]
+
+
+def _gather_grad(grad, vals, out, meta, *_):
+    gx = np.zeros_like(vals[0])
+    np.add.at(gx, meta["indices"], grad)
+    return [gx]
+
+
+def _conv2d_eval(vals, meta, graph, idx):
+    x, w, b = vals
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeMismatch(idx, "conv2d", "(B,C,H,W) and (O,C,kh,kw)", (x.shape, w.shape))
+    if x.shape[1] != w.shape[1]:
+        raise ShapeMismatch(idx, "conv2d", f"in-channels {w.shape[1]}", f"in-channels {x.shape[1]}")
+    out, graph.saved[idx] = _conv2d_forward(x, w, b, meta["stride"], meta["pad"])
+    return out
+
+
+def _bdc_eval(vals, meta, graph, idx):
+    fm = vals[0]
+    if fm.ndim != 3:
+        raise ShapeMismatch(idx, "bdc", "(B, d, m) feature maps", fm.shape)
+    out, graph.saved[idx] = _bdc_forward(fm)
+    return out
+
+
+# op kind -> (forward, vjp), one entry per interior op.
+#   forward(vals, meta, graph, idx): the node's value from its parents'
+#     values; it may fill graph.saved[idx] for its VJP, and raises
+#     ShapeMismatch naming node idx.
+#   vjp(grad, vals, out, meta, needed, saved): one gradient per parent, None
+#     where the parent's `needed` flag is off. A unary op is only reached
+#     through a needed parent, so only ops with several parents read the flags.
+_OPS = {
+    "add": (
+        lambda vals, *_: vals[0] + vals[1],
+        lambda grad, vals, out, meta, needed, saved: [
+            _unbroadcast(grad, vals[0].shape) if needed[0] else None,
+            _unbroadcast(grad, vals[1].shape) if needed[1] else None,
+        ],
+    ),
+    "sub": (
+        lambda vals, *_: vals[0] - vals[1],
+        lambda grad, vals, out, meta, needed, saved: [
+            _unbroadcast(grad, vals[0].shape) if needed[0] else None,
+            _unbroadcast(-grad, vals[1].shape) if needed[1] else None,
+        ],
+    ),
+    "mul": (
+        lambda vals, *_: vals[0] * vals[1],
+        lambda grad, vals, out, meta, needed, saved: [
+            _unbroadcast(grad * vals[1], vals[0].shape) if needed[0] else None,
+            _unbroadcast(grad * vals[0], vals[1].shape) if needed[1] else None,
+        ],
+    ),
+    "div": (
+        lambda vals, *_: vals[0] / vals[1],
+        lambda grad, vals, out, meta, needed, saved: [
+            _unbroadcast(grad / vals[1], vals[0].shape) if needed[0] else None,
+            _unbroadcast(-grad * vals[0] / (vals[1] * vals[1]), vals[1].shape) if needed[1] else None,
+        ],
+    ),
+    "neg": (lambda vals, *_: -vals[0], lambda grad, *_: [-grad]),
+    "exp": (lambda vals, *_: np.exp(vals[0]), lambda grad, vals, out, *_: [grad * out]),
+    "log": (lambda vals, *_: np.log(vals[0]), lambda grad, vals, *_: [grad / vals[0]]),
+    "relu": (lambda vals, *_: np.maximum(vals[0], 0), lambda grad, vals, *_: [grad * (vals[0] > 0)]),
+    "sigmoid": (_sigmoid_eval, lambda grad, vals, out, *_: [grad * out * (1.0 - out)]),
+    "sqrt_guard": (
+        lambda vals, meta, *_: np.sqrt(np.maximum(vals[0], meta["eps"])),
+        lambda grad, vals, out, meta, *_: [np.where(vals[0] > meta["eps"], grad * 0.5 / out, 0.0)],
+    ),
+    "matmul": (
+        _matmul_eval,
+        lambda grad, vals, out, meta, needed, saved: [
+            np.matmul(grad, np.swapaxes(vals[1], -1, -2)) if needed[0] else None,
+            np.matmul(np.swapaxes(vals[0], -1, -2), grad) if needed[1] else None,
+        ],
+    ),
+    "sum": (
+        lambda vals, meta, *_: vals[0].sum(axis=meta["axis"], keepdims=meta["keepdims"]),
+        lambda grad, vals, out, meta, *_: [_spread(grad, vals[0].shape, meta["axis"], meta["keepdims"])],
+    ),
+    "mean": (lambda vals, meta, *_: vals[0].mean(axis=meta["axis"], keepdims=meta["keepdims"]), _mean_grad),
+    "logsumexp": (_logsumexp_eval, _logsumexp_grad),
+    "reshape": (
+        lambda vals, meta, *_: vals[0].reshape(meta["shape"]),
+        lambda grad, vals, *_: [grad.reshape(vals[0].shape)],
+    ),
+    "swap_last2": (lambda vals, *_: np.swapaxes(vals[0], -1, -2), lambda grad, *_: [np.swapaxes(grad, -1, -2)]),
+    "gather": (lambda vals, meta, *_: vals[0][meta["indices"]], _gather_grad),
+    # _conv2d_vjp is looked up on each call, so a substitute bound to the module is seen
+    "conv2d": (
+        _conv2d_eval,
+        lambda grad, vals, out, meta, needed, saved: list(
+            _conv2d_vjp(grad, vals[0], vals[1], meta["stride"], meta["pad"], needed[0], saved)
+        ),
+    ),
+    "bdc": (_bdc_eval, lambda grad, vals, out, meta, needed, saved: [_bdc_vjp(grad, vals[0], *saved)]),
+}
+
+
+# ---------------------------------------------------------------------------
+# forward and reverse sweeps
 
 
 def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
@@ -433,104 +499,24 @@ def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> di
     unknown = set(feeds) - set(graph.inputs)
     if unknown:
         raise GraphError(f"unknown input names {sorted(unknown)}")
-    for idx in range(len(graph.nodes)):
-        graph.values[idx] = _forward_one(graph, idx, feeds)
-    return {name: graph.values[i] for name, i in graph.outputs.items()}
-
-
-# ---------------------------------------------------------------------------
-# backward
-
-
-def _vjp(graph: Graph, idx: int, grad: np.ndarray, needed: list[bool]) -> list[np.ndarray | None]:
-    """Gradients into the parents of node `idx`, None for each parent whose
-    `needed` flag is off. A unary op is only reached through a needed
-    parent, so only ops with several parents read the flags."""
-    node = graph.nodes[idx]
-    op = node.op
-    vals = [graph.values[p] for p in node.parents]
-    out = graph.values[idx]
-    need_a = needed[0]
-    need_b = len(needed) > 1 and needed[1]
-
-    if op == "add":
-        return [
-            _unbroadcast(grad, vals[0].shape) if need_a else None,
-            _unbroadcast(grad, vals[1].shape) if need_b else None,
-        ]
-    if op == "sub":
-        return [
-            _unbroadcast(grad, vals[0].shape) if need_a else None,
-            _unbroadcast(-grad, vals[1].shape) if need_b else None,
-        ]
-    if op == "mul":
-        return [
-            _unbroadcast(grad * vals[1], vals[0].shape) if need_a else None,
-            _unbroadcast(grad * vals[0], vals[1].shape) if need_b else None,
-        ]
-    if op == "div":
-        ga = _unbroadcast(grad / vals[1], vals[0].shape) if need_a else None
-        gb = _unbroadcast(-grad * vals[0] / (vals[1] * vals[1]), vals[1].shape) if need_b else None
-        return [ga, gb]
-    if op == "neg":
-        return [-grad]
-    if op == "pow_const":
-        p = node.meta["exponent"]
-        return [grad * p * vals[0] ** (p - 1.0)]
-    if op == "exp":
-        return [grad * out]
-    if op == "log":
-        return [grad / vals[0]]
-    if op == "relu":
-        return [grad * (vals[0] > 0)]
-    if op == "sigmoid":
-        return [grad * out * (1.0 - out)]
-    if op == "sqrt_guard":
-        eps = node.meta["eps"]
-        safe = np.where(vals[0] > eps, grad * 0.5 / out, 0.0)
-        return [safe]
-    if op == "matmul":
-        a, b = vals
-        return [
-            np.matmul(grad, np.swapaxes(b, -1, -2)) if need_a else None,
-            np.matmul(np.swapaxes(a, -1, -2), grad) if need_b else None,
-        ]
-    if op == "sum":
-        return [_spread(grad, vals[0].shape, node.meta["axis"], node.meta["keepdims"])]
-    if op == "mean":
-        axis = node.meta["axis"]
-        count = vals[0].size if axis is None else int(np.prod([vals[0].shape[a] for a in axis]))
-        return [_spread(grad, vals[0].shape, axis, node.meta["keepdims"]) / count]
-    if op == "logsumexp":
-        axis = node.meta["axis"]
-        lse = out if node.meta["keepdims"] else np.expand_dims(out, axis)
-        soft = np.exp(vals[0] - lse)
-        g = grad if node.meta["keepdims"] else np.expand_dims(grad, axis)
-        return [g * soft]
-    if op == "reshape":
-        return [grad.reshape(vals[0].shape)]
-    if op == "swap_last2":
-        return [np.swapaxes(grad, -1, -2)]
-    if op == "gather":
-        gx = np.zeros_like(vals[0])
-        np.add.at(gx, node.meta["indices"], grad)
-        return [gx]
-    if op == "conv2d":
-        x, w, _b = vals
-        return list(_conv2d_vjp(grad, x, w, node.meta["stride"], node.meta["pad"], need_a, graph.saved[idx]))
-    if op == "bdc":
-        return [_bdc_vjp(grad, vals[0], *graph.saved[idx])]
-    raise GraphError(f"unknown op {op!r}")
-
-
-def _spread(grad, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(grad, shape).copy() if np.ndim(grad) == 0 else np.full(shape, grad)
-    g = grad
-    if not keepdims:
-        for a in sorted(axis):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape).copy()
+    values = graph.values
+    for idx, node in enumerate(graph.nodes):
+        if node.parents:
+            vals = [values[p] for p in node.parents]
+            try:
+                values[idx] = _OPS[node.op][0](vals, node.meta, graph, idx)
+            except ValueError as exc:
+                shapes = [v.shape for v in vals]
+                raise ShapeMismatch(idx, node.op, "broadcast-compatible operands", shapes) from exc
+        elif node.op == "input":
+            if node.name not in feeds:
+                raise GraphError(f"missing input {node.name!r}")
+            arr = np.asarray(feeds[node.name])
+            want = node.meta["shape"]
+            if len(arr.shape) != len(want) or any(w is not None and w != a for w, a in zip(want, arr.shape)):
+                raise ShapeMismatch(idx, "input:" + str(node.name), want, arr.shape)
+            values[idx] = arr
+    return {name: values[i] for name, i in graph.outputs.items()}
 
 
 def _param_paths(graph: Graph, last: int) -> list[bool]:
@@ -563,6 +549,7 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
     needed = graph._path_cache.get(loss.idx)
     if needed is None:
         needed = graph._path_cache[loss.idx] = _param_paths(graph, loss.idx)
+    values, saved = graph.values, graph.saved
     grads: list[np.ndarray | None] = [None] * len(graph.nodes)
     grads[loss.idx] = np.ones_like(out)
     for idx in range(loss.idx, -1, -1):
@@ -570,8 +557,11 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
         node = graph.nodes[idx]
         if g is None or not needed[idx] or not node.parents:
             continue
-        parent_grads = _vjp(graph, idx, g, [needed[p] for p in node.parents])
-        for p_idx, p_grad in zip(node.parents, parent_grads):
+        parents = node.parents
+        parent_grads = _OPS[node.op][1](
+            g, [values[p] for p in parents], values[idx], node.meta, [needed[p] for p in parents], saved[idx]
+        )
+        for p_idx, p_grad in zip(parents, parent_grads):
             if p_grad is None:
                 continue
             if grads[p_idx] is None:

@@ -12,9 +12,12 @@ Three loops share the conv backbone:
     proxy initialization.
 
 None of these loops augments its inputs; episodes and batches are drawn
-straight from the preprocessed images. Model selection is by mean
-validation AUROC after each epoch against a fixed validation set, the
-earliest best epoch winning ties.
+straight from the preprocessed images. Meta-fine-tuning keeps the epoch
+whose validation episodes give the largest summed integer pair count, not
+the largest float mean of per-episode AUROCs, so tied epochs tie exactly;
+supervised fine-tuning keeps the epoch with the best whole-split
+validation AUROC. Both score a fixed validation set after each epoch, and
+the earliest best epoch wins ties.
 """
 
 from __future__ import annotations

@@ -471,9 +471,7 @@ def find_partition_embeddings(
 def _embed_dataset(images: np.ndarray, params: dict[str, np.ndarray], enc_cfg: EncoderConfig) -> np.ndarray:
     nchw = np.transpose(images, (0, 3, 1, 2)).astype(params["conv0_w"].dtype)
     g = Graph()
-    refs = bind_params(g, params)
-    x = g.input("images", nchw.shape)
-    z = project_head(g, conv_stack(g, x, refs, enc_cfg), refs, enc_cfg)
+    _, z = _embed_batch_graph(g, nchw, params, enc_cfg)
     g.mark_output("z", z)
     return forward_eval(g, {"images": nchw})["z"]
 

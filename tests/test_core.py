@@ -77,7 +77,7 @@ def test_grad_check_rejects_bad_eps():
 
 
 def test_grad_check_sum_of_squares_tight():
-    fn = scalar_fn(lambda g, refs: (refs["x"] ** 2).sum())
+    fn = scalar_fn(lambda g, refs: (refs["x"] * refs["x"]).sum())
     rng = SeededRng(5).generator()
     err = grad_check(fn, {"x": rng.normal(size=(4, 3))}, eps=1e-6)
     assert err <= 1e-6
@@ -106,18 +106,40 @@ def test_shape_mismatch_names_node_and_shapes():
     g.mark_output("y", x * 1.0)
     with pytest.raises(ShapeMismatch) as exc:
         forward_eval(g, {"x": np.ones((4, 3))})
+    assert exc.value.node == x.idx
+    assert exc.value.op == "input:x"
     assert exc.value.expected == (2, 3)
     assert exc.value.actual == (4, 3)
     assert "node" in str(exc.value)
 
 
-def test_matmul_inner_dim_mismatch():
+@pytest.mark.parametrize(
+    "op, build",
+    [
+        ("matmul", lambda g: g.parameter("a", np.ones((2, 3))) @ g.parameter("b", np.ones((4, 2)))),
+        ("conv2d", lambda g: g.parameter("x", np.ones((2, 3, 5))).conv2d(np.ones((4, 3, 3, 3)), np.ones(4), 1, 1)),
+        ("conv2d", lambda g: g.parameter("x", np.ones((2, 2, 5, 5))).conv2d(np.ones((4, 3, 3, 3)), np.ones(4), 1, 1)),
+        ("bdc", lambda g: g.parameter("x", np.ones((4, 4))).bdc()),
+        ("add", lambda g: g.parameter("a", np.ones((2, 3))) + g.parameter("b", np.ones(4))),
+    ],
+    ids=["matmul-inner-dim", "conv2d-rank", "conv2d-in-channels", "bdc-rank", "add-broadcast"],
+)
+def test_shape_mismatch_names_node_and_op(op, build):
     g = Graph()
-    a = g.parameter("a", np.ones((2, 3)))
-    b = g.parameter("b", np.ones((4, 2)))
-    _ = a @ b
-    with pytest.raises(ShapeMismatch):
+    bad = build(g)
+    _ = bad * 2.0
+    with pytest.raises(ShapeMismatch) as exc:
         forward_eval(g)
+    assert exc.value.node == bad.idx
+    assert exc.value.op == op
+    assert f"node {bad.idx} ({op})" in str(exc.value)
+
+
+def test_emit_rejects_an_unknown_op_kind():
+    g = Graph()
+    x = g.parameter("x", np.ones(3))
+    with pytest.raises(GraphError, match="unknown op 'cube'"):
+        g._emit("cube", (x,))
 
 
 def test_missing_and_unknown_inputs_error():
@@ -139,7 +161,8 @@ def test_gradient_accumulation_is_linear():
         g = Graph()
         w = g.parameter("w", w0.copy())
         x = g.constant(x0)
-        l1 = ((x @ w).relu() ** 2).sum()
+        h = (x @ w).relu()
+        l1 = (h * h).sum()
         l2 = (x @ w).logsumexp(axis=1).sum()
         loss = {"l1": l1, "l2": l2, "both": l1 + l2}[which]
         forward_eval(g)
@@ -205,7 +228,8 @@ def test_backward_gives_constants_and_inputs_no_gradient(monkeypatch):
         refs = {name: g.parameter(name, val.copy()) for name, val in params.items()}
         h = x.conv2d(refs["w0"], refs["b0"], stride=1, pad=1).relu()
         h = h.conv2d(refs["w1"], refs["b1"], stride=2, pad=1).relu() * scale
-        loss = ((h.reshape((3, 80)) @ refs["head"]) ** 2).sum()
+        y = h.reshape((3, 80)) @ refs["head"]
+        loss = (y * y).sum()
         forward_eval(g, {"images": images} if leaf == "input" else None)
         grads = backward(g, loss)
         return {name: grads[name] for name in params}
@@ -292,7 +316,12 @@ def test_l2_normalize_unit_norm():
 
 
 def test_every_primitive_op_gradchecks():
+    """One case per op kind in the op table, so an op added without a
+    gradcheck case fails here."""
     rng = SeededRng(77).generator()
+
+    def square(v):
+        return (v * v).sum()
 
     cases = {
         "add": lambda g, r: (r["a"] + r["b"]).sum(),
@@ -300,21 +329,24 @@ def test_every_primitive_op_gradchecks():
         "mul": lambda g, r: (r["a"] * r["b"]).sum(),
         "div": lambda g, r: (r["a"] / (r["b"] * r["b"] + 2.0)).sum(),
         "neg": lambda g, r: (-r["a"]).sum(),
-        "pow": lambda g, r: (r["a"] ** 3).sum(),
         "exp": lambda g, r: r["a"].exp().sum(),
         "log": lambda g, r: (r["a"] * r["a"] + 1.0).log().sum(),
         "relu": lambda g, r: r["a"].relu().sum(),
         "sigmoid": lambda g, r: r["a"].sigmoid().sum(),
         "sqrt_guard": lambda g, r: (r["a"] * r["a"]).sqrt_guard().sum(),
         "matmul": lambda g, r: (r["a"] @ r["b"]).sum(),
-        "sum_axis": lambda g, r: (r["a"].sum(axis=1) ** 2).sum(),
-        "mean": lambda g, r: (r["a"].mean(axis=0) ** 2).sum(),
+        "sum": lambda g, r: square(r["a"].sum(axis=1)),
+        "mean": lambda g, r: square(r["a"].mean(axis=0)),
         "logsumexp": lambda g, r: r["a"].logsumexp(axis=1).sum(),
-        "reshape": lambda g, r: (r["a"].reshape((16,)) ** 2).sum(),
+        "reshape": lambda g, r: square(r["a"].reshape((16,))),
         "swap_last2": lambda g, r: (r["a"].swap_last2() @ r["a"]).sum(),
-        "gather": lambda g, r: (r["a"].gather(np.array([1, 1, 0])) ** 2).sum(),
+        "gather": lambda g, r: square(r["a"].gather(np.array([1, 1, 0]))),
+        "conv2d": lambda g, r: square(
+            r["a"].reshape((1, 1, 4, 4)).conv2d(r["b"].reshape((4, 1, 2, 2)), np.ones(4), stride=2, pad=1)
+        ),
         "bdc": lambda g, r: (r["a"].reshape((1, 4, 4)).bdc() * r["b"].reshape((1, 4, 4))).sum(),
     }
+    assert set(cases) == set(graph_module._OPS)
     for name, build in cases.items():
         point = {"a": rng.normal(size=(4, 4)) * 0.7, "b": rng.normal(size=(4, 4)) * 0.7}
         err = grad_check(scalar_fn(build), point, eps=1e-6)
