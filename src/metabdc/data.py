@@ -1,5 +1,9 @@
 """Synthetic hierarchical imaging data, preprocessing, splits, episodes.
 
+Generation, preprocessing and splitting work on `LabeledImage` lists; a
+split is then one `ImageSet` of arrays, and an `Episode` is support and
+query row indices into it.
+
 Fine classes nest inside coarse classes: the coarse label fixes a
 texture-scale cue (frequency band) that all its fine classes share, and
 the fine label adds a finer cue (orientation for gratings, ring-center
@@ -105,16 +109,39 @@ class EpisodeSpec:
             raise ValueError(f"unknown label space {self.label_space!r}")
 
 
-def label_of(img: LabeledImage, space: str) -> int:
-    return img.fine if space == "fine" else img.coarse
+@dataclass(frozen=True)
+class ImageSet:
+    """One split: (n, H, W, C) pixels and row-aligned fine and coarse labels."""
+
+    pixels: np.ndarray
+    fine: np.ndarray
+    coarse: np.ndarray
+
+    @classmethod
+    def of(cls, images: list[LabeledImage]) -> "ImageSet":
+        """The images' rows in list order, as read-only arrays."""
+        pixels = np.stack([im.pixels for im in images]) if images else np.zeros((0, 0, 0, 0), np.float32)
+        fine = np.array([im.fine for im in images], dtype=np.int64)
+        coarse = np.array([im.coarse for im in images], dtype=np.int64)
+        for a in (pixels, fine, coarse):
+            a.setflags(write=False)
+        return cls(pixels, fine, coarse)
+
+    def __len__(self) -> int:
+        return len(self.pixels)
+
+    def labels(self, space: str) -> np.ndarray:
+        return {"fine": self.fine, "coarse": self.coarse}[space]
 
 
 @dataclass(frozen=True)
 class Episode:
-    support: tuple[LabeledImage, ...]
-    query: tuple[LabeledImage, ...]
+    """Support and query row indices into one split, class-major: block i
+    of each holds class_list[i], so query labels are repeat(arange(N), q)."""
+
+    support: np.ndarray
+    query: np.ndarray
     class_list: tuple[int, ...]
-    label_space: str = "fine"
 
     def __post_init__(self) -> None:
         n = len(self.class_list)
@@ -122,15 +149,8 @@ class Episode:
             raise ValueError("class list must hold at least 2 distinct classes")
         if len(self.support) % n or len(self.query) % n:
             raise ValueError("support/query sizes must be multiples of the way count")
-        sup_ids = {id(img) for img in self.support}
-        if any(id(img) in sup_ids for img in self.query):
+        if not set(self.support.tolist()).isdisjoint(self.query.tolist()):
             raise ValueError("support and query share an image")
-        k, q = len(self.support) // n, len(self.query) // n
-        for c in self.class_list:
-            if sum(1 for s in self.support if label_of(s, self.label_space) == c) != k:
-                raise ValueError(f"class {c}: support count != {k}")
-            if sum(1 for s in self.query if label_of(s, self.label_space) == c) != q:
-                raise ValueError(f"class {c}: query count != {q}")
 
     @property
     def n_way(self) -> int:
@@ -394,24 +414,21 @@ def split_dataset(
 # episodes
 
 
-def sample_episode(subset: list[LabeledImage], spec: EpisodeSpec, rng: SeededRng) -> Episode:
-    """N-way K-shot episode, sampled without replacement, class-major order."""
-    by_class: dict[int, list[LabeledImage]] = {}
-    for img in subset:  # one pass; each pool keeps subset order
-        by_class.setdefault(label_of(img, spec.label_space), []).append(img)
-    classes = sorted(by_class)
+def sample_episode(split: ImageSet, spec: EpisodeSpec, rng: SeededRng) -> Episode:
+    """N-way K-shot episode of `split` rows without replacement, class-major."""
+    labels = split.labels(spec.label_space)
+    classes = np.flatnonzero(np.bincount(labels))  # labels present, ascending; np.unique would import numpy.ma
     if spec.n_way > len(classes):
         raise ValueError(f"{spec.n_way}-way episode over only {len(classes)} classes")
     gen = rng.generator()
-    chosen = [classes[i] for i in gen.choice(len(classes), size=spec.n_way, replace=False)]
-    support: list[LabeledImage] = []
-    query: list[LabeledImage] = []
+    chosen = [int(classes[i]) for i in gen.choice(len(classes), size=spec.n_way, replace=False)]
+    support, query = [], []
     need = spec.k_shot + spec.q_query
     for c in chosen:
-        pool = by_class[c]
+        pool = np.flatnonzero(labels == c)  # rows of class c, in split order
         if len(pool) < need:
             raise ValueError(f"class {c} has {len(pool)} images, episode needs {need}")
-        picks = gen.choice(len(pool), size=need, replace=False)
-        support.extend(pool[i] for i in picks[: spec.k_shot])
-        query.extend(pool[i] for i in picks[spec.k_shot :])
-    return Episode(tuple(support), tuple(query), tuple(chosen), spec.label_space)
+        picks = pool[gen.choice(len(pool), size=need, replace=False)]
+        support.append(picks[: spec.k_shot])
+        query.append(picks[spec.k_shot :])
+    return Episode(np.concatenate(support), np.concatenate(query), tuple(chosen))

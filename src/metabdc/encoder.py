@@ -137,11 +137,12 @@ def classify_head(g: Graph, fmaps: Var, refs: dict[str, Var]) -> Var:
     return fmaps.mean(axis=2) @ refs["cls_w"] + refs["cls_b"]
 
 
-def _to_nchw(images: np.ndarray, config: EncoderConfig) -> np.ndarray:
+def to_nchw(images: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """(B, H, W, C) images -> a (B, C, H, W) view, shape-checked against `config`."""
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1:] != (config.height, config.width, config.channels):
         raise ValueError(
-            f"expected images (B, {config.height}, {config.width}, {config.channels}), got {images.shape}"
+            f"images are {images.shape}, encoder expects (B, {config.height}, {config.width}, {config.channels})"
         )
     return np.transpose(images, (0, 3, 1, 2))
 
@@ -152,7 +153,7 @@ def _to_nchw(images: np.ndarray, config: EncoderConfig) -> np.ndarray:
 
 def encode(images: np.ndarray, config: EncoderConfig, params: dict[str, np.ndarray]) -> np.ndarray:
     """(B, H, W, C) images -> (B, d, m) feature maps, forward-only; deterministic."""
-    nchw = _to_nchw(images, config).astype(params["conv0_w"].dtype)
+    nchw = to_nchw(images, config).astype(params["conv0_w"].dtype)
     g = Graph()
     refs = bind_params(g, params)
     x = g.input("images", nchw.shape)

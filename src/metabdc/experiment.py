@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig, apply_grid_overrides, train_label_space, train_source
 from .core import SeededRng
-from .data import EpisodeSpec, LabeledImage, generate_synthetic, label_of, preprocess_dataset, split_dataset
+from .data import EpisodeSpec, ImageSet, generate_synthetic, preprocess_dataset, split_dataset
 from .encoder import EncoderConfig, init_params, save_encoder_checkpoint
 from .finetune import (
     FinetuneResult,
@@ -67,9 +67,9 @@ class RowFragment:
 
 @dataclass(frozen=True)
 class Splits:
-    train: list[LabeledImage]
-    val: list[LabeledImage]
-    test: list[LabeledImage]
+    train: ImageSet
+    val: ImageSet
+    test: ImageSet
 
 
 def cell_list(cfg: ExperimentConfig) -> list[tuple[str, int]]:
@@ -90,8 +90,8 @@ def shot_label(shots: int) -> str:
 def prepare_splits(cfg: ExperimentConfig, which: str = "same") -> Splits:
     data_cfg = cfg.data if which == "same" else cfg.other_data
     images = preprocess_dataset(generate_synthetic(data_cfg), fov_mm=cfg.fov_mm, out_size=cfg.out_size)
-    train, val, test = split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.fractions)
-    return Splits(train, val, test)
+    parts = split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.fractions)
+    return Splits(*(ImageSet.of(part) for part in parts))
 
 
 def other_splits(cfg: ExperimentConfig, kinds: tuple[str, ...]) -> Splits | None:
@@ -126,7 +126,7 @@ def cell_checkpoint(out_dir: str, cfg: ExperimentConfig, kind: str, shots: int, 
 
 def pretrain_encoder(
     cfg: ExperimentConfig,
-    train_images: list[LabeledImage],
+    train: ImageSet,
     rng: SeededRng,
     out_dir: str | None = None,
     tag: str = "",
@@ -146,7 +146,7 @@ def pretrain_encoder(
     params = init_params(cfg.encoder, rng.child(0))
     if kind == "supervised-proxy":
         proxy_cfg = replace(cfg.data, seed=cfg.data.seed + 9999)
-        proxy = preprocess_dataset(generate_synthetic(proxy_cfg), fov_mm=cfg.fov_mm, out_size=cfg.out_size)
+        proxy = ImageSet.of(preprocess_dataset(generate_synthetic(proxy_cfg), fov_mm=cfg.fov_mm, out_size=cfg.out_size))
         n_classes = (
             proxy_cfg.hierarchy.n_fine if cfg.proxy.label_space == "fine" else proxy_cfg.hierarchy.n_coarse
         )
@@ -163,8 +163,7 @@ def pretrain_encoder(
             rng=rng.child(1),
         )
     elif kind != "none":
-        batch = np.stack([im.pixels for im in train_images])
-        params, _parts, trace = pretrain(kind, batch, cfg.ipirm, cfg.encoder, rng.child(2), init=params)
+        params, _parts, trace = pretrain(kind, train.pixels, cfg.ipirm, cfg.encoder, rng.child(2), init=params)
         if out_dir is not None:
             write_trace_csv(os.path.join(out_dir, f"pretrain-{kind}{tag}-trace.csv"), trace)
     if out_dir is not None:
@@ -226,14 +225,13 @@ def test_cell(
     """Meta-test episode AUROCs per repeat; the fully supervised column is
     a single whole-split score."""
     if kind == "fully-supervised":
-        test_labels = np.array([label_of(im, "coarse") for im in primary.test])
-        score = auroc_multiclass_ovr(classifier_scores(params, cfg.encoder, primary.test), test_labels)
-        return [[score]]
+        scores = classifier_scores(params, cfg.encoder, primary.test)
+        return [[auroc_multiclass_ovr(scores, primary.test.labels("coarse"))]]
     spec = eval_episode_spec(cfg, shots)
     repeats: list[list[float]] = []
     for rep in range(cfg.test_repeats):
         episodes = sample_episode_block(primary.test, spec, cfg.test_episodes, rng.child(10 + rep))
-        repeats.append(evaluate_episodes(params, cfg.encoder, episodes, cfg.tune.metric))
+        repeats.append(evaluate_episodes(params, cfg.encoder, primary.test, episodes, cfg.tune.metric))
     return repeats
 
 

@@ -11,13 +11,13 @@ Three loops share the conv backbone:
   * plain cross-entropy supervised training, used to build the labeled
     proxy initialization.
 
-None of these loops augments its inputs; episodes and batches are drawn
-straight from the preprocessed images. Meta-fine-tuning keeps the epoch
-whose validation episodes give the largest summed integer pair count, not
-the largest float mean of per-episode AUROCs, so tied epochs tie exactly;
-supervised fine-tuning keeps the epoch with the best whole-split
-validation AUROC. Both score a fixed validation set after each epoch, and
-the earliest best epoch wins ties.
+Each loop converts its `ImageSet` training split to NCHW once per run and
+indexes it at each step; none augments its inputs. Meta-fine-tuning keeps
+the epoch whose validation episodes give the largest summed integer pair
+count, not the largest float mean of per-episode AUROCs, so tied epochs
+tie exactly; supervised fine-tuning keeps the epoch with the best
+whole-split validation AUROC. Both score a fixed validation set after
+each epoch, and the earliest best epoch wins ties.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .bdc import (
     scores_graph,
 )
 from .core import Graph, SeededRng, backward, forward_eval
-from .data import Episode, EpisodeSpec, LabeledImage, label_of, sample_episode
-from .encoder import EncoderConfig, bind_params, classify_head, conv_stack, encode, init_classifier
+from .data import Episode, EpisodeSpec, ImageSet, sample_episode
+from .encoder import EncoderConfig, bind_params, classify_head, conv_stack, encode, init_classifier, to_nchw
 from .metrics import auroc_multiclass_ovr
 from .optim import PesgConfig, PesgState, ScheduleConfig, aucm_loss_graph, pesg_step, schedule_lr, sgd_step
 
@@ -82,19 +82,6 @@ class FinetuneResult:
     val_history: list[float]
 
 
-def _nchw(images: list[LabeledImage], enc_cfg: EncoderConfig, dtype) -> np.ndarray:
-    batch = np.stack([im.pixels for im in images])
-    expected = (enc_cfg.height, enc_cfg.width, enc_cfg.channels)
-    if batch.shape[1:] != expected:
-        raise ValueError(f"images are {batch.shape[1:]}, encoder expects {expected}")
-    return np.transpose(batch, (0, 3, 1, 2)).astype(dtype)
-
-
-def _episode_label_indices(episode: Episode) -> np.ndarray:
-    lookup = {c: i for i, c in enumerate(episode.class_list)}
-    return np.array([lookup[label_of(q, episode.label_space)] for q in episode.query])
-
-
 # ---------------------------------------------------------------------------
 # forward-only episode evaluation
 
@@ -102,49 +89,50 @@ def _episode_label_indices(episode: Episode) -> np.ndarray:
 def episode_scores(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
+    split: ImageSet,
     episode: Episode,
     metric: str = "neg_sq_distance",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw (Q, N) scores plus query label indices in class-list order.
 
-    Support and query are encoded in one batch and summarized in one BDC
-    call; prototypes and scores run the training graph's builders forward.
+    Support and query rows of `split` are encoded in one batch and summarized
+    in one BDC call; prototypes and scores run the training graph's builders
+    forward. Episodes are class-major, so query block i has label i.
     """
     n_sup = len(episode.support)
-    pixels = np.stack([im.pixels for im in episode.support + episode.query])
-    mats = bdc_matrix(encode(pixels, enc_cfg, params))
-    # support is class-major, so way index i is the label of block i
+    rows = np.concatenate([episode.support, episode.query])
+    mats = bdc_matrix(encode(split.pixels[rows], enc_cfg, params))
     protos = class_prototypes(mats[:n_sup], episode.n_way)
     scores = episode_classify(mats[n_sup:], protos, metric)
-    return scores, _episode_label_indices(episode)
+    return scores, np.repeat(np.arange(episode.n_way), episode.q_query)
 
 
 def evaluate_episode(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
+    split: ImageSet,
     episode: Episode,
     metric: str = "neg_sq_distance",
     pair_totals: list[int] | None = None,
 ) -> float:
     """Episode AUROC; `pair_totals` as in `auroc_multiclass_ovr`."""
-    scores, labels = episode_scores(params, enc_cfg, episode, metric)
+    scores, labels = episode_scores(params, enc_cfg, split, episode, metric)
     return auroc_multiclass_ovr(scores, labels, pair_totals)
 
 
 def evaluate_episodes(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
+    split: ImageSet,
     episodes: list[Episode],
     metric: str = "neg_sq_distance",
     pair_totals: list[int] | None = None,
 ) -> list[float]:
-    return [evaluate_episode(params, enc_cfg, ep, metric, pair_totals) for ep in episodes]
+    return [evaluate_episode(params, enc_cfg, split, ep, metric, pair_totals) for ep in episodes]
 
 
-def sample_episode_block(
-    images: list[LabeledImage], spec: EpisodeSpec, count: int, rng: SeededRng
-) -> list[Episode]:
-    return [sample_episode(images, spec, rng.child(i)) for i in range(count)]
+def sample_episode_block(split: ImageSet, spec: EpisodeSpec, count: int, rng: SeededRng) -> list[Episode]:
+    return [sample_episode(split, spec, rng.child(i)) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +205,15 @@ def _episode_loss_graph(
     if config.loss == "ce":
         onehot = g.constant(np.eye(n_way)[labels])
         return (z.logsumexp(axis=1) - (z * onehot).sum(axis=1)).mean()
-    # every way holds exactly q_query positives, so the positive rate is 1/N
-    return _aucm_columns_graph(g, z, labels, refs, "ep_", [1.0 / n_way] * n_way, config.aucm_margin)
+    # the AUC margin is built for scores in [0, 1]; each way's positive rate is 1/N
+    return _aucm_columns_graph(g, z.sigmoid(), labels, refs, "ep_", [1.0 / n_way] * n_way, config.aucm_margin)
 
 
 def meta_finetune(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
-    train_images: list[LabeledImage],
-    val_images: list[LabeledImage],
+    train: ImageSet,
+    val: ImageSet,
     train_spec: EpisodeSpec,
     val_spec: EpisodeSpec,
     config: FinetuneConfig,
@@ -250,7 +238,8 @@ def meta_finetune(
     if use_aucm:
         pesg_cfg, state = _aucm_stepper(step_params, "ep_", train_spec.n_way, config)
 
-    val_episodes = sample_episode_block(val_images, val_spec, config.val_episodes, rng.child(2_000_000))
+    train_nchw = to_nchw(train.pixels, enc_cfg).astype(dtype)
+    val_episodes = sample_episode_block(val, val_spec, config.val_episodes, rng.child(2_000_000))
     sched = ScheduleConfig("step", config.lr, config.epochs, config.decay_epochs)
 
     g = Graph()
@@ -267,10 +256,8 @@ def meta_finetune(
             state.start_epoch(step_params, epoch, pesg_cfg)
         epoch_rng = rng.child(1_000_000 + epoch)
         for e_idx in range(config.episodes_per_epoch):
-            episode = sample_episode(train_images, train_spec, epoch_rng.child(e_idx))
-            sup = _nchw(list(episode.support), enc_cfg, dtype)
-            qry = _nchw(list(episode.query), enc_cfg, dtype)
-            forward_eval(g, {"sup": sup, "qry": qry})
+            episode = sample_episode(train, train_spec, epoch_rng.child(e_idx))
+            forward_eval(g, {"sup": train_nchw[episode.support], "qry": train_nchw[episode.query]})
             if not np.isfinite(float(loss.value)):
                 raise FloatingPointError(f"non-finite episode loss at epoch {epoch}, episode {e_idx}")
             grads = backward(g, loss)
@@ -279,7 +266,7 @@ def meta_finetune(
             else:
                 sgd_step(trainable, grads, lr=lr, weight_decay=config.weight_decay)
         totals: list[int] = []
-        score = float(np.mean(evaluate_episodes(params, enc_cfg, val_episodes, config.metric, totals)))
+        score = float(np.mean(evaluate_episodes(params, enc_cfg, val, val_episodes, config.metric, totals)))
         history.append(score)
         log.debug("meta epoch %d: lr %.4g val auroc %.4f", epoch, lr, score)
         if sum(totals) > best_total:
@@ -293,11 +280,9 @@ def meta_finetune(
 # supervised loops
 
 
-def classifier_scores(
-    params: dict[str, np.ndarray], enc_cfg: EncoderConfig, images: list[LabeledImage]
-) -> np.ndarray:
-    """(B, n_classes) raw scores for a labeled image list."""
-    fmaps = encode(np.stack([im.pixels for im in images]), enc_cfg, params)
+def classifier_scores(params: dict[str, np.ndarray], enc_cfg: EncoderConfig, split: ImageSet) -> np.ndarray:
+    """(n, n_classes) raw scores for every row of a split."""
+    fmaps = encode(split.pixels, enc_cfg, params)
     return fmaps.mean(axis=2) @ params["cls_w"] + params["cls_b"]
 
 
@@ -311,7 +296,7 @@ def _class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
 def supervised_pretrain_ce(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
-    images: list[LabeledImage],
+    split: ImageSet,
     label_space: str,
     n_classes: int,
     epochs: int,
@@ -328,18 +313,18 @@ def supervised_pretrain_ce(
     if batch_size < 2 or epochs <= 0:
         raise ValueError("need a positive epoch count and batches of at least 2")
     params = {k: v.copy() for k, v in params.items()}
-    labels = np.array([label_of(im, label_space) for im in images])
+    labels = split.labels(label_space)
     _class_counts(labels, n_classes)
     dtype = params["conv0_w"].dtype
     cls = init_classifier(enc_cfg, n_classes, rng.child(1), dtype=dtype)
     step_params = {k: v for k, v in params.items() if k.startswith("conv")}
     step_params.update(cls)
-    all_nchw = _nchw(images, enc_cfg, dtype)
+    all_nchw = to_nchw(split.pixels, enc_cfg).astype(dtype)
     sched = ScheduleConfig("cosine", lr, epochs)
     for epoch in range(epochs):
         cur_lr = schedule_lr(sched, epoch)
-        order = rng.child(10_000 + epoch).generator().permutation(len(images))
-        for start in range(0, len(images), batch_size):
+        order = rng.child(10_000 + epoch).generator().permutation(len(split))
+        for start in range(0, len(split), batch_size):
             idx = order[start : start + batch_size]
             if idx.size < 2:
                 continue
@@ -360,8 +345,8 @@ def supervised_pretrain_ce(
 def supervised_finetune(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
-    train_images: list[LabeledImage],
-    val_images: list[LabeledImage],
+    train: ImageSet,
+    val: ImageSet,
     label_space: str,
     n_classes: int,
     config: FinetuneConfig,
@@ -374,7 +359,7 @@ def supervised_finetune(
     validation AUROC per epoch. Returned params include the scoring head.
     """
     params = {k: v.copy() for k, v in params.items()}
-    labels = np.array([label_of(im, label_space) for im in train_images])
+    labels = train.labels(label_space)
     counts = _class_counts(labels, n_classes)
     p_hat = counts / counts.sum()
     dtype = params["conv0_w"].dtype
@@ -383,8 +368,7 @@ def supervised_finetune(
     step_params = {k: v for k, v in params.items() if k.startswith(("conv", "cls"))}
     pesg_cfg, state = _aucm_stepper(step_params, "aucm_", n_classes, config)
 
-    all_nchw = _nchw(train_images, enc_cfg, dtype)
-    val_labels = np.array([label_of(im, label_space) for im in val_images])
+    all_nchw = to_nchw(train.pixels, enc_cfg).astype(dtype)
     sched = ScheduleConfig("step", config.lr, config.epochs, config.decay_epochs)
 
     best_params = {k: v.copy() for k, v in params.items()}
@@ -394,8 +378,8 @@ def supervised_finetune(
     for epoch in range(config.epochs):
         lr = schedule_lr(sched, epoch)
         state.start_epoch(step_params, epoch, pesg_cfg)
-        order = rng.child(10_000 + epoch).generator().permutation(len(train_images))
-        for start in range(0, len(train_images), config.batch_size):
+        order = rng.child(10_000 + epoch).generator().permutation(len(train))
+        for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
             if idx.size < 2:
                 continue
@@ -409,7 +393,7 @@ def supervised_finetune(
                 raise FloatingPointError(f"non-finite supervised loss at epoch {epoch}")
             grads = backward(g, total)
             pesg_step(step_params, grads, state, pesg_cfg, lr=lr)
-        score = auroc_multiclass_ovr(classifier_scores(params, enc_cfg, val_images), val_labels)
+        score = auroc_multiclass_ovr(classifier_scores(params, enc_cfg, val), val.labels(label_space))
         history.append(score)
         log.debug("supervised epoch %d: lr %.4g val auroc %.4f", epoch, lr, score)
         if score > best_score:

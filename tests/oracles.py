@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from metabdc.core import Graph, forward_eval
-from metabdc.data import Episode, label_of
+from metabdc.data import Episode
 from metabdc.ssl import _contrastive_maps, _subset_sums
 
 
@@ -233,10 +233,11 @@ def score_oracle(queries, protos, metric="neg_sq_distance") -> np.ndarray:
     return out
 
 
-def sample_episode_oracle(subset, spec, rng) -> Episode:
-    """The episode sampler as first written: one full scan of the subset
-    for the class list, then one more per chosen class."""
-    classes = sorted({label_of(img, spec.label_space) for img in subset})
+def sample_episode_oracle(split, spec, rng) -> Episode:
+    """The episode sampler as first written: one full scan of the split's
+    label array for the class list, then one more per chosen class."""
+    labels = [int(v) for v in split.labels(spec.label_space)]
+    classes = sorted(set(labels))
     if spec.n_way > len(classes):
         raise ValueError(f"{spec.n_way}-way episode over only {len(classes)} classes")
     gen = rng.generator()
@@ -244,10 +245,10 @@ def sample_episode_oracle(subset, spec, rng) -> Episode:
     support, query = [], []
     need = spec.k_shot + spec.q_query
     for c in chosen:
-        pool = [img for img in subset if label_of(img, spec.label_space) == c]
+        pool = [row for row, label in enumerate(labels) if label == c]
         if len(pool) < need:
             raise ValueError(f"class {c} has {len(pool)} images, episode needs {need}")
         picks = gen.choice(len(pool), size=need, replace=False)
         support.extend(pool[i] for i in picks[: spec.k_shot])
         query.extend(pool[i] for i in picks[spec.k_shot :])
-    return Episode(tuple(support), tuple(query), tuple(chosen), spec.label_space)
+    return Episode(np.array(support), np.array(query), tuple(chosen))

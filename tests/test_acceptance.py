@@ -20,9 +20,9 @@ from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.data import (
     Episode,
     EpisodeSpec,
+    ImageSet,
     SyntheticConfig,
     generate_synthetic,
-    label_of,
     preprocess_dataset,
     sample_episode,
 )
@@ -378,8 +378,8 @@ def test_lr_scales_linearly_with_batch():
 
 
 def test_episode_sampler_invariants_and_duplicate_query():
-    images = preprocess_dataset(
-        generate_synthetic(SyntheticConfig(count_per_fine=26, group_size=1, seed=11)), out_size=8
+    split = ImageSet.of(
+        preprocess_dataset(generate_synthetic(SyntheticConfig(count_per_fine=26, group_size=1, seed=11)), out_size=8)
     )
     specs = [
         EpisodeSpec(2, 1, 5, "fine"),
@@ -391,20 +391,24 @@ def test_episode_sampler_invariants_and_duplicate_query():
     root = SeededRng(17)
     for i in range(1000):
         spec = specs[i % len(specs)]
-        ep = sample_episode(images, spec, root.child(i))
+        ep = sample_episode(split, spec, root.child(i))
         assert ep.n_way == spec.n_way and ep.k_shot == spec.k_shot and ep.q_query == spec.q_query
         assert len(set(ep.class_list)) == spec.n_way
-        sup_ids = {id(im) for im in ep.support}
-        assert not any(id(im) in sup_ids for im in ep.query)
-        for j, im in enumerate(ep.support):  # class-major support blocks
-            assert label_of(im, spec.label_space) == ep.class_list[j // spec.k_shot]
+        assert not np.intersect1d(ep.support, ep.query).size
+        labels = split.labels(spec.label_space)
+        for j, row in enumerate(ep.support):  # class-major support blocks
+            assert labels[row] == ep.class_list[j // spec.k_shot]
         for c in ep.class_list:
-            assert sum(1 for im in ep.query if label_of(im, spec.label_space) == c) == spec.q_query
+            assert int(np.sum(labels[ep.query] == c)) == spec.q_query
 
-    base = sample_episode(images, EpisodeSpec(2, 1, 3, "fine"), root.child(5000))
-    dup = Episode(base.support, tuple(replace(im) for im in base.support), base.class_list, "fine")
+    # each query row is a copy of one support row, appended to the split
+    base = sample_episode(split, EpisodeSpec(2, 1, 3, "fine"), root.child(5000))
+    dup_split = ImageSet(
+        *(np.concatenate([a, a[base.support]]) for a in (split.pixels, split.fine, split.coarse))
+    )
+    dup = Episode(base.support, len(split) + np.arange(len(base.support)), base.class_list)
     params = init_params(TINY, SeededRng(3), dtype=np.float64)
-    scores, labels = episode_scores(params, TINY, dup)
+    scores, labels = episode_scores(params, TINY, dup_split, dup)
     ok = bool(np.array_equal(np.argmax(scores, axis=1), labels))
     _line(ok, "1000 sampled episodes hold all invariants; duplicated query lands on its class")
     assert ok, (scores, labels)

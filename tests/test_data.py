@@ -3,22 +3,24 @@
 import numpy as np
 import pytest
 
+from metabdc.config import ExperimentConfig
 from metabdc.core import SeededRng
 from metabdc.data import (
     Episode,
     EpisodeSpec,
     HierarchySpec,
+    ImageSet,
     LabeledImage,
     SyntheticConfig,
     fov_pixels,
     generate_synthetic,
-    label_of,
     preprocess_dataset,
     preprocess_image,
     sample_episode,
     split_dataset,
     zscore_groups,
 )
+from metabdc.experiment import prepare_splits
 from metabdc.metrics import auroc_multiclass_ovr
 from oracles import sample_episode_oracle
 
@@ -248,67 +250,96 @@ def test_split_rejects_absent_tags():
 
 
 # ---------------------------------------------------------------------------
+# image sets
+
+
+def test_image_set_keeps_rows_pixels_and_labels_in_order():
+    images = generate_synthetic(small_config())
+    split = ImageSet.of(images)
+    assert len(split) == len(images) == split.pixels.shape[0]
+    for row, im in enumerate(images):
+        assert split.pixels[row].tobytes() == im.pixels.tobytes()
+    assert split.pixels.dtype == images[0].pixels.dtype
+    assert split.fine.tolist() == [im.fine for im in images]
+    assert split.coarse.tolist() == [im.coarse for im in images]
+    assert split.labels("fine") is split.fine and split.labels("coarse") is split.coarse
+    assert not split.pixels.flags.writeable
+    with pytest.raises(KeyError):
+        split.labels("group")
+    # a zero val or test fraction leaves that split empty; its cells fail, not the run
+    assert len(ImageSet.of([])) == 0
+
+
+def test_prepare_splits_rows_follow_split_dataset():
+    cfg = ExperimentConfig()
+    images = preprocess_dataset(generate_synthetic(cfg.data), fov_mm=cfg.fov_mm, out_size=cfg.out_size)
+    parts = split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.fractions)
+    splits = prepare_splits(cfg, "same")
+    for split, part in zip((splits.train, splits.val, splits.test), parts):
+        assert len(split) == len(part) == split.pixels.shape[0] > 0
+        assert np.array_equal(split.pixels, np.stack([im.pixels for im in part]))
+        assert split.fine.tolist() == [im.fine for im in part]
+        assert split.coarse.tolist() == [im.coarse for im in part]
+
+
+# ---------------------------------------------------------------------------
 # episodes
 
 
 def test_episode_4way_5shot_10query():
-    images = generate_synthetic(SyntheticConfig(count_per_fine=32, group_size=2, image_size=16))
-    ep = sample_episode(images, EpisodeSpec(4, 5, 10, "fine"), SeededRng(11))
+    split = ImageSet.of(generate_synthetic(SyntheticConfig(count_per_fine=32, group_size=2, image_size=16)))
+    ep = sample_episode(split, EpisodeSpec(4, 5, 10, "fine"), SeededRng(11))
     assert len(ep.support) == 20 and len(ep.query) == 40
     assert ep.n_way == 4 and ep.k_shot == 5 and ep.q_query == 10
-    sup_ids = {id(s) for s in ep.support}
-    assert not any(id(q) in sup_ids for q in ep.query)
+    assert not np.intersect1d(ep.support, ep.query).size
 
 
 def test_episode_2way_1shot_coarse():
-    images = generate_synthetic(small_config(count_per_fine=24))
-    ep = sample_episode(images, EpisodeSpec(2, 1, 10, "coarse"), SeededRng(13))
+    split = ImageSet.of(generate_synthetic(small_config(count_per_fine=24)))
+    ep = sample_episode(split, EpisodeSpec(2, 1, 10, "coarse"), SeededRng(13))
     assert len(ep.support) == 2 and len(ep.query) == 20
     assert set(ep.class_list) == {0, 1}
 
 
 def test_fine_and_coarse_label_spaces_over_same_source():
-    images = generate_synthetic(small_config(count_per_fine=24))
-    fine_ep = sample_episode(images, EpisodeSpec(4, 2, 2, "fine"), SeededRng(17))
-    coarse_ep = sample_episode(images, EpisodeSpec(2, 2, 2, "coarse"), SeededRng(17))
+    split = ImageSet.of(generate_synthetic(small_config(count_per_fine=24)))
+    fine_ep = sample_episode(split, EpisodeSpec(4, 2, 2, "fine"), SeededRng(17))
+    coarse_ep = sample_episode(split, EpisodeSpec(2, 2, 2, "coarse"), SeededRng(17))
     assert set(fine_ep.class_list) <= set(range(8))
     assert set(coarse_ep.class_list) <= {0, 1}
-    for img in fine_ep.support:
-        assert label_of(img, "fine") in fine_ep.class_list
+    assert set(split.labels("fine")[fine_ep.support]) <= set(fine_ep.class_list)
 
 
 def test_episode_sampler_errors():
-    images = generate_synthetic(small_config())
+    split = ImageSet.of(generate_synthetic(small_config()))
     with pytest.raises(ValueError):
-        sample_episode(images, EpisodeSpec(9, 1, 1, "fine"), SeededRng(0))  # only 8 classes
+        sample_episode(split, EpisodeSpec(9, 1, 1, "fine"), SeededRng(0))  # only 8 classes
     with pytest.raises(ValueError):
-        sample_episode(images, EpisodeSpec(2, 5, 10, "fine"), SeededRng(0))  # 8 per class < 15
+        sample_episode(split, EpisodeSpec(2, 5, 10, "fine"), SeededRng(0))  # 8 per class < 15
 
 
 def test_episode_sampler_deterministic():
-    images = generate_synthetic(small_config(count_per_fine=24))
-    e1 = sample_episode(images, EpisodeSpec(3, 2, 4, "fine"), SeededRng(19))
-    e2 = sample_episode(images, EpisodeSpec(3, 2, 4, "fine"), SeededRng(19))
+    split = ImageSet.of(generate_synthetic(small_config(count_per_fine=24)))
+    e1 = sample_episode(split, EpisodeSpec(3, 2, 4, "fine"), SeededRng(19))
+    e2 = sample_episode(split, EpisodeSpec(3, 2, 4, "fine"), SeededRng(19))
     assert e1.class_list == e2.class_list
-    for a, b in zip(e1.support + e1.query, e2.support + e2.query):
-        assert a is b
+    assert np.array_equal(e1.support, e2.support) and np.array_equal(e1.query, e2.query)
 
 
 def test_episode_sampler_matches_the_per_class_scan_sampler():
-    images = generate_synthetic(small_config(count_per_fine=24))
+    split = ImageSet.of(generate_synthetic(small_config(count_per_fine=24)))
     root = SeededRng(41)
     specs = (EpisodeSpec(3, 2, 4, "fine"), EpisodeSpec(8, 1, 1, "fine"), EpisodeSpec(2, 5, 10, "coarse"))
     for seed in range(60):
         for spec in specs:
-            got = sample_episode(images, spec, root.child(seed))
-            want = sample_episode_oracle(images, spec, root.child(seed))
-            assert got.class_list == want.class_list and got.label_space == want.label_space
-            assert len(got.support) == len(want.support) and len(got.query) == len(want.query)
-            assert all(a is b for a, b in zip(got.support + got.query, want.support + want.query))
+            got = sample_episode(split, spec, root.child(seed))
+            want = sample_episode_oracle(split, spec, root.child(seed))
+            assert got.class_list == want.class_list
+            assert np.array_equal(got.support, want.support) and np.array_equal(got.query, want.query)
 
 
 def test_episode_invariants_over_many_samples():
-    images = generate_synthetic(SyntheticConfig(count_per_fine=32, group_size=2, image_size=16))
+    split = ImageSet.of(generate_synthetic(SyntheticConfig(count_per_fine=32, group_size=2, image_size=16)))
     base = SeededRng(23)
     gen = np.random.default_rng(29)
     for trial in range(100):
@@ -317,21 +348,23 @@ def test_episode_invariants_over_many_samples():
         n = int(gen.integers(2, n_max + 1))
         k = int(gen.integers(1, 4))
         q = int(gen.integers(1, 5))
-        ep = sample_episode(images, EpisodeSpec(n, k, q, space), base.child(trial))
+        ep = sample_episode(split, EpisodeSpec(n, k, q, space), base.child(trial))
         assert len(set(ep.class_list)) == n
         assert len(ep.support) == n * k and len(ep.query) == n * q
-        for c in ep.class_list:
-            assert sum(1 for s in ep.support if label_of(s, space) == c) == k
-            assert sum(1 for s in ep.query if label_of(s, space) == c) == q
-        sup = {id(s) for s in ep.support}
-        assert not any(id(s) in sup for s in ep.query)
+        labels = split.labels(space)
+        assert np.array_equal(labels[ep.support], np.repeat(ep.class_list, k))
+        assert np.array_equal(labels[ep.query], np.repeat(ep.class_list, q))
+        assert not np.intersect1d(ep.support, ep.query).size
 
 
-def test_episode_constructor_validation():
-    imgs = [_tiny_image(f, g, 0) for g, f in enumerate([0, 0, 1, 1])]
+@pytest.mark.parametrize(
+    "support, query, classes",
+    [
+        pytest.param([0, 2], [0, 3], (0, 1), id="shared-index"),
+        pytest.param([0, 2], [1, 3], (0,), id="one-way"),
+        pytest.param([0, 1, 2], [3, 4], (0, 1), id="size-not-a-multiple-of-ways"),
+    ],
+)
+def test_episode_constructor_validation(support, query, classes):
     with pytest.raises(ValueError):
-        Episode((imgs[0], imgs[2]), (imgs[0], imgs[3]), (0, 1))  # shared image
-    with pytest.raises(ValueError):
-        Episode((imgs[0], imgs[1]), (imgs[2], imgs[3]), (0, 1))  # class 1 missing from support
-    with pytest.raises(ValueError):
-        Episode((imgs[0], imgs[2]), (imgs[1], imgs[3]), (0,))  # below 2 ways
+        Episode(np.array(support), np.array(query), classes)

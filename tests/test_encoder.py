@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metabdc.core import Graph, SeededRng, backward, forward_eval
-from metabdc.data import LabeledImage
+from metabdc.data import ImageSet
 from metabdc.encoder import (
     EncoderConfig,
     bind_params,
@@ -113,8 +113,8 @@ def test_classify_zero_weights_zero_scores():
     head = init_classifier(cfg, 3, SeededRng(9))
     params = init_params(cfg, SeededRng(1))
     params.update({k: np.zeros_like(v) for k, v in head.items()})
-    images = [LabeledImage(np.ones((8, 8, 1), dtype=np.float32), 0, 0, i, 0) for i in range(2)]
-    scores = classifier_scores(params, cfg, images)
+    split = ImageSet(np.ones((2, 8, 8, 1), dtype=np.float32), np.zeros(2, np.int64), np.zeros(2, np.int64))
+    scores = classifier_scores(params, cfg, split)
     assert scores.shape == (2, 3)
     assert np.array_equal(scores, np.zeros((2, 3)))
     with pytest.raises(ValueError):

@@ -1,18 +1,16 @@
 """Labeled training loops: episode losses against numpy oracles, epoch
 selection, determinism, and the supervised paths."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from metabdc.config import ExperimentConfig
 from metabdc.core import Graph, SeededRng, backward, forward_eval
-from metabdc.data import Episode, EpisodeSpec, LabeledImage
-from metabdc.encoder import EncoderConfig, bind_params, encode, init_params
+from metabdc.data import Episode, EpisodeSpec, ImageSet, LabeledImage
+from metabdc.encoder import EncoderConfig, bind_params, encode, init_params, to_nchw
 from metabdc.finetune import (
     FinetuneConfig,
     _episode_loss_graph,
-    _nchw,
     classifier_scores,
     episode_scores,
     evaluate_episode,
@@ -22,12 +20,15 @@ from metabdc.finetune import (
     supervised_finetune,
     supervised_pretrain_ce,
 )
+from metabdc.experiment import finetune_cell, prepare_splits, pretrain_encoder
+from metabdc.experiment import test_cell as eval_cell  # alias keeps pytest from collecting it
 from oracles import aucm_oracle, bdc_oracle, prototype_oracle, score_oracle
 
 ENC = EncoderConfig(height=8, width=8, channels=1, stages=((2, 3, 2),), proj_hidden=8, proj_dim=4)
 
 
 def make_images(n_per_class, n_classes, seed=0, hw=8):
+    """A class-major split of n_per_class noisy copies of one base image per class."""
     gen = np.random.default_rng(seed)
     images = []
     for c in range(n_classes):
@@ -37,22 +38,20 @@ def make_images(n_per_class, n_classes, seed=0, hw=8):
             images.append(
                 LabeledImage(px, fine=c, coarse=c // 2, group=len(images), domain=0, px=1.0, py=1.0)
             )
-    return images
+    return ImageSet.of(images)
 
 
-def make_episode(images, n_way=2, k_shot=2, q_query=3):
-    by_class = {}
-    for im in images:
-        by_class.setdefault(im.fine, []).append(im)
-    classes = sorted(by_class)[:n_way]
-    support = tuple(im for c in classes for im in by_class[c][:k_shot])
-    query = tuple(im for c in classes for im in by_class[c][k_shot : k_shot + q_query])
-    return Episode(support, query, tuple(classes), "fine")
+def make_episode(split, n_way=2, k_shot=2, q_query=3):
+    classes = tuple(range(n_way))
+    pools = [np.flatnonzero(split.fine == c) for c in classes]
+    support = np.concatenate([pool[:k_shot] for pool in pools])
+    query = np.concatenate([pool[k_shot : k_shot + q_query] for pool in pools])
+    return Episode(support, query, classes)
 
 
-def graph_episode_loss(params, episode, config, with_grads=False):
-    sup = _nchw(list(episode.support), ENC, np.float64)
-    qry = _nchw(list(episode.query), ENC, np.float64)
+def graph_episode_loss(params, split, episode, config, with_grads=False):
+    nchw = to_nchw(split.pixels, ENC).astype(np.float64)
+    sup, qry = nchw[episode.support], nchw[episode.query]
     step = dict(params)
     if config.loss == "aucm":
         for way in range(episode.n_way):
@@ -69,10 +68,10 @@ def graph_episode_loss(params, episode, config, with_grads=False):
     return value, backward(g, loss)
 
 
-def numpy_episode_scores(params, episode, temperature):
+def numpy_episode_scores(params, split, episode, temperature):
     """Episode scores from the encoder's maps through the literal oracles."""
-    sup = np.stack([im.pixels for im in episode.support]).astype(np.float64)
-    qry = np.stack([im.pixels for im in episode.query]).astype(np.float64)
+    sup = split.pixels[episode.support].astype(np.float64)
+    qry = split.pixels[episode.query].astype(np.float64)
     sup_mats = [bdc_oracle(fm) for fm in encode(sup, ENC, params)]
     qry_mats = [bdc_oracle(fm) for fm in encode(qry, ENC, params)]
     protos = prototype_oracle(sup_mats, np.repeat(np.arange(episode.n_way), episode.k_shot))
@@ -82,37 +81,38 @@ def numpy_episode_scores(params, episode, temperature):
 class TestEpisodeLossOracles:
     def test_ce_loss_matches_numpy_oracle(self):
         params = init_params(ENC, SeededRng(1), dtype=np.float64)
-        images = make_images(6, 3, seed=4)
-        episode = make_episode(images, n_way=3, k_shot=2, q_query=3)
+        split = make_images(6, 3, seed=4)
+        episode = make_episode(split, n_way=3, k_shot=2, q_query=3)
         config = FinetuneConfig(epochs=1, temperature=2.5)
-        got = graph_episode_loss(params, episode, config)
+        got = graph_episode_loss(params, split, episode, config)
 
-        z = numpy_episode_scores(params, episode, temperature=2.5)
-        labels = np.array([episode.class_list.index(q.fine) for q in episode.query])
+        z = numpy_episode_scores(params, split, episode, temperature=2.5)
+        labels = np.array([episode.class_list.index(c) for c in split.fine[episode.query]])
         lse = np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1)) + z.max(axis=1)
         want = float(np.mean(lse - z[np.arange(len(labels)), labels]))
         assert abs(got - want) < 1e-10
 
     def test_aucm_loss_matches_per_way_sum(self):
         params = init_params(ENC, SeededRng(2), dtype=np.float64)
-        images = make_images(6, 2, seed=5)
-        episode = make_episode(images, n_way=2, k_shot=2, q_query=3)
+        split = make_images(6, 2, seed=5)
+        episode = make_episode(split, n_way=2, k_shot=2, q_query=3)
         config = FinetuneConfig(epochs=1, loss="aucm", temperature=32.0, aucm_margin=1.0)
-        got = graph_episode_loss(params, episode, config)
+        got = graph_episode_loss(params, split, episode, config)
 
-        z = numpy_episode_scores(params, episode, temperature=32.0)
-        labels = np.array([episode.class_list.index(q.fine) for q in episode.query])
+        z = numpy_episode_scores(params, split, episode, temperature=32.0)
+        prob = 1.0 / (1.0 + np.exp(-z))  # the margin is built for scores in [0, 1]
+        labels = np.array([episode.class_list.index(c) for c in split.fine[episode.query]])
         want = 0.0
         for way in range(episode.n_way):
-            want += aucm_oracle(z[:, way], (labels == way).astype(np.int64), 0.0, 0.0, 0.0, 1.0, 1.0 / episode.n_way)
+            want += aucm_oracle(prob[:, way], (labels == way).astype(np.int64), 0.0, 0.0, 0.0, 1.0, 1.0 / episode.n_way)
         assert abs(got - want) < 1e-10
 
     def test_ce_loss_grad_matches_central_difference(self):
         params = init_params(ENC, SeededRng(3), dtype=np.float64)
-        images = make_images(4, 2, seed=6)
-        episode = make_episode(images, n_way=2, k_shot=1, q_query=2)
+        split = make_images(4, 2, seed=6)
+        episode = make_episode(split, n_way=2, k_shot=1, q_query=2)
         config = FinetuneConfig(epochs=1, temperature=1.0)
-        _, grads = graph_episode_loss(params, episode, config, with_grads=True)
+        _, grads = graph_episode_loss(params, split, episode, config, with_grads=True)
 
         w = params["conv0_w"]
         coords = [np.unravel_index(i, w.shape) for i in [0, 3, 7, 11, 16]]
@@ -120,9 +120,9 @@ class TestEpisodeLossOracles:
         for coord in coords:
             orig = w[coord]
             w[coord] = orig + eps
-            hi = graph_episode_loss(params, episode, config)
+            hi = graph_episode_loss(params, split, episode, config)
             w[coord] = orig - eps
-            lo = graph_episode_loss(params, episode, config)
+            lo = graph_episode_loss(params, split, episode, config)
             w[coord] = orig
             fd = (hi - lo) / (2 * eps)
             assert abs(grads["conv0_w"][coord] - fd) <= 1e-6 * max(1.0, abs(fd))
@@ -132,48 +132,47 @@ class TestEpisodeEvaluation:
     def test_duplicate_query_one_shot_argmax(self):
         params = init_params(ENC, SeededRng(4), dtype=np.float64)
         images = make_images(1, 4, seed=7)
-        support = tuple(images)
-        query = tuple(dataclasses.replace(im) for im in images)
-        episode = Episode(support, query, tuple(range(4)), "fine")
-        scores, labels = episode_scores(params, ENC, episode)
+        # each query row is a copy of its class's one support row
+        split = ImageSet(*(np.concatenate([a, a]) for a in (images.pixels, images.fine, images.coarse)))
+        episode = Episode(np.arange(4), np.arange(4, 8), tuple(range(4)))
+        scores, labels = episode_scores(params, ENC, split, episode)
         assert scores.shape == (4, 4)
+        assert np.array_equal(labels, np.arange(4))
         assert np.array_equal(scores.argmax(axis=1), labels)
-        assert evaluate_episode(params, ENC, episode) == 1.0
+        assert evaluate_episode(params, ENC, split, episode) == 1.0
 
     @pytest.mark.parametrize(
         "enc, spec", [(ENC, EpisodeSpec(3, 2, 4, "fine")), (EncoderConfig(), EpisodeSpec(2, 5, 10, "fine"))]
     )
     def test_scores_are_the_training_graphs_scores_node(self, enc, spec):
         params = init_params(enc, SeededRng(6))
-        images = make_images(15, spec.n_way, seed=12, hw=enc.height)
+        split = make_images(15, spec.n_way, seed=12, hw=enc.height)
+        nchw = to_nchw(split.pixels, enc).astype(np.float32)
         config = FinetuneConfig(epochs=1)
-        for episode in sample_episode_block(images, spec, 3, SeededRng(21)):
-            sup = _nchw(list(episode.support), enc, np.float32)
-            qry = _nchw(list(episode.query), enc, np.float32)
+        for episode in sample_episode_block(split, spec, 3, SeededRng(21)):
             g = Graph()
             _episode_loss_graph(g, bind_params(g, params), enc, (spec.n_way, spec.k_shot, spec.q_query), config)
-            want = forward_eval(g, {"sup": sup, "qry": qry})["scores"]
-            got, _ = episode_scores(params, enc, episode)
+            want = forward_eval(g, {"sup": nchw[episode.support], "qry": nchw[episode.query]})["scores"]
+            got, _ = episode_scores(params, enc, split, episode)
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
 
     def test_evaluate_episodes_in_unit_interval(self):
         params = init_params(ENC, SeededRng(5))
-        images = make_images(8, 2, seed=8)
+        split = make_images(8, 2, seed=8)
         spec = EpisodeSpec(2, 2, 3, "fine")
-        episodes = sample_episode_block(images, spec, 5, SeededRng(9))
-        scores = evaluate_episodes(params, ENC, episodes)
+        episodes = sample_episode_block(split, spec, 5, SeededRng(9))
+        scores = evaluate_episodes(params, ENC, split, episodes)
         assert len(scores) == 5
         assert all(0.0 <= s <= 1.0 for s in scores)
 
     def test_sample_episode_block_deterministic(self):
-        images = make_images(8, 2, seed=8)
+        split = make_images(8, 2, seed=8)
         spec = EpisodeSpec(2, 2, 3, "fine")
-        a = sample_episode_block(images, spec, 4, SeededRng(11))
-        b = sample_episode_block(images, spec, 4, SeededRng(11))
+        a = sample_episode_block(split, spec, 4, SeededRng(11))
+        b = sample_episode_block(split, spec, 4, SeededRng(11))
         for ea, eb in zip(a, b):
-            assert [id(im) for im in ea.support] == [id(im) for im in eb.support]
-            assert [id(im) for im in ea.query] == [id(im) for im in eb.query]
+            assert np.array_equal(ea.support, eb.support) and np.array_equal(ea.query, eb.query)
 
 
 def tiny_tune(**kw):
@@ -222,6 +221,22 @@ class TestMetaFinetune:
         assert all(np.isfinite(result.val_history))
         assert not any(k.startswith("ep_") for k in result.params)
 
+    def test_aucm_study_cell_trains_at_the_default_lr(self):
+        # the study's none/meta-fine-same 5-shot cell at seed 5; with raw
+        # distance scores in the margin this loss went non-finite by episode 3
+        cfg = ExperimentConfig(pretrain="none", k_shots=(5,), tune=FinetuneConfig(loss="aucm"))
+        assert cfg.tune.lr == FinetuneConfig().lr
+        primary = prepare_splits(cfg, "same")
+        rng = SeededRng(5)
+        params = pretrain_encoder(cfg, primary.train, rng.child(1))
+        result = finetune_cell(cfg, params, primary, None, "meta-fine-same", 5, rng.child(100).child(0))
+        repeats = eval_cell(cfg, result.params, primary, "meta-fine-same", 5, rng.child(100))
+        test_auroc = float(np.mean(repeats))
+        print(f"aucm cell: val {result.val_history}, test {test_auroc:.4f}")
+        assert all(np.isfinite(result.val_history))
+        assert all(np.isfinite(v).all() for v in result.params.values())
+        assert 0.0 <= test_auroc <= 1.0
+
     def test_wrong_image_size_rejected(self):
         params = init_params(ENC, SeededRng(9))
         images = make_images(8, 2, seed=18, hw=12)
@@ -239,8 +254,8 @@ class TestSupervised:
         assert "cls_w" in result.params and "cls_b" in result.params
         assert not any(k.startswith("aucm_") for k in result.params)
         assert result.best_epoch == int(np.argmax(result.val_history))
-        scores = classifier_scores(result.params, ENC, images[:4])
-        assert scores.shape == (4, 2)
+        scores = classifier_scores(result.params, ENC, images)
+        assert scores.shape == (len(images), 2)
 
     def test_finetune_deterministic(self):
         params = init_params(ENC, SeededRng(10))

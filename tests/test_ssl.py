@@ -43,7 +43,7 @@ TINY = EncoderConfig(height=8, width=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidd
 @functools.lru_cache(maxsize=1)
 def study_train_images() -> np.ndarray:
     """The 256 pretraining images of the default (directional-study) config."""
-    return np.stack([im.pixels for im in prepare_splits(ExperimentConfig(), "same").train])
+    return prepare_splits(ExperimentConfig(), "same").train.pixels
 
 
 def embedding_spread(z: np.ndarray) -> float:
