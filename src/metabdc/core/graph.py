@@ -23,8 +23,9 @@ Design constraints:
   * convolution is cross-correlation as im2col plus matmul: the zero-padded
     input is gathered into a (C*kh*kw, B*ho*wo) column matrix by one
     strided-view copy, and forward, weight gradient and input gradient
-    are one matmul each, the last scattered back by kh*kw strided
-    slice-adds (col2im). No FFT, so results are bit-reproducible across
+    are one matmul each, the last scattered back (col2im) by kh*kw strided
+    slice-adds into a (C, H, W, B) buffer, batch innermost, whose
+    transposed view is dx. No FFT, so results are bit-reproducible across
     runs on one machine,
   * bdc, the double-centred distance matrix of (B, d, m) maps, is one node
     with a closed-form VJP (`_bdc_forward`, `_bdc_vjp`).
@@ -249,11 +250,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _spread(grad, shape, axis, keepdims):
+    """`grad` of a reduction broadcast back over its reduced axes, as a
+    read-only view."""
     g = grad
     if axis is not None and not keepdims:
         for a in sorted(axis):
             g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape).copy()
+    return np.broadcast_to(g, shape)
 
 
 def _conv_geometry(x_shape, w_shape, stride, pad):
@@ -297,14 +300,17 @@ def _conv2d_vjp(grad, x, w, stride, pad, need_x, cols):
     gb = grad.sum(axis=(0, 2, 3))
     if not need_x:
         return None, gw, gb
-    gcols = (w.reshape(oc, -1).T @ g2).reshape(c, kh, kw, b, ho, wo)
-    gxp = np.zeros((b, c, h + 2 * pad, wd + 2 * pad), dtype=x.dtype)
+    # col2im with the batch innermost, so each slice-add's inner loop runs
+    # over B contiguous elements. The matmul keeps gw's (b, i, j) column
+    # order, because as a matrix-vector product (C*kh*kw == 1) BLAS rounds a
+    # column by its position; one transposed copy then moves b innermost.
+    gcols = (w.reshape(oc, -1).T @ g2).reshape(c, kh, kw, b, ho, wo).transpose(0, 1, 2, 4, 5, 3).copy()
+    gxp = np.zeros((c, h + 2 * pad, wd + 2 * pad, b), dtype=x.dtype)
     for u in range(kh):
         for v in range(kw):
             # One offset's strided positions are distinct, so the slice-add is exact.
-            window = gxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
-            window += gcols[:, u, v].transpose(1, 0, 2, 3)
-    return gxp[:, :, pad : pad + h, pad : pad + wd], gw, gb
+            gxp[:, u : u + stride * ho : stride, v : v + stride * wo : stride] += gcols[:, u, v]
+    return gxp[:, pad : pad + h, pad : pad + wd].transpose(3, 0, 1, 2), gw, gb
 
 
 def _bdc_forward(fm: np.ndarray):
@@ -465,7 +471,7 @@ _OPS = {
     ),
     "sum": (
         lambda vals, meta, *_: vals[0].sum(axis=meta["axis"], keepdims=meta["keepdims"]),
-        lambda grad, vals, out, meta, *_: [_spread(grad, vals[0].shape, meta["axis"], meta["keepdims"])],
+        lambda grad, vals, out, meta, *_: [_spread(grad, vals[0].shape, meta["axis"], meta["keepdims"]).copy()],
     ),
     "mean": (lambda vals, meta, *_: vals[0].mean(axis=meta["axis"], keepdims=meta["keepdims"]), _mean_grad),
     "logsumexp": (_logsumexp_eval, _logsumexp_grad),

@@ -33,7 +33,10 @@ the two views into two (n, n) maps and the positive similarities, and
 two matvecs at that subset's membership weights. Training builds the maps
 on the differentiable batch embeddings and weighs each subset 0/1; the
 search evaluates them once on the frozen embeddings and ascends over soft
-weights.
+weights. A training graph depends on a batch only through its size and
+its subset pattern (each subset empty, the whole batch, or a split), so
+`update_representation` builds one graph per pattern and replays it, the
+0/1 weights fed as named inputs.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
     if c != 1:
         raise ValueError("augmentation supports single-channel images")
     gen = rng.generator()
-    pixels = images[..., 0]
-    batch = np.arange(b)[:, None, None]
+    flat = images.reshape(-1)  # each sample's four source pixels are taken by flat index
+    base = (np.arange(b) * (h * w))[:, None, None]
     rows = (np.arange(h) - (h - 1) / 2.0)[None, :, None]  # output grid about its center
     cols = (np.arange(w) - (w - 1) / 2.0)[None, None, :]
     yy, xx = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, w), indexing="ij")
@@ -112,14 +115,15 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
         src_c = (sin * rows + cos * cols + w / 2.0) * (side / w) - 0.5 + left
         src_r = np.clip(src_r, 0.0, h - 1.0)
         src_c = np.clip(src_c, 0.0, w - 1.0)
-        r0 = np.floor(src_r).astype(np.int64)
-        c0 = np.floor(src_c).astype(np.int64)
+        r0 = np.floor(src_r)
+        c0 = np.floor(src_c)
         fr = src_r - r0
         fc = src_c - c0
-        r1 = np.minimum(r0 + 1, h - 1)
-        c1 = np.minimum(c0 + 1, w - 1)
-        upper = pixels[batch, r0, c0] * (1 - fc) + pixels[batch, r0, c1] * fc
-        lower = pixels[batch, r1, c0] * (1 - fc) + pixels[batch, r1, c1] * fc
+        i00 = base + (r0 * w + c0).astype(np.int64)
+        i10 = i00 + (r0 < h - 1) * w  # the next row and column stop at the last one
+        right = c0 < w - 1
+        upper = flat.take(i00) * (1 - fc) + flat.take(i00 + right) * fc
+        lower = flat.take(i10) * (1 - fc) + flat.take(i10 + right) * fc
         out = upper * (1 - fr) + lower * fr
         out = out * gen.uniform(*config.gain, size=b)[:, None, None] + gen.uniform(*config.bias, size=b)[:, None, None]
         if config.ramp > 0:
@@ -271,14 +275,50 @@ class TraceRow:
     lr: float
 
 
-def _embed_batch_graph(
-    g: Graph, images_nchw: np.ndarray, params: dict[str, np.ndarray], enc_cfg: EncoderConfig
-) -> tuple[dict[str, Var], Var]:
+def _embed_batch_graph(g: Graph, images_nchw: np.ndarray, params: dict[str, np.ndarray], enc_cfg: EncoderConfig) -> Var:
     refs = bind_params(g, params)
     x = g.input("images", images_nchw.shape)
-    fm = conv_stack(g, x, refs, enc_cfg)
-    z = project_head(g, fm, refs, enc_cfg)
-    return refs, z
+    return project_head(g, conv_stack(g, x, refs, enc_cfg), refs, enc_cfg)
+
+
+def _objective_graph(
+    params: dict[str, np.ndarray],
+    enc_cfg: EncoderConfig,
+    nchw: np.ndarray,
+    pattern: tuple[str, ...],
+    tau: float,
+    lambda1: float,
+) -> tuple[Graph, Var | None, list[Var], list[Var]]:
+    """The training objective's graph for one batch shape and subset
+    pattern: (graph, total, loss nodes, penalty nodes).
+
+    `pattern` holds, per partition and subset in order, "empty" (skipped),
+    "whole" (the subset is the batch: loss only) or "split"; the membership
+    weights of pattern entry i are the input named f"w{i}".
+    """
+    bsz = nchw.shape[0] // 2
+    g = Graph()
+    z = _embed_batch_graph(g, nchw, params, enc_cfg)
+    za = z.gather(np.arange(bsz))
+    zb = z.gather(np.arange(bsz, 2 * bsz))
+    maps = _contrastive_maps(g, za, zb, bsz, tau)
+    total = None
+    loss_nodes: list[Var] = []
+    pen_nodes: list[Var] = []
+    for i, kind in enumerate(pattern):
+        if kind == "empty":
+            continue
+        mass, loss_node, grad_theta = _subset_sums(maps, g.input(f"w{i}", (bsz,)), bsz, tau)
+        loss_nodes.append(loss_node)
+        if kind == "whole":
+            # one environment on this batch: no invariance to enforce
+            total = loss_node if total is None else total + loss_node
+            continue
+        pen_node = grad_theta * grad_theta / mass
+        term = loss_node + lambda1 * pen_node
+        total = term if total is None else total + term
+        pen_nodes.append(pen_node)
+    return g, total, loss_nodes, pen_nodes
 
 
 def update_representation(
@@ -296,46 +336,40 @@ def update_representation(
     theta-derivative over the subset size; a subset holding the whole
     batch adds its loss only. Empty subset terms are skipped and logged.
 
+    One graph is built per (batch shape, subset pattern) and replayed for
+    every batch with that key, fed the batch's images and membership
+    weights; `sgd_step` updates in place the parameter arrays it references.
+
     `batch_stream` yields (sample_indices, view_a, view_b) with views as
     (B, H, W, C) image batches. Mutates `params`; returns trace rows.
     """
     trace: list[TraceRow] = []
+    graphs: dict[tuple, tuple] = {}
     step = step_offset
     for indices, view_a, view_b in batch_stream:
         nchw = np.concatenate(
             [np.transpose(view_a, (0, 3, 1, 2)), np.transpose(view_b, (0, 3, 1, 2))], axis=0
         ).astype(params["conv0_w"].dtype)
-        bsz = view_a.shape[0]
-        g = Graph()
-        refs, z = _embed_batch_graph(g, nchw, params, enc_cfg)
-        za = z.gather(np.arange(bsz))
-        zb = z.gather(np.arange(bsz, 2 * bsz))
-        maps = _contrastive_maps(g, za, zb, bsz, config.tau)
-
-        total = None
-        loss_val_nodes: list[Var] = []
-        pen_val_nodes: list[Var] = []
+        feeds = {"images": nchw}
+        pattern = []
         for p_idx, partition in enumerate(partitions):
             batch_cols = partition.assignments[indices]
             for k in (0, 1):
                 weights = batch_cols[:, k].astype(np.float64)
                 if not weights.any():
                     log.debug("step %d: partition %d subset %d empty on this batch, skipped", step, p_idx, k)
+                    pattern.append("empty")
                     continue
-                mass, loss_node, grad_theta = _subset_sums(maps, g.constant(weights), bsz, config.tau)
-                loss_val_nodes.append(loss_node)
-                if weights.all():
-                    # one environment on this batch: no invariance to enforce
-                    total = loss_node if total is None else total + loss_node
-                    continue
-                pen_node = grad_theta * grad_theta / mass
-                term = loss_node + lambda1 * pen_node
-                total = term if total is None else total + term
-                pen_val_nodes.append(pen_node)
+                feeds[f"w{len(pattern)}"] = weights
+                pattern.append("whole" if weights.all() else "split")
+        key = (nchw.shape, tuple(pattern))
+        if key not in graphs:
+            graphs[key] = _objective_graph(params, enc_cfg, nchw, key[1], config.tau, lambda1)
+        g, total, loss_val_nodes, pen_val_nodes = graphs[key]
         if total is None:
             raise ValueError("every partition degenerate on this batch; nothing to optimize")
 
-        forward_eval(g, {"images": nchw})
+        forward_eval(g, feeds)
         loss_sum = float(sum(n.value for n in loss_val_nodes))
         pen_sum = float(sum(n.value for n in pen_val_nodes))
         obj = float(total.value)
@@ -471,7 +505,7 @@ def find_partition_embeddings(
 def _embed_dataset(images: np.ndarray, params: dict[str, np.ndarray], enc_cfg: EncoderConfig) -> np.ndarray:
     nchw = np.transpose(images, (0, 3, 1, 2)).astype(params["conv0_w"].dtype)
     g = Graph()
-    _, z = _embed_batch_graph(g, nchw, params, enc_cfg)
+    z = _embed_batch_graph(g, nchw, params, enc_cfg)
     g.mark_output("z", z)
     return forward_eval(g, {"images": nchw})["z"]
 

@@ -7,9 +7,13 @@ builder of the contrastive terms, shared by training and the partition
 search, on fixed embeddings so tests can compare the two, and
 `sample_episode_oracle` is the literal per-class-scan episode sampler.
 `conv2d_oracle` is the convolution and its VJP, one multiply-add per
-output position, kernel tap and channel. `bdc_vjp_oracle` is the BDC
-matrix's VJP term by term, and `bdc_chain_graph` is the BDC matrix as the
-chain of primitive graph ops it was built from before it became one op.
+output position, kernel tap and channel, and `col2im_slice_add_oracle` its
+input gradient in the (B, C)-major slice-add order it had first, which the
+package must match byte for byte. `augment_views_oracle` is the view
+augmentation with its bilinear sample as three-array fancy indexing.
+`bdc_vjp_oracle` is the BDC matrix's VJP term by term, and
+`bdc_chain_graph` is the BDC matrix as the chain of primitive graph ops it
+was built from before it became one op.
 """
 
 import math
@@ -124,6 +128,66 @@ def conv2d_oracle(x, w, b, stride, pad, grad):
                                     dw[o, c, u, v] += g * float(x[n, c, r, q])
                     y[n, o, i, j] = acc
     return y, dx, dw, db
+
+
+def col2im_slice_add_oracle(grad, x_shape, x_dtype, w, stride, pad):
+    """dx of a conv in its first vectorized form: the column gradient in
+    (C, kh, kw, B, ho, wo) order, scattered by kh*kw slice-adds into a
+    zeroed (B, C, H + 2 pad, W + 2 pad) buffer, offset (u, v) by offset."""
+    nb, nc, h, wd = x_shape
+    no, _, kh, kw = w.shape
+    ho, wo = grad.shape[2:]
+    g2 = grad.transpose(1, 0, 2, 3).reshape(no, nb * ho * wo)
+    gcols = (w.reshape(no, -1).T @ g2).reshape(nc, kh, kw, nb, ho, wo)
+    gxp = np.zeros((nb, nc, h + 2 * pad, wd + 2 * pad), dtype=x_dtype)
+    for u in range(kh):
+        for v in range(kw):
+            window = gxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride]
+            window += gcols[:, u, v].transpose(1, 0, 2, 3)
+    return gxp[:, :, pad : pad + h, pad : pad + wd]
+
+
+def augment_views_oracle(images, config, rng):
+    """`ssl.augment_views` with its bilinear sample in its first form: each
+    of the four neighbours gathered by (batch, row, column) fancy indexing,
+    the next row and column clamped to the last one by `np.minimum`."""
+    images = np.asarray(images)
+    b, h, w, _ = images.shape
+    gen = rng.generator()
+    pixels = images[..., 0]
+    batch = np.arange(b)[:, None, None]
+    rows = (np.arange(h) - (h - 1) / 2.0)[None, :, None]
+    cols = (np.arange(w) - (w - 1) / 2.0)[None, None, :]
+    yy, xx = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, w), indexing="ij")
+    n = min(h, w)
+    views = []
+    for _view in range(2):
+        side = np.clip(np.round(np.sqrt(gen.uniform(*config.crop_scale, size=b)) * n), 1, n).astype(np.int64)
+        top = gen.integers(0, h - side + 1)[:, None, None]
+        left = gen.integers(0, w - side + 1)[:, None, None]
+        side = side[:, None, None]
+        angle = gen.uniform(-config.rotation, config.rotation, size=b)[:, None, None]
+        cos, sin = np.cos(angle), np.sin(angle)
+        src_r = (cos * rows - sin * cols + h / 2.0) * (side / h) - 0.5 + top
+        src_c = (sin * rows + cos * cols + w / 2.0) * (side / w) - 0.5 + left
+        src_r = np.clip(src_r, 0.0, h - 1.0)
+        src_c = np.clip(src_c, 0.0, w - 1.0)
+        r0 = np.floor(src_r).astype(np.int64)
+        c0 = np.floor(src_c).astype(np.int64)
+        fr = src_r - r0
+        fc = src_c - c0
+        r1 = np.minimum(r0 + 1, h - 1)
+        c1 = np.minimum(c0 + 1, w - 1)
+        upper = pixels[batch, r0, c0] * (1 - fc) + pixels[batch, r0, c1] * fc
+        lower = pixels[batch, r1, c0] * (1 - fc) + pixels[batch, r1, c1] * fc
+        out = upper * (1 - fr) + lower * fr
+        out = out * gen.uniform(*config.gain, size=b)[:, None, None] + gen.uniform(*config.bias, size=b)[:, None, None]
+        if config.ramp > 0:
+            amp = gen.uniform(0.0, config.ramp, size=b)[:, None, None]
+            turn = gen.uniform(0.0, 2.0 * np.pi, size=b)[:, None, None]
+            out = out + amp * (np.cos(turn) * xx + np.sin(turn) * yy)
+        views.append(out[..., None].astype(images.dtype))
+    return views[0], views[1]
 
 
 def aucm_oracle(scores, labels, a, b, alpha, margin, p_hat=None):

@@ -21,7 +21,7 @@ from metabdc.core import (
 )
 from metabdc.core import graph as graph_module
 from gradcheck import grad_check
-from oracles import conv2d_oracle
+from oracles import col2im_slice_add_oracle, conv2d_oracle
 
 
 def scalar_fn(build):
@@ -274,9 +274,30 @@ def test_conv2d_matches_explicit_loop():
     assert cases == 48
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_dx_keeps_the_bytes_of_the_batch_major_col2im(dtype):
+    """dx, scattered with the batch innermost, is byte-equal to the
+    (B, C)-major slice-add over the conv grid of the explicit-loop test."""
+    rng = SeededRng(47).generator()
+    cases = 0
+    for k, stride, channels in itertools.product((1, 2, 3, 5), (1, 2, 3), (1, 3)):
+        for pad in range(k // 2 + 1):
+            x = rng.normal(size=(2, channels, 7, 9)).astype(dtype)
+            w = rng.normal(size=(3, channels, k, k)).astype(dtype)
+            _, cols = graph_module._conv2d_forward(x, w, np.zeros(3, dtype=dtype), stride, pad)
+            out_hw = ((7 + 2 * pad - k) // stride + 1, (9 + 2 * pad - k) // stride + 1)
+            grad = rng.normal(size=(2, 3, *out_hw)).astype(dtype)
+            dx, _, _ = graph_module._conv2d_vjp(grad, x, w, stride, pad, True, cols)
+            want = col2im_slice_add_oracle(grad, x.shape, x.dtype, w, stride, pad)
+            assert dx.dtype == want.dtype and np.array_equal(dx, want), (k, stride, pad, channels)
+            cases += 1
+    assert cases == 48
+
+
 def test_conv2d_vjp_returns_dx_in_the_input_dtype():
     """A float64 output gradient, as fine-tuning sends through the BDC head,
-    gives a float32 input a float32 dx."""
+    gives a float32 input a float32 dx, byte-equal to the (B, C)-major
+    slice-add's."""
     rng = SeededRng(43).generator()
     x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
     w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
@@ -284,6 +305,7 @@ def test_conv2d_vjp_returns_dx_in_the_input_dtype():
     _, cols = graph_module._conv2d_forward(x, w, np.zeros(4, dtype=np.float32), 2, 1)
     dx, dw, _ = graph_module._conv2d_vjp(grad, x, w, 2, 1, True, cols)
     assert dx.dtype == np.float32 and dx.shape == x.shape
+    assert np.array_equal(dx, col2im_slice_add_oracle(grad, x.shape, x.dtype, w, 2, 1))
     assert dw.dtype == np.float64
 
 

@@ -14,6 +14,7 @@ from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.encoder import EncoderConfig, init_params
 from metabdc.experiment import prepare_splits
 from metabdc.optim import lr_from_batch
+from metabdc import ssl as ssl_module
 from metabdc.ssl import (
     AugmentConfig,
     IDENTITY_AUGMENT,
@@ -30,6 +31,7 @@ from metabdc.ssl import (
 )
 from gradcheck import grad_check
 from oracles import (
+    augment_views_oracle,
     complex_theta_grad,
     contrastive_oracle,
     subset_terms,
@@ -106,6 +108,27 @@ def test_augment_ramp_adds_a_bounded_plane():
             coef, *_ = np.linalg.lstsq(design, diff.ravel(), rcond=None)
             np.testing.assert_allclose(design @ coef, diff.ravel(), atol=1e-9)
             assert 0.0 < np.hypot(*coef) <= 1.5
+
+
+@pytest.mark.parametrize(
+    "config, shape",
+    [
+        (AugmentConfig(), (4, 16, 16, 1)),
+        (AugmentConfig(), (3, 12, 20, 1)),
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (4, 16, 16, 1)),  # turned full frames clip at the last index
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (3, 20, 12, 1)),
+    ],
+    ids=["default", "wide", "full-frame-turned", "tall-full-frame-turned"],
+)
+def test_augment_views_keep_the_bytes_of_the_fancy_index_sample(config, shape):
+    """Both views are byte-equal to the three-array fancy-index bilinear
+    sample over 50 seeds, on square and non-square float32 images."""
+    for seed in range(50):
+        imgs = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+        got = augment_views(imgs, config, SeededRng(100 + seed))
+        want = augment_views_oracle(imgs, config, SeededRng(100 + seed))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), seed
 
 
 def test_augment_rejections():
@@ -343,6 +366,46 @@ def test_update_two_subset_trace_matches_oracle():
     assert abs(trace[0].loss - want_loss) <= 1e-10
     assert want_pen > 0.0
     assert abs(trace[0].penalty - want_pen) <= 1e-10
+
+
+def test_update_replays_one_graph_per_batch_pattern_with_the_bytes_of_fresh_builds(monkeypatch):
+    """A stream whose subset pattern changes from batch to batch (a split
+    partition's batch wholly in one subset, wholly in the other, or split;
+    one short batch) gives the same params and trace rows, byte for byte,
+    as one call per batch, which builds a fresh graph every step. The one
+    call builds one graph per (batch size, pattern)."""
+    n = 8
+    gen = np.random.default_rng(139)
+    images = gen.normal(size=(n, 8, 8, 1)).astype(np.float32)
+    partitions = [PartitionMatrix.trivial(n), PartitionMatrix.from_mask(np.arange(n) < 4)]
+    batches = [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7], [1, 2, 3, 0], [0, 4, 6]]
+    stream = []
+    for idx in map(np.array, batches):
+        va = images[idx] + 0.05 * gen.normal(size=(idx.size, 8, 8, 1)).astype(np.float32)
+        vb = images[idx] + 0.05 * gen.normal(size=(idx.size, 8, 8, 1)).astype(np.float32)
+        stream.append((idx, va, vb))
+    cfg = IpIrmConfig()
+    init = init_params(TINY, SeededRng(149), dtype=np.float32)
+
+    builds = []
+    real_build = ssl_module._objective_graph
+    monkeypatch.setattr(
+        ssl_module, "_objective_graph", lambda *args: builds.append(args[3]) or real_build(*args)
+    )
+    replayed = {k: v.copy() for k, v in init.items()}
+    trace = update_representation(replayed, TINY, partitions, stream, cfg, lr=0.05, lambda1=0.3)
+    assert len(builds) == 4 and len(set(builds)) == 3  # the short batch has a split's pattern
+
+    fresh = {k: v.copy() for k, v in init.items()}
+    fresh_trace = []
+    for step, batch in enumerate(stream):
+        fresh_trace += update_representation(fresh, TINY, partitions, [batch], cfg, lr=0.05, lambda1=0.3, step_offset=step)
+    assert len(builds) == 4 + len(stream)
+    assert trace == fresh_trace and len(trace) == len(stream)
+    assert trace[2].penalty > 0.0 and trace[0].penalty == 0.0
+    for name in init:
+        assert replayed[name].tobytes() == fresh[name].tobytes(), name
+        assert not np.array_equal(replayed[name], init[name]), name
 
 
 def test_update_zero_lr_leaves_params():
