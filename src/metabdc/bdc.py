@@ -30,11 +30,6 @@ from .core import Graph, Var, forward_eval
 METRICS = ("neg_sq_distance", "inner_product")
 
 
-def bdc_matrix_graph(g: Graph, fmaps: Var, d: int) -> Var:
-    """(B, d, m) feature maps -> (B, d, d) double-centered distance matrices."""
-    return fmaps.bdc()
-
-
 def prototypes_graph(support_bdc: Var, n_way: int, k_shot: int, d: int) -> Var:
     """(N*K, d, d) class-major support matrices -> (N, d, d) class means."""
     return support_bdc.reshape((n_way, k_shot, d, d)).mean(axis=1)
@@ -67,7 +62,7 @@ def bdc_matrix(fmaps: np.ndarray) -> np.ndarray:
     if x.ndim != 3:
         raise ValueError(f"expected (B, d, m) feature maps, got shape {x.shape}")
     g = Graph()
-    return _forward(bdc_matrix_graph(g, g.constant(x), x.shape[1]))
+    return _forward(g.constant(x).bdc())
 
 
 def class_prototypes(support: np.ndarray, n_way: int) -> np.ndarray:

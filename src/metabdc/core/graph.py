@@ -188,7 +188,6 @@ class Graph:
         self.inputs: dict[str, int] = {}
         self.params: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
-        self.param_grads: dict[str, np.ndarray] = {}
         self._path_cache: dict[int, list[bool]] = {}
 
     def _append(self, node: _Node) -> Var:
@@ -575,13 +574,10 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
             else:
                 grads[p_idx] = grads[p_idx] + p_grad
 
-    graph.param_grads = {}
-    for name, idx in graph.params.items():
-        g = grads[idx]
-        if g is None:
-            g = np.zeros_like(graph.values[idx])
-        graph.param_grads[name] = g
-    return graph.param_grads
+    return {
+        name: np.zeros_like(graph.values[idx]) if grads[idx] is None else grads[idx]
+        for name, idx in graph.params.items()
+    }
 
 
 # ---------------------------------------------------------------------------

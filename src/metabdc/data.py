@@ -1,8 +1,10 @@
 """Synthetic hierarchical imaging data, preprocessing, splits, episodes.
 
-Generation, preprocessing and splitting work on `LabeledImage` lists; a
-split is then one `ImageSet` of arrays, and an `Episode` is support and
-query row indices into it.
+A dataset is one `ImageSet` from generation on: an (n, H, W, C) pixel
+array with row-aligned fine, coarse, group and domain labels.
+Preprocessing crops each row to a physical field of view, resizes it and
+z-scores each group's rows jointly; a split is a read-only subset of
+rows, and an `Episode` is support and query row indices into a split.
 
 Fine classes nest inside coarse classes: the coarse label fixes a
 texture-scale cue (frequency band) that all its fine classes share, and
@@ -15,7 +17,7 @@ group-level z-scoring that removes flat offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,25 +77,6 @@ class HierarchySpec:
 
 
 @dataclass(frozen=True)
-class LabeledImage:
-    pixels: np.ndarray  # (H, W, C)
-    fine: int
-    coarse: int
-    group: int
-    domain: int
-    px: float = 3.125  # mm per pixel, columns
-    py: float = 3.125  # mm per pixel, rows
-
-    def __post_init__(self) -> None:
-        if self.pixels.ndim != 3:
-            raise ValueError(f"pixels must be (H, W, C), got shape {self.pixels.shape}")
-        if self.fine < 0 or self.coarse < 0:
-            raise ValueError("labels must be nonnegative")
-        if self.px <= 0 or self.py <= 0:
-            raise ValueError("pixel spacing must be positive")
-
-
-@dataclass(frozen=True)
 class EpisodeSpec:
     n_way: int
     k_shot: int
@@ -111,21 +94,26 @@ class EpisodeSpec:
 
 @dataclass(frozen=True)
 class ImageSet:
-    """One split: (n, H, W, C) pixels and row-aligned fine and coarse labels."""
+    """(n, H, W, C) pixels with row-aligned fine, coarse, group and domain
+    labels; every array is made read-only."""
 
     pixels: np.ndarray
     fine: np.ndarray
     coarse: np.ndarray
+    group: np.ndarray
+    domain: np.ndarray
 
-    @classmethod
-    def of(cls, images: list[LabeledImage]) -> "ImageSet":
-        """The images' rows in list order, as read-only arrays."""
-        pixels = np.stack([im.pixels for im in images]) if images else np.zeros((0, 0, 0, 0), np.float32)
-        fine = np.array([im.fine for im in images], dtype=np.int64)
-        coarse = np.array([im.coarse for im in images], dtype=np.int64)
-        for a in (pixels, fine, coarse):
+    def __post_init__(self) -> None:
+        arrays = (self.pixels, self.fine, self.coarse, self.group, self.domain)
+        if len({len(a) for a in arrays}) != 1:
+            raise ValueError(f"rows are not aligned: lengths {[len(a) for a in arrays]}")
+        for a in arrays:
             a.setflags(write=False)
-        return cls(pixels, fine, coarse)
+
+    def take(self, rows) -> "ImageSet":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return ImageSet(self.pixels[rows], self.fine[rows], self.coarse[rows], self.group[rows], self.domain[rows])
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -230,12 +218,14 @@ def _texture(
     return np.sin(np.pi * freq * r + phase)
 
 
-def generate_synthetic(config: SyntheticConfig) -> list[LabeledImage]:
+def generate_synthetic(config: SyntheticConfig) -> ImageSet:
     """Deterministic dataset for the configured hierarchy and family.
 
-    Group ids are globally unique; each group holds images of a single
-    (fine class, domain tag) pair, the patient-analogue granularity that
-    split_dataset stratifies on.
+    Rows run fine class, then domain tag, then group, then image; image
+    i draws its nuisance factors from rng.child(i). Group ids are
+    globally unique; each group holds images of a single (fine class,
+    domain tag) pair, the patient-analogue granularity that split_dataset
+    stratifies on.
 
     Domain 0 couples an intensity ramp to the coarse class (strength
     `confound`); domain 1 drops that coupling and instead applies a
@@ -244,103 +234,67 @@ def generate_synthetic(config: SyntheticConfig) -> list[LabeledImage]:
     """
     h = config.hierarchy
     size = config.image_size
-    per_domain = config.count_per_fine // 2
+    n = h.n_fine * config.count_per_fine
+    row = np.arange(n)
+    fine = row // config.count_per_fine
+    coarse = np.asarray(h.mapping, dtype=np.int64)[fine]
+    domain = row // (config.count_per_fine // 2) % 2
+    group = row // config.group_size
     ax = np.linspace(-1.0, 1.0, size)
     yy, xx = np.meshgrid(ax, ax, indexing="ij")
-    images: list[LabeledImage] = []
+    pixels = np.empty((n, size, size, 1), dtype=np.float32)
     rng = SeededRng(config.seed)
-    group = 0
-    index = 0
-    for fine in range(h.n_fine):
-        coarse = h.coarse_of(fine)
-        for domain in (0, 1):
-            for g_start in range(0, per_domain, config.group_size):
-                for _ in range(config.group_size):
-                    gen = rng.child(index).generator()
-                    rot = config.rotation_jitter * gen.uniform(-1, 1)
-                    phase = config.phase_jitter * gen.uniform(-1, 1)
-                    freq = config.band_base + config.band_step * coarse
-                    img = _texture(config.texture_family, size, freq, fine, h.n_fine, rot, phase)
-                    img = img + config.intensity_bias * gen.uniform(-1, 1)
-                    noise_scale = config.noise
-                    if domain == 0:
-                        if h.n_coarse > 1:
-                            coef = 2.0 * coarse / (h.n_coarse - 1) - 1.0
-                            img = img + config.confound * coef * (0.6 * xx - 0.8 * yy)
-                    else:
-                        img = img + config.domain_shift * (0.8 * xx + 0.6 * yy)
-                        noise_scale = config.noise * (1.0 + config.domain_shift)
-                    img = img + noise_scale * gen.normal(size=(size, size))
-                    images.append(
-                        LabeledImage(
-                            pixels=img[:, :, None].astype(np.float32),
-                            fine=fine,
-                            coarse=coarse,
-                            group=group,
-                            domain=domain,
-                            px=config.px,
-                            py=config.py,
-                        )
-                    )
-                    index += 1
-                group += 1
-    return images
+    for index, (f, c, dom) in enumerate(zip(fine.tolist(), coarse.tolist(), domain.tolist())):
+        gen = rng.child(index).generator()
+        rot = config.rotation_jitter * gen.uniform(-1, 1)
+        phase = config.phase_jitter * gen.uniform(-1, 1)
+        freq = config.band_base + config.band_step * c
+        img = _texture(config.texture_family, size, freq, f, h.n_fine, rot, phase)
+        img = img + config.intensity_bias * gen.uniform(-1, 1)
+        noise_scale = config.noise
+        if dom == 0:
+            if h.n_coarse > 1:
+                coef = 2.0 * c / (h.n_coarse - 1) - 1.0
+                img = img + config.confound * coef * (0.6 * xx - 0.8 * yy)
+        else:
+            img = img + config.domain_shift * (0.8 * xx + 0.6 * yy)
+            noise_scale = config.noise * (1.0 + config.domain_shift)
+        pixels[index, :, :, 0] = img + noise_scale * gen.normal(size=(size, size))
+    return ImageSet(pixels, fine, coarse, group, domain)
 
 
 # ---------------------------------------------------------------------------
 # preprocessing
 
 
-def preprocess_image(
-    img: LabeledImage, centroid: tuple[float, float], fov_mm: float = 100.0, out_size: int = 32
-) -> LabeledImage:
-    """Physical-FOV crop around the centroid, then resize to out_size.
+def preprocess_dataset(
+    images: ImageSet, px: float, py: float, fov_mm: float = 100.0, out_size: int = 32
+) -> ImageSet:
+    """Physical-FOV crop around each image's center, resize to out_size,
+    then z-score each group's pixels jointly (volume analogue).
 
-    The crop covers round(FOV/px) x round(FOV/py) pixels (half-up),
-    zero-padded where it leaves the image; z-scoring happens per group in
-    zscore_groups, not here.
+    `px` and `py` are the source's column and row spacings in mm per
+    pixel. The crop covers round(FOV/px) x round(FOV/py) pixels
+    (half-up), zero-padded where it leaves the image.
     """
     if fov_mm <= 0 or out_size <= 0:
         raise ValueError("FOV and output size must be positive")
-    n_cols = fov_pixels(fov_mm, img.px)
-    n_rows = fov_pixels(fov_mm, img.py)
-    channels = []
-    for c in range(img.pixels.shape[2]):
-        patch = crop_with_padding(img.pixels[:, :, c], centroid[0], centroid[1], n_rows, n_cols)
-        channels.append(resize_bilinear(patch, out_size, out_size))
-    return replace(img, pixels=np.stack(channels, axis=2))
-
-
-def zscore_groups(images: list[LabeledImage]) -> list[LabeledImage]:
-    """Z-score pixels over each group (volume analogue) jointly."""
-    by_group: dict[int, list[int]] = {}
-    for i, img in enumerate(images):
-        by_group.setdefault(img.group, []).append(i)
-    out: list[LabeledImage | None] = [None] * len(images)
-    for gid, idxs in by_group.items():
-        stack = np.concatenate([images[i].pixels.ravel() for i in idxs])
-        mean = float(stack.mean())
-        std = float(stack.std())
+    n_cols = fov_pixels(fov_mm, px)
+    n_rows = fov_pixels(fov_mm, py)
+    n, h, w, channels = images.pixels.shape
+    out = np.empty((n, out_size, out_size, channels), dtype=images.pixels.dtype)
+    for i, c in np.ndindex(n, channels):
+        patch = crop_with_padding(images.pixels[i, :, :, c], (h - 1) / 2.0, (w - 1) / 2.0, n_rows, n_cols)
+        out[i, :, :, c] = resize_bilinear(patch, out_size, out_size)
+    for gid in dict.fromkeys(images.group.tolist()):
+        rows = np.flatnonzero(images.group == gid)
+        block = out[rows]
+        mean = float(block.mean())
+        std = float(block.std())
         if std < 1e-8:
             raise ValueError(f"group {gid} is constant (std {std:.3e}); cannot z-score")
-        for i in idxs:
-            normed = ((images[i].pixels - mean) / std).astype(images[i].pixels.dtype)
-            out[i] = replace(images[i], pixels=normed)
-    return list(out)
-
-
-def preprocess_dataset(
-    images: list[LabeledImage],
-    centroids: list[tuple[float, float]] | None = None,
-    fov_mm: float = 100.0,
-    out_size: int = 32,
-) -> list[LabeledImage]:
-    if centroids is None:
-        centroids = [((im.pixels.shape[0] - 1) / 2.0, (im.pixels.shape[1] - 1) / 2.0) for im in images]
-    if len(centroids) != len(images):
-        raise ValueError("one centroid per image required")
-    cropped = [preprocess_image(im, c, fov_mm, out_size) for im, c in zip(images, centroids)]
-    return zscore_groups(cropped)
+        out[rows] = (block - mean) / std
+    return ImageSet(out, images.fine, images.coarse, images.group, images.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +302,19 @@ def preprocess_dataset(
 
 
 def split_dataset(
-    images: list[LabeledImage],
+    images: ImageSet,
     train_tag: int,
     eval_tag: int,
     fractions: tuple[float, float, float],
-) -> tuple[list[LabeledImage], list[LabeledImage], list[LabeledImage]]:
+) -> tuple[ImageSet, ImageSet, ImageSet]:
     """Domain-pure, group-stratified split.
 
-    Train takes every train-tag image; the eval tag is divided into val
-    and test by whole groups to approximate fractions val:test. Groups
-    are visited round-robin across fine classes (ascending group id
-    within a class) so both halves cover every class rather than only
-    the low-id ones. A group spanning both tags is malformed.
+    Train takes every train-tag row in row order; the eval tag is divided
+    into val and test by whole groups to approximate fractions val:test.
+    Groups are visited round-robin across fine classes (ascending group
+    id within a class) so both halves cover every class rather than only
+    the low-id ones, and val and test hold their groups' rows in that
+    visiting order. A group spanning both tags is malformed.
     """
     if train_tag == eval_tag:
         raise ValueError("train and eval tags must differ")
@@ -367,28 +322,24 @@ def split_dataset(
     if min(fractions) < 0 or f_val + f_test <= 0:
         raise ValueError("fractions must be nonnegative with val + test > 0")
 
-    tags_of_group: dict[int, set[int]] = {}
-    for img in images:
-        tags_of_group.setdefault(img.group, set()).add(img.domain)
-    for gid, tags in tags_of_group.items():
-        if len(tags) > 1:
-            raise ValueError(f"group {gid} spans domain tags {sorted(tags)}")
-
-    present = {img.domain for img in images}
+    tag_of_group: dict[int, int] = {}
+    for gid, tag in zip(images.group.tolist(), images.domain.tolist()):
+        if tag_of_group.setdefault(gid, tag) != tag:
+            raise ValueError(f"group {gid} spans domain tags {sorted({tag, tag_of_group[gid]})}")
+    present = set(tag_of_group.values())
     if train_tag not in present:
         raise ValueError(f"train tag {train_tag} absent from dataset")
     if eval_tag not in present:
         raise ValueError(f"eval tag {eval_tag} absent from dataset")
 
-    train = [img for img in images if img.domain == train_tag]
-    eval_imgs = [img for img in images if img.domain == eval_tag]
-    by_group: dict[int, list[LabeledImage]] = {}
-    for img in eval_imgs:
-        by_group.setdefault(img.group, []).append(img)
+    eval_rows = np.flatnonzero(images.domain == eval_tag)
+    by_group: dict[int, list[int]] = {}
+    for row, gid in zip(eval_rows.tolist(), images.group[eval_rows].tolist()):
+        by_group.setdefault(gid, []).append(row)
 
     queues: dict[int, list[int]] = {}
     for gid in sorted(by_group):
-        queues.setdefault(by_group[gid][0].fine, []).append(gid)
+        queues.setdefault(int(images.fine[by_group[gid][0]]), []).append(gid)
     order: list[int] = []
     pending = [queues[c] for c in sorted(queues)]
     while any(pending):
@@ -396,18 +347,16 @@ def split_dataset(
             if q:
                 order.append(q.pop(0))
 
-    target_val = len(eval_imgs) * f_val / (f_val + f_test)
-    val: list[LabeledImage] = []
-    test: list[LabeledImage] = []
-    filled = 0
+    target_val = len(eval_rows) * f_val / (f_val + f_test)
+    val: list[int] = []
+    test: list[int] = []
     for gid in order:
-        size = len(by_group[gid])
-        if abs(filled + size - target_val) <= abs(filled - target_val):
-            val.extend(by_group[gid])
-            filled += size
+        rows = by_group[gid]
+        if abs(len(val) + len(rows) - target_val) <= abs(len(val) - target_val):
+            val.extend(rows)
         else:
-            test.extend(by_group[gid])
-    return train, val, test
+            test.extend(rows)
+    return images.take(np.flatnonzero(images.domain == train_tag)), images.take(val), images.take(test)
 
 
 # ---------------------------------------------------------------------------

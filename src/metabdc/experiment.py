@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ExperimentConfig, apply_grid_overrides, train_label_space, train_source
 from .core import SeededRng
-from .data import EpisodeSpec, ImageSet, generate_synthetic, preprocess_dataset, split_dataset
+from .data import EpisodeSpec, ImageSet, SyntheticConfig, generate_synthetic, preprocess_dataset, split_dataset
 from .encoder import EncoderConfig, init_params, save_encoder_checkpoint
 from .finetune import (
     FinetuneResult,
@@ -89,9 +89,13 @@ def shot_label(shots: int) -> str:
 
 def prepare_splits(cfg: ExperimentConfig, which: str = "same") -> Splits:
     data_cfg = cfg.data if which == "same" else cfg.other_data
-    images = preprocess_dataset(generate_synthetic(data_cfg), fov_mm=cfg.fov_mm, out_size=cfg.out_size)
-    parts = split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.fractions)
-    return Splits(*(ImageSet.of(part) for part in parts))
+    images = _source_images(cfg, data_cfg)
+    return Splits(*split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.fractions))
+
+
+def _source_images(cfg: ExperimentConfig, data_cfg: SyntheticConfig) -> ImageSet:
+    """Every image of one generated source, preprocessed as `cfg` sets."""
+    return preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, cfg.fov_mm, cfg.out_size)
 
 
 def other_splits(cfg: ExperimentConfig, kinds: tuple[str, ...]) -> Splits | None:
@@ -146,7 +150,7 @@ def pretrain_encoder(
     params = init_params(cfg.encoder, rng.child(0))
     if kind == "supervised-proxy":
         proxy_cfg = replace(cfg.data, seed=cfg.data.seed + 9999)
-        proxy = ImageSet.of(preprocess_dataset(generate_synthetic(proxy_cfg), fov_mm=cfg.fov_mm, out_size=cfg.out_size))
+        proxy = _source_images(cfg, proxy_cfg)
         n_classes = (
             proxy_cfg.hierarchy.n_fine if cfg.proxy.label_space == "fine" else proxy_cfg.hierarchy.n_coarse
         )

@@ -30,7 +30,6 @@ import numpy as np
 from .bdc import (
     METRICS,
     bdc_matrix,
-    bdc_matrix_graph,
     class_prototypes,
     episode_classify,
     prototypes_graph,
@@ -196,10 +195,9 @@ def _episode_loss_graph(
     sup = g.input("sup", (n_way * k_shot, *image))
     qry = g.input("qry", (n_way * q_query, *image))
     d = enc_cfg.feature_dim
-    bdc_s = bdc_matrix_graph(g, conv_stack(g, sup, refs, enc_cfg), d)
-    bdc_q = bdc_matrix_graph(g, conv_stack(g, qry, refs, enc_cfg), d)
+    bdc_s = conv_stack(g, sup, refs, enc_cfg).bdc()
+    bdc_q = conv_stack(g, qry, refs, enc_cfg).bdc()
     scores = scores_graph(bdc_q, prototypes_graph(bdc_s, n_way, k_shot, d), n_way, d, config.metric)
-    g.mark_output("scores", scores)
     z = scores * (1.0 / config.temperature)
     labels = np.repeat(np.arange(n_way), q_query)
     if config.loss == "ce":
@@ -282,8 +280,10 @@ def meta_finetune(
 
 def classifier_scores(params: dict[str, np.ndarray], enc_cfg: EncoderConfig, split: ImageSet) -> np.ndarray:
     """(n, n_classes) raw scores for every row of a split."""
-    fmaps = encode(split.pixels, enc_cfg, params)
-    return fmaps.mean(axis=2) @ params["cls_w"] + params["cls_b"]
+    g = Graph()
+    scores = classify_head(g, g.constant(encode(split.pixels, enc_cfg, params)), bind_params(g, params))
+    forward_eval(g)
+    return scores.value
 
 
 def _class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:

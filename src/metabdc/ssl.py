@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Graph, SeededRng, Var, backward, forward_eval
-from .encoder import EncoderConfig, bind_params, conv_stack, init_params, project_head
+from .encoder import EncoderConfig, bind_params, conv_stack, init_params, project_head, to_nchw
 from .imageops import resize_bilinear  # noqa: F401 - perfbench traces this module's binding
 from .optim import ScheduleConfig, lr_from_batch, schedule_lr, sgd_step
 
@@ -347,9 +347,7 @@ def update_representation(
     graphs: dict[tuple, tuple] = {}
     step = step_offset
     for indices, view_a, view_b in batch_stream:
-        nchw = np.concatenate(
-            [np.transpose(view_a, (0, 3, 1, 2)), np.transpose(view_b, (0, 3, 1, 2))], axis=0
-        ).astype(params["conv0_w"].dtype)
+        nchw = np.concatenate([to_nchw(view_a, enc_cfg), to_nchw(view_b, enc_cfg)]).astype(params["conv0_w"].dtype)
         feeds = {"images": nchw}
         pattern = []
         for p_idx, partition in enumerate(partitions):
@@ -503,7 +501,7 @@ def find_partition_embeddings(
 
 
 def _embed_dataset(images: np.ndarray, params: dict[str, np.ndarray], enc_cfg: EncoderConfig) -> np.ndarray:
-    nchw = np.transpose(images, (0, 3, 1, 2)).astype(params["conv0_w"].dtype)
+    nchw = to_nchw(images, enc_cfg).astype(params["conv0_w"].dtype)
     g = Graph()
     z = _embed_batch_graph(g, nchw, params, enc_cfg)
     g.mark_output("z", z)

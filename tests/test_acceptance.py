@@ -14,13 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from metabdc.bdc import bdc_matrix, bdc_matrix_graph
+from metabdc.bdc import bdc_matrix
 from metabdc.config import ExperimentConfig
 from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.data import (
     Episode,
     EpisodeSpec,
-    ImageSet,
     SyntheticConfig,
     generate_synthetic,
     preprocess_dataset,
@@ -96,11 +95,11 @@ def _contrastive_fn(members: np.ndarray, tau: float, want_penalty: bool):
     return fn
 
 
-def _bdc_fn(weights: np.ndarray, d: int):
+def _bdc_fn(weights: np.ndarray):
     def fn(point):
         g = Graph()
         refs = bind_params(g, point)
-        mats = bdc_matrix_graph(g, refs["fm"], d)
+        mats = refs["fm"].bdc()
         loss = (mats * g.constant(weights)).sum()
         forward_eval(g)
         return float(loss.value), backward(g, loss)
@@ -159,7 +158,7 @@ def test_gradient_suite_over_all_differentiable_ops():
 
         d, m = int(gen.integers(2, 5)), int(gen.integers(3, 7))
         fm = {"fm": gen.normal(size=(2, d, m))}
-        err = grad_check(_bdc_fn(gen.normal(size=(2, d, d)), d), fm)
+        err = grad_check(_bdc_fn(gen.normal(size=(2, d, d))), fm)
         worst["bdc"] = max(worst.get("bdc", 0.0), err)
 
         n = int(gen.integers(4, 10))
@@ -378,9 +377,8 @@ def test_lr_scales_linearly_with_batch():
 
 
 def test_episode_sampler_invariants_and_duplicate_query():
-    split = ImageSet.of(
-        preprocess_dataset(generate_synthetic(SyntheticConfig(count_per_fine=26, group_size=1, seed=11)), out_size=8)
-    )
+    data_cfg = SyntheticConfig(count_per_fine=26, group_size=1, seed=11)
+    split = preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, out_size=8)
     specs = [
         EpisodeSpec(2, 1, 5, "fine"),
         EpisodeSpec(2, 5, 5, "fine"),
@@ -403,9 +401,7 @@ def test_episode_sampler_invariants_and_duplicate_query():
 
     # each query row is a copy of one support row, appended to the split
     base = sample_episode(split, EpisodeSpec(2, 1, 3, "fine"), root.child(5000))
-    dup_split = ImageSet(
-        *(np.concatenate([a, a[base.support]]) for a in (split.pixels, split.fine, split.coarse))
-    )
+    dup_split = split.take(np.concatenate([np.arange(len(split)), base.support]))
     dup = Episode(base.support, len(split) + np.arange(len(base.support)), base.class_list)
     params = init_params(TINY, SeededRng(3), dtype=np.float64)
     scores, labels = episode_scores(params, TINY, dup_split, dup)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from metabdc.bdc import (
     bdc_matrix,
-    bdc_matrix_graph,
     class_prototypes,
     episode_classify,
     prototypes_graph,
@@ -92,7 +91,7 @@ def test_graph_variant_matches_numpy_path():
     batch = rng.normal(size=(4, 6, 8))
     g = Graph()
     x = g.parameter("x", batch)
-    g.mark_output("a", bdc_matrix_graph(g, x, d=6))
+    g.mark_output("a", x.bdc())
     out = forward_eval(g)["a"]
     assert np.array_equal(out, bdc_matrix(batch))
     for i in range(4):
@@ -114,7 +113,7 @@ def test_scalar_of_bdc_gradchecks_including_small_distances():
     def fn(point):
         g = Graph()
         x = g.parameter("x", point["x"].reshape(1, 4, 6))
-        a = bdc_matrix_graph(g, x, d=4)
+        a = x.bdc()
         loss = (a.reshape((4, 4)) * g.constant(weights)).sum()
         forward_eval(g)
         grads = backward(g, loss)
@@ -134,7 +133,7 @@ def test_bdc_op_forward_equals_the_primitive_chain_bit_for_bit():
         batch[-1, -1] = 0.0
         upstream = rng.normal(size=(b, d, d))
         out, grads = [], []
-        for build in (bdc_chain_graph, bdc_matrix_graph):
+        for build in (bdc_chain_graph, lambda g, x, d: x.bdc()):
             g = Graph()
             x = g.parameter("x", batch)
             a = build(g, x, d)

@@ -113,7 +113,8 @@ def test_classify_zero_weights_zero_scores():
     head = init_classifier(cfg, 3, SeededRng(9))
     params = init_params(cfg, SeededRng(1))
     params.update({k: np.zeros_like(v) for k, v in head.items()})
-    split = ImageSet(np.ones((2, 8, 8, 1), dtype=np.float32), np.zeros(2, np.int64), np.zeros(2, np.int64))
+    zeros = np.zeros(2, np.int64)
+    split = ImageSet(np.ones((2, 8, 8, 1), dtype=np.float32), zeros, zeros, zeros, zeros)
     scores = classifier_scores(params, cfg, split)
     assert scores.shape == (2, 3)
     assert np.array_equal(scores, np.zeros((2, 3)))

@@ -6,7 +6,7 @@ import pytest
 
 from metabdc.config import ExperimentConfig
 from metabdc.core import Graph, SeededRng, backward, forward_eval
-from metabdc.data import Episode, EpisodeSpec, ImageSet, LabeledImage
+from metabdc.data import Episode, EpisodeSpec, ImageSet
 from metabdc.encoder import EncoderConfig, bind_params, encode, init_params, to_nchw
 from metabdc.finetune import (
     FinetuneConfig,
@@ -30,15 +30,12 @@ ENC = EncoderConfig(height=8, width=8, channels=1, stages=((2, 3, 2),), proj_hid
 def make_images(n_per_class, n_classes, seed=0, hw=8):
     """A class-major split of n_per_class noisy copies of one base image per class."""
     gen = np.random.default_rng(seed)
-    images = []
-    for c in range(n_classes):
+    pixels = []
+    for _ in range(n_classes):
         base = gen.normal(size=(hw, hw, 1))
-        for i in range(n_per_class):
-            px = (base + 0.3 * gen.normal(size=(hw, hw, 1))).astype(np.float32)
-            images.append(
-                LabeledImage(px, fine=c, coarse=c // 2, group=len(images), domain=0, px=1.0, py=1.0)
-            )
-    return ImageSet.of(images)
+        pixels += [base + 0.3 * gen.normal(size=(hw, hw, 1)) for _ in range(n_per_class)]
+    fine = np.repeat(np.arange(n_classes), n_per_class)
+    return ImageSet(np.stack(pixels).astype(np.float32), fine, fine // 2, np.arange(len(fine)), np.zeros_like(fine))
 
 
 def make_episode(split, n_way=2, k_shot=2, q_query=3):
@@ -66,6 +63,13 @@ def graph_episode_loss(params, split, episode, config, with_grads=False):
     if not with_grads:
         return value
     return value, backward(g, loss)
+
+
+def _scores_node(g):
+    """Index of the raw scores in a CE episode loss graph: the CE takes the
+    logsumexp of z = scores * (1 / temperature)."""
+    (lse,) = [node for node in g.nodes if node.op == "logsumexp"]
+    return g.nodes[lse.parents[0]].parents[0]
 
 
 def numpy_episode_scores(params, split, episode, temperature):
@@ -133,7 +137,7 @@ class TestEpisodeEvaluation:
         params = init_params(ENC, SeededRng(4), dtype=np.float64)
         images = make_images(1, 4, seed=7)
         # each query row is a copy of its class's one support row
-        split = ImageSet(*(np.concatenate([a, a]) for a in (images.pixels, images.fine, images.coarse)))
+        split = images.take(np.tile(np.arange(len(images)), 2))
         episode = Episode(np.arange(4), np.arange(4, 8), tuple(range(4)))
         scores, labels = episode_scores(params, ENC, split, episode)
         assert scores.shape == (4, 4)
@@ -152,7 +156,8 @@ class TestEpisodeEvaluation:
         for episode in sample_episode_block(split, spec, 3, SeededRng(21)):
             g = Graph()
             _episode_loss_graph(g, bind_params(g, params), enc, (spec.n_way, spec.k_shot, spec.q_query), config)
-            want = forward_eval(g, {"sup": nchw[episode.support], "qry": nchw[episode.query]})["scores"]
+            forward_eval(g, {"sup": nchw[episode.support], "qry": nchw[episode.query]})
+            want = g.values[_scores_node(g)]
             got, _ = episode_scores(params, enc, split, episode)
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
