@@ -92,11 +92,10 @@ class ExperimentConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     data: SyntheticConfig = field(default_factory=SyntheticConfig)
     other_data: SyntheticConfig = field(default_factory=_default_other_data)
-    fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
+    val_fraction: float = 0.5  # share of the eval-domain rows that go to val
     train_domain: int = 0
     eval_domain: int = 1
     fov_mm: float = 100.0
-    out_size: int = 16
     ipirm: IpIrmConfig = field(default_factory=IpIrmConfig)
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
     tune: FinetuneConfig = field(default_factory=FinetuneConfig)
@@ -125,11 +124,11 @@ class ExperimentConfig:
             raise ValueError("test episodes and repeats must be positive")
         if self.train_domain == self.eval_domain:
             raise ValueError("train and eval domains must differ")
-        if (self.encoder.height, self.encoder.width) != (self.out_size, self.out_size):
-            raise ValueError(
-                f"encoder expects {self.encoder.height}x{self.encoder.width} input "
-                f"but preprocessing emits {self.out_size}x{self.out_size}"
-            )
+        if not 0.0 <= self.val_fraction <= 1.0:
+            raise ValueError(f"val_fraction: must lie in [0, 1], got {self.val_fraction}")
+        if self.encoder.height != self.encoder.width:
+            # preprocessing resizes every image to encoder.height x encoder.height
+            raise ValueError(f"encoder: input must be square, got {self.encoder.height}x{self.encoder.width}")
         # the label spaces each configured column needs must exist at episode width
         for kind in self.finetune_kinds:
             if kind == "fully-supervised":

@@ -270,14 +270,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ho: int, wo:
     """(C*kh*kw, B*ho*wo) columns: row (c, u, v) holds input channel c at
     kernel offset (u, v) for every output position (b, i, j)."""
     b, c, h, w = x.shape
-    xp = x
     if pad:
         xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         xp[:, :, pad : pad + h, pad : pad + w] = x
+    else:
+        xp = np.ascontiguousarray(x)  # a buffer the strides below can address
     sb, sc, sh, sw = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (c, kh, kw, b, ho, wo), (sc, sh, sw, sb, stride * sh, stride * sw), writeable=False
+    # np.ndarray over xp's buffer, not as_strided: as_strided reads
+    # __array_interface__ on every call, which grows the interpreter's
+    # interned-string table by about 1 MB over a study unit.
+    view = np.ndarray(
+        (c, kh, kw, b, ho, wo), xp.dtype, buffer=xp, strides=(sc, sh, sw, sb, stride * sh, stride * sw)
     )
+    view.flags.writeable = False
     return view.reshape(c * kh * kw, b * ho * wo)
 
 

@@ -267,15 +267,14 @@ def generate_synthetic(config: SyntheticConfig) -> ImageSet:
 # preprocessing
 
 
-def preprocess_dataset(
-    images: ImageSet, px: float, py: float, fov_mm: float = 100.0, out_size: int = 32
-) -> ImageSet:
-    """Physical-FOV crop around each image's center, resize to out_size,
-    then z-score each group's pixels jointly (volume analogue).
+def preprocess_dataset(images: ImageSet, px: float, py: float, fov_mm: float, out_size: int) -> ImageSet:
+    """Physical-FOV crop around each image's center, resize to out_size x
+    out_size, then z-score each group's pixels jointly (volume analogue).
 
     `px` and `py` are the source's column and row spacings in mm per
     pixel. The crop covers round(FOV/px) x round(FOV/py) pixels
-    (half-up), zero-padded where it leaves the image.
+    (half-up), zero-padded where it leaves the image. The pipeline passes
+    the encoder's input height as `out_size`.
     """
     if fov_mm <= 0 or out_size <= 0:
         raise ValueError("FOV and output size must be positive")
@@ -305,12 +304,13 @@ def split_dataset(
     images: ImageSet,
     train_tag: int,
     eval_tag: int,
-    fractions: tuple[float, float, float],
+    val_fraction: float,
 ) -> tuple[ImageSet, ImageSet, ImageSet]:
     """Domain-pure, group-stratified split.
 
     Train takes every train-tag row in row order; the eval tag is divided
-    into val and test by whole groups to approximate fractions val:test.
+    into val and test by whole groups, val getting the groups that bring
+    its row count closest to `val_fraction` of the eval-tag rows.
     Groups are visited round-robin across fine classes (ascending group
     id within a class) so both halves cover every class rather than only
     the low-id ones, and val and test hold their groups' rows in that
@@ -318,9 +318,8 @@ def split_dataset(
     """
     if train_tag == eval_tag:
         raise ValueError("train and eval tags must differ")
-    f_train, f_val, f_test = fractions
-    if min(fractions) < 0 or f_val + f_test <= 0:
-        raise ValueError("fractions must be nonnegative with val + test > 0")
+    if not 0.0 <= val_fraction <= 1.0:
+        raise ValueError(f"val_fraction must lie in [0, 1], got {val_fraction}")
 
     tag_of_group: dict[int, int] = {}
     for gid, tag in zip(images.group.tolist(), images.domain.tolist()):
@@ -347,7 +346,7 @@ def split_dataset(
             if q:
                 order.append(q.pop(0))
 
-    target_val = len(eval_rows) * f_val / (f_val + f_test)
+    target_val = len(eval_rows) * val_fraction
     val: list[int] = []
     test: list[int] = []
     for gid in order:

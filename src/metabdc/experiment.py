@@ -90,12 +90,12 @@ def shot_label(shots: int) -> str:
 def prepare_splits(cfg: ExperimentConfig, which: str = "same") -> Splits:
     data_cfg = cfg.data if which == "same" else cfg.other_data
     images = _source_images(cfg, data_cfg)
-    return Splits(*split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.fractions))
+    return Splits(*split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.val_fraction))
 
 
 def _source_images(cfg: ExperimentConfig, data_cfg: SyntheticConfig) -> ImageSet:
     """Every image of one generated source, preprocessed as `cfg` sets."""
-    return preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, cfg.fov_mm, cfg.out_size)
+    return preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, cfg.fov_mm, cfg.encoder.height)
 
 
 def other_splits(cfg: ExperimentConfig, kinds: tuple[str, ...]) -> Splits | None:

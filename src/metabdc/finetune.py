@@ -39,7 +39,7 @@ from .core import Graph, SeededRng, backward, forward_eval
 from .data import Episode, EpisodeSpec, ImageSet, sample_episode
 from .encoder import EncoderConfig, bind_params, classify_head, conv_stack, encode, init_classifier, to_nchw
 from .metrics import auroc_multiclass_ovr
-from .optim import PesgConfig, PesgState, ScheduleConfig, aucm_loss_graph, pesg_step, schedule_lr, sgd_step
+from .optim import PesgState, ScheduleConfig, aucm_loss_graph, pesg_step, schedule_lr, sgd_step
 
 log = logging.getLogger(__name__)
 
@@ -138,25 +138,16 @@ def sample_episode_block(split: ImageSet, spec: EpisodeSpec, count: int, rng: Se
 # one-vs-rest AUC-margin objective, shared by the episodic and supervised loops
 
 
-def _aucm_stepper(
-    step_params: dict[str, np.ndarray], prefix: str, n_columns: int, config: FinetuneConfig
-) -> tuple[PesgConfig, PesgState]:
+def _aucm_stepper(step_params: dict[str, np.ndarray], prefix: str, n_columns: int) -> PesgState:
     """Add zeroed (a, b, alpha) slots per score column to `step_params` and
-    return the saddle-point stepper that updates them."""
+    return the PESG state that tells `pesg_step` how to update them."""
     for k in range(n_columns):
         for slot in ("a", "b", "alpha"):
             step_params[f"{prefix}{slot}{k}"] = np.zeros(1)
-    pesg_cfg = PesgConfig(
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        proximal=config.proximal,
-        decay_epochs=config.decay_epochs,
-    )
-    state = PesgState(
+    return PesgState(
         center_names=tuple(f"{prefix}{slot}{k}" for k in range(n_columns) for slot in ("a", "b")),
         dual_names=tuple(f"{prefix}alpha{k}" for k in range(n_columns)),
     )
-    return pesg_cfg, state
 
 
 def _aucm_columns_graph(g: Graph, z, labels: np.ndarray, refs: dict, prefix: str, p_hat, margin: float):
@@ -234,7 +225,7 @@ def meta_finetune(
 
     use_aucm = config.loss == "aucm"
     if use_aucm:
-        pesg_cfg, state = _aucm_stepper(step_params, "ep_", train_spec.n_way, config)
+        state = _aucm_stepper(step_params, "ep_", train_spec.n_way)
 
     train_nchw = to_nchw(train.pixels, enc_cfg).astype(dtype)
     val_episodes = sample_episode_block(val, val_spec, config.val_episodes, rng.child(2_000_000))
@@ -251,7 +242,7 @@ def meta_finetune(
     for epoch in range(config.epochs):
         lr = schedule_lr(sched, epoch)
         if use_aucm:
-            state.start_epoch(step_params, epoch, pesg_cfg)
+            state.start_epoch(step_params, epoch, config.decay_epochs)
         epoch_rng = rng.child(1_000_000 + epoch)
         for e_idx in range(config.episodes_per_epoch):
             episode = sample_episode(train, train_spec, epoch_rng.child(e_idx))
@@ -260,7 +251,7 @@ def meta_finetune(
                 raise FloatingPointError(f"non-finite episode loss at epoch {epoch}, episode {e_idx}")
             grads = backward(g, loss)
             if use_aucm:
-                pesg_step(step_params, grads, state, pesg_cfg, lr=lr)
+                pesg_step(step_params, grads, state, lr, config.weight_decay, config.proximal)
             else:
                 sgd_step(trainable, grads, lr=lr, weight_decay=config.weight_decay)
         totals: list[int] = []
@@ -366,7 +357,7 @@ def supervised_finetune(
     params.update(init_classifier(enc_cfg, n_classes, rng.child(1), dtype=dtype))
 
     step_params = {k: v for k, v in params.items() if k.startswith(("conv", "cls"))}
-    pesg_cfg, state = _aucm_stepper(step_params, "aucm_", n_classes, config)
+    state = _aucm_stepper(step_params, "aucm_", n_classes)
 
     all_nchw = to_nchw(train.pixels, enc_cfg).astype(dtype)
     sched = ScheduleConfig("step", config.lr, config.epochs, config.decay_epochs)
@@ -377,7 +368,7 @@ def supervised_finetune(
     history: list[float] = []
     for epoch in range(config.epochs):
         lr = schedule_lr(sched, epoch)
-        state.start_epoch(step_params, epoch, pesg_cfg)
+        state.start_epoch(step_params, epoch, config.decay_epochs)
         order = rng.child(10_000 + epoch).generator().permutation(len(train))
         for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -392,7 +383,7 @@ def supervised_finetune(
             if not np.isfinite(float(total.value)):
                 raise FloatingPointError(f"non-finite supervised loss at epoch {epoch}")
             grads = backward(g, total)
-            pesg_step(step_params, grads, state, pesg_cfg, lr=lr)
+            pesg_step(step_params, grads, state, lr, config.weight_decay, config.proximal)
         score = auroc_multiclass_ovr(classifier_scores(params, enc_cfg, val), val.labels(label_space))
         history.append(score)
         log.debug("supervised epoch %d: lr %.4g val auroc %.4f", epoch, lr, score)

@@ -4,9 +4,9 @@ The AUC-margin surrogate is a min-max objective: squared deviations of
 positive scores from a center a and negative scores from b, plus a dual
 variable alpha enforcing the margin between class means. It is minimized
 over (scores, a, b) and maximized over alpha, with alpha projected to
-stay nonnegative. PESG performs that saddle-point update with optional
-weight decay and a proximal pull toward a reference point refreshed at
-epoch-decay boundaries.
+stay nonnegative. `pesg_step` performs that saddle-point update with
+optional weight decay and a proximal pull toward a reference point that
+`PesgState.start_epoch` refreshes at the step schedule's decay epochs.
 """
 
 from __future__ import annotations
@@ -26,13 +26,15 @@ def lr_from_batch(batch_size: int) -> float:
     return 0.3 * batch_size / 256.0
 
 
+STEP_DECAY_FACTOR = 10.0  # a step schedule divides the LR by this at each decay epoch
+
+
 @dataclass(frozen=True)
 class ScheduleConfig:
     kind: str  # "cosine" or "step"
     base_lr: float
     total_epochs: int
     decay_epochs: tuple[int, ...] = ()
-    decay_factor: float = 10.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("cosine", "step"):
@@ -51,7 +53,7 @@ def schedule_lr(config: ScheduleConfig, epoch: int) -> float:
     if config.kind == "cosine":
         return config.base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.total_epochs))
     passed = sum(1 for d in config.decay_epochs if epoch >= d)
-    return config.base_lr / config.decay_factor**passed
+    return config.base_lr / STEP_DECAY_FACTOR**passed
 
 
 def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0) -> None:
@@ -112,19 +114,6 @@ def aucm_loss_graph(
 # PESG
 
 
-@dataclass(frozen=True)
-class PesgConfig:
-    lr: float
-    weight_decay: float = 0.0
-    proximal: float = 0.0  # pull strength toward the epoch reference point
-    decay_epochs: tuple[int, ...] = ()
-    decay_factor: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("LR must be positive")
-
-
 @dataclass
 class PesgState:
     """Saddle-point bookkeeping: which keys are centers/duals, plus the proximal anchor."""
@@ -132,12 +121,10 @@ class PesgState:
     center_names: tuple[str, ...]  # a/b style scalars: descent, no decay, no proximal
     dual_names: tuple[str, ...]  # alpha style scalars: ascent + projection to >= 0
     reference: dict[str, np.ndarray] = field(default_factory=dict)
-    epoch: int = 0
 
-    def start_epoch(self, params: dict[str, np.ndarray], epoch: int, config: PesgConfig) -> None:
-        """Refresh the proximal anchor when crossing an epoch-decay boundary."""
-        self.epoch = epoch
-        if epoch in config.decay_epochs or not self.reference:
+    def start_epoch(self, params: dict[str, np.ndarray], epoch: int, decay_epochs: tuple[int, ...]) -> None:
+        """Refresh the proximal anchor at the first epoch and at each decay epoch."""
+        if epoch in decay_epochs or not self.reference:
             model_names = set(params) - set(self.center_names) - set(self.dual_names)
             self.reference = {k: params[k].copy() for k in model_names}
 
@@ -146,8 +133,9 @@ def pesg_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: PesgState,
-    config: PesgConfig,
-    lr: float | None = None,
+    lr: float,
+    weight_decay: float = 0.0,
+    proximal: float = 0.0,
 ) -> None:
     """One PESG update, in place.
 
@@ -155,17 +143,16 @@ def pesg_step(
     entries (a, b) descend plainly, dual entries (alpha) ascend and are
     projected back to >= 0. Non-finite gradients abort.
     """
-    step = config.lr if lr is None else lr
     for name, gval in grads.items():
         if not np.all(np.isfinite(gval)):
             raise FloatingPointError(f"non-finite gradient for {name!r}")
     for name, w in params.items():
         g = grads[name]
         if name in state.dual_names:
-            w += (step * g).astype(w.dtype, copy=False)
+            w += (lr * g).astype(w.dtype, copy=False)
             np.maximum(w, 0.0, out=w)
         elif name in state.center_names:
-            w -= (step * g).astype(w.dtype, copy=False)
+            w -= (lr * g).astype(w.dtype, copy=False)
         else:
-            pull = config.proximal * (w - state.reference[name]) if state.reference else 0.0
-            w -= (step * (g + config.weight_decay * w + pull)).astype(w.dtype, copy=False)
+            pull = proximal * (w - state.reference[name]) if state.reference else 0.0
+            w -= (lr * (g + weight_decay * w + pull)).astype(w.dtype, copy=False)

@@ -378,7 +378,7 @@ def test_lr_scales_linearly_with_batch():
 
 def test_episode_sampler_invariants_and_duplicate_query():
     data_cfg = SyntheticConfig(count_per_fine=26, group_size=1, seed=11)
-    split = preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, out_size=8)
+    split = preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, 100.0, 8)
     specs = [
         EpisodeSpec(2, 1, 5, "fine"),
         EpisodeSpec(2, 5, 5, "fine"),

@@ -144,7 +144,7 @@ def _probe_auroc(images):
 
 def test_linear_probe_separates_fine_classes():
     cfg = SyntheticConfig(count_per_fine=26, group_size=1, seed=3)
-    images = preprocess_dataset(generate_synthetic(cfg), cfg.px, cfg.py)
+    images = preprocess_dataset(generate_synthetic(cfg), cfg.px, cfg.py, 100.0, 32)
     order = np.random.default_rng(0).permutation(len(images))[:200]
     assert _probe_auroc(images.take(order)) > 0.9
 
@@ -223,7 +223,7 @@ def test_preprocess_deterministic():
 
 def test_zscore_normalizes_each_group():
     cfg = small_config()
-    normed = preprocess_dataset(generate_synthetic(cfg), cfg.px, cfg.py, out_size=cfg.image_size)
+    normed = preprocess_dataset(generate_synthetic(cfg), cfg.px, cfg.py, 100.0, cfg.image_size)
     for gid in set(normed.group.tolist()):
         allpix = normed.pixels[normed.group == gid].astype(np.float64)
         assert abs(allpix.mean()) <= 1e-6
@@ -233,7 +233,7 @@ def test_zscore_normalizes_each_group():
 def test_zscore_rejects_constant_group():
     images = _image_set(np.ones((1, 8, 8, 1)), [0], [0], [0])
     with pytest.raises(ValueError, match="group 0 is constant"):
-        preprocess_dataset(images, 12.5, 12.5, out_size=8)
+        preprocess_dataset(images, 12.5, 12.5, 100.0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def _tiny_set(fine, group, domain):
 
 def test_split_domain_purity_and_group_disjointness():
     images = generate_synthetic(small_config())
-    train, val, test = split_dataset(images, train_tag=0, eval_tag=1, fractions=(0.5, 0.25, 0.25))
+    train, val, test = split_dataset(images, train_tag=0, eval_tag=1, val_fraction=0.5)
     assert (train.domain == 0).all()
     assert (val.domain == 1).all() and (test.domain == 1).all()
     assert not set(val.group.tolist()) & set(test.group.tolist())
@@ -255,14 +255,14 @@ def test_split_domain_purity_and_group_disjointness():
 
 def test_split_halves_cover_all_classes():
     images = generate_synthetic(small_config(count_per_fine=16))
-    _, val, test = split_dataset(images, 0, 1, (0.5, 0.25, 0.25))
+    _, val, test = split_dataset(images, 0, 1, 0.5)
     for half in (val, test):
         assert set(half.fine.tolist()) == set(range(8))
 
 
 def test_split_rows_follow_the_round_robin_group_order():
     images = generate_synthetic(small_config(count_per_fine=16))
-    train, val, test = split_dataset(images, 0, 1, (0.5, 0.25, 0.25))
+    train, val, test = split_dataset(images, 0, 1, 0.5)
     assert np.array_equal(train.pixels, images.pixels[images.domain == 0])
     # 4 eval groups of 2 rows per class; one group of each class in turn, val first
     for half in (val, test):
@@ -274,7 +274,7 @@ def test_split_rows_follow_the_round_robin_group_order():
 
 def test_split_proportions_within_one():
     images = _tiny_set([0] * 2049, [*range(1611), *range(10_000, 10_438)], [0] * 1611 + [1] * 438)
-    _, val, test = split_dataset(images, 0, 1, fractions=(1611 / 2049, 200 / 2049, 238 / 2049))
+    _, val, test = split_dataset(images, 0, 1, val_fraction=200 / 438)
     assert abs(len(val) - 200) <= 1
     assert abs(len(test) - 238) <= 1
 
@@ -282,17 +282,24 @@ def test_split_proportions_within_one():
 def test_split_rejects_group_spanning_tags():
     images = _tiny_set([0, 0], [7, 7], [0, 1])
     with pytest.raises(ValueError, match="group 7 spans domain tags"):
-        split_dataset(images, 0, 1, fractions=(0.5, 0.25, 0.25))
+        split_dataset(images, 0, 1, val_fraction=0.5)
 
 
 def test_split_rejects_absent_tags():
     images = _tiny_set([0, 0], [1, 2], [0, 0])
     with pytest.raises(ValueError):
-        split_dataset(images, 0, 1, fractions=(0.5, 0.25, 0.25))
+        split_dataset(images, 0, 1, val_fraction=0.5)
     with pytest.raises(ValueError):
-        split_dataset(images, 2, 0, fractions=(0.5, 0.25, 0.25))
+        split_dataset(images, 2, 0, val_fraction=0.5)
     with pytest.raises(ValueError):
-        split_dataset(images, 0, 0, fractions=(0.5, 0.25, 0.25))
+        split_dataset(images, 0, 0, val_fraction=0.5)
+
+
+@pytest.mark.parametrize("val_fraction", [-0.1, 1.5])
+def test_split_rejects_val_fraction_outside_unit_interval(val_fraction):
+    images = _tiny_set([0, 0], [1, 2], [0, 1])
+    with pytest.raises(ValueError, match="val_fraction"):
+        split_dataset(images, 0, 1, val_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +323,15 @@ def test_image_set_keeps_rows_pixels_and_labels_in_order():
         split.labels("group")
     with pytest.raises(ValueError, match="not aligned"):
         ImageSet(images.pixels, images.fine[:3], images.coarse, images.group, images.domain)
-    # a zero val or test fraction leaves that split empty; its cells fail, not the run
-    _, val, test = split_dataset(images, 0, 1, (0.5, 0.5, 0.0))
+    # val_fraction 1 leaves test empty; its cells fail, not the run
+    _, val, test = split_dataset(images, 0, 1, 1.0)
     assert len(test) == 0 and test.pixels.shape == (0, 16, 16, 1) and len(val) == len(images) // 2
 
 
 def test_prepare_splits_rows_follow_split_dataset():
     cfg = ExperimentConfig()
-    images = preprocess_dataset(generate_synthetic(cfg.data), cfg.data.px, cfg.data.py, cfg.fov_mm, cfg.out_size)
-    parts = split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.fractions)
+    images = preprocess_dataset(generate_synthetic(cfg.data), cfg.data.px, cfg.data.py, cfg.fov_mm, cfg.encoder.height)
+    parts = split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.val_fraction)
     splits = prepare_splits(cfg, "same")
     for split, part in zip((splits.train, splits.val, splits.test), parts):
         assert len(split) == len(part) > 0

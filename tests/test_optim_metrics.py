@@ -9,7 +9,6 @@ from metabdc.core import Graph, backward, forward_eval
 from metabdc.imageops import crop_with_padding, resize_bilinear
 from metabdc.metrics import aggregate_episode_metrics, auroc_binary, auroc_multiclass_ovr, ovr_pair_counts
 from metabdc.optim import (
-    PesgConfig,
     PesgState,
     ScheduleConfig,
     aucm_loss_graph,
@@ -197,7 +196,7 @@ def test_pesg_zero_gradients_no_motion():
     }
     before = {k: v.copy() for k, v in params.items()}
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    pesg_step(params, grads, _toy_state(), PesgConfig(lr=0.1, weight_decay=0.0))
+    pesg_step(params, grads, _toy_state(), lr=0.1, weight_decay=0.0)
     for k in params:
         np.testing.assert_array_equal(params[k], before[k])
 
@@ -206,7 +205,7 @@ def test_pesg_alpha_projection():
     params = {"alpha": np.array([0.05])}
     grads = {"alpha": np.array([-10.0])}  # ascent direction pushes negative
     state = PesgState(center_names=(), dual_names=("alpha",))
-    pesg_step(params, grads, state, PesgConfig(lr=0.1))
+    pesg_step(params, grads, state, lr=0.1)
     assert params["alpha"][0] == 0.0
 
 
@@ -214,7 +213,7 @@ def test_pesg_non_finite_gradient_aborts():
     params = {"w": np.zeros(2)}
     state = PesgState(center_names=(), dual_names=())
     with pytest.raises(FloatingPointError):
-        pesg_step(params, {"w": np.array([np.nan, 0.0])}, state, PesgConfig(lr=0.1))
+        pesg_step(params, {"w": np.array([np.nan, 0.0])}, state, lr=0.1)
 
 
 def test_pesg_alpha_fixed_wd_zero_is_plain_gd():
@@ -227,7 +226,6 @@ def test_pesg_alpha_fixed_wd_zero_is_plain_gd():
     }
     mirror = {k: v.copy() for k, v in params.items()}
     state = _toy_state()
-    cfg = PesgConfig(lr=0.07, weight_decay=0.0)
     for _ in range(5):
         grads = {
             "w": gen.normal(size=3),
@@ -235,7 +233,7 @@ def test_pesg_alpha_fixed_wd_zero_is_plain_gd():
             "b": gen.normal(size=1),
             "alpha": np.zeros(1),
         }
-        pesg_step(params, grads, state, cfg)
+        pesg_step(params, grads, state, lr=0.07, weight_decay=0.0)
         for k in ("w", "a", "b"):
             mirror[k] = mirror[k] - 0.07 * grads[k]
     for k in ("w", "a", "b", "alpha"):
@@ -245,17 +243,16 @@ def test_pesg_alpha_fixed_wd_zero_is_plain_gd():
 def test_pesg_reference_refresh_and_proximal_pull():
     params = {"w": np.array([1.0]), "a": np.array([0.0]), "b": np.array([0.0]), "alpha": np.array([0.0])}
     state = _toy_state()
-    cfg = PesgConfig(lr=0.1, proximal=2.0, decay_epochs=(3,))
-    state.start_epoch(params, 0, cfg)
+    state.start_epoch(params, 0, decay_epochs=(3,))
     assert state.reference["w"][0] == 1.0
     params["w"][0] = 3.0
-    state.start_epoch(params, 1, cfg)  # not a decay epoch: anchor unchanged
+    state.start_epoch(params, 1, decay_epochs=(3,))  # not a decay epoch: anchor unchanged
     assert state.reference["w"][0] == 1.0
     zero = {k: np.zeros_like(v) for k, v in params.items()}
-    pesg_step(params, zero, state, cfg)
+    pesg_step(params, zero, state, lr=0.1, proximal=2.0)
     # pull = proximal * (3 - 1) = 4, step 0.1 -> w = 3 - 0.4
     assert params["w"][0] == pytest.approx(2.6)
-    state.start_epoch(params, 3, cfg)  # decay epoch refreshes the anchor
+    state.start_epoch(params, 3, decay_epochs=(3,))  # decay epoch refreshes the anchor
     assert state.reference["w"][0] == pytest.approx(2.6)
 
 
@@ -271,15 +268,14 @@ def test_pesg_separable_toy_reaches_auroc_one():
         "alpha": np.array([0.0]),
     }
     state = _toy_state()
-    cfg = PesgConfig(lr=0.05)
-    state.start_epoch(params, 0, cfg)
+    state.start_epoch(params, 0, decay_epochs=())
     g = Graph()
     refs = {k: g.parameter(k, v) for k, v in params.items()}  # updated in place by pesg_step
     scores = g.constant(x) * refs["w"] + refs["c"]
     loss = aucm_loss_graph(g, scores, y, refs["a"], refs["b"], refs["alpha"], margin=1.0)
     for _ in range(200):
         forward_eval(g)
-        pesg_step(params, backward(g, loss), state, cfg)
+        pesg_step(params, backward(g, loss), state, lr=0.05)
     final = params["w"][0] * x + params["c"][0]
     assert auroc_binary(final, y) == 1.0
 

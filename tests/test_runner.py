@@ -57,7 +57,6 @@ def tiny_cfg(**kw):
             count_per_fine=32, image_size=16, px=6.25, py=6.25, seed=103,
             texture_family="rings", hierarchy=HierarchySpec.nested(8, 4),
         ),
-        out_size=16,
         ipirm=IpIrmConfig(
             outer_iterations=1, partition_steps=8, partition_restarts=1, epochs_per_iter=1,
             batch_size=32, base_lr=1e-3,
@@ -94,11 +93,10 @@ def all_non_default_cfg():
             noise=0.2, domain_shift=2.0, confound=0.5, band_base=4.0, band_step=2.0, group_size=8,
             px=3.0, py=3.5, seed=9,
         ),
-        fractions=(0.6, 0.2, 0.2),
+        val_fraction=0.6,
         train_domain=1,
         eval_domain=0,
         fov_mm=80.0,
-        out_size=12,
         ipirm=IpIrmConfig(
             lambda1=0.3, lambda2=0.4, tau=0.7, outer_iterations=2, partition_steps=20,
             partition_restarts=3, partition_lr=0.05, tolerance=1e-4, epochs_per_iter=2, batch_size=16,
@@ -155,8 +153,8 @@ class TestConfigParsing:
         [
             ({"k_shots": "15"}, "k_shots"),
             ({"k_shots": 5}, "k_shots"),
-            ({"fractions": "523"}, "fractions"),
-            ({"fractions": [0.5, 0.5]}, "fractions"),
+            ({"val_fraction": "0.5"}, "val_fraction"),
+            ({"val_fraction": [0.5, 0.5]}, "val_fraction"),
             ({"n_way": True}, "n_way"),
             ({"tune": {"lr": "abc"}}, "tune.lr"),
             ({"tune": {"lr": None}}, "tune.lr"),
@@ -187,6 +185,9 @@ class TestConfigParsing:
             ({"encoder": {"stages": [[8, 3, 2], [16, -1, 2]]}}, "encoder.stages[1]"),
             ({"encoder": {"stages": [[8, 3, 0], [16, 3, 2]]}}, "encoder.stages[0]"),
             ({"ipirm": {"tau": 0.001}}, "ipirm"),
+            ({"val_fraction": -0.1}, "val_fraction"),
+            ({"val_fraction": 1.5}, "val_fraction"),
+            ({"encoder": {"height": 16, "width": 12}}, "encoder"),
         ],
     )
     def test_mistyped_value_is_rejected_naming_its_path(self, raw, path):
@@ -200,8 +201,10 @@ class TestConfigParsing:
         assert type(cfg.grid[0][1][1]) is float
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
-            config_from_dict({"epochs": 3})
+        # fractions and out_size were fields once; val_fraction and encoder.height replace them
+        for raw in ({"epochs": 3}, {"fractions": [0.5, 0.25, 0.25]}, {"out_size": 16}):
+            with pytest.raises(ValueError, match=re.escape(f"unknown config keys: {sorted(raw)}")):
+                config_from_dict(raw)
 
     def test_unknown_nested_key(self):
         with pytest.raises(ValueError, match="unknown tune keys"):
@@ -227,8 +230,9 @@ class TestConfigParsing:
             tiny_cfg(eval_domain=0)
 
     def test_encoder_size_must_match_preprocessing(self):
-        with pytest.raises(ValueError, match="preprocessing emits"):
-            tiny_cfg(out_size=32)
+        # preprocessing emits encoder.height x encoder.height images
+        with pytest.raises(ValueError, match="^encoder: input must be square, got 16x12$"):
+            tiny_cfg(encoder=replace(tiny_cfg().encoder, width=12))
 
     def test_grid_paths_validated(self):
         with pytest.raises(ValueError, match="grid path"):
