@@ -61,7 +61,7 @@ def bdc_matrix(fmaps: np.ndarray) -> np.ndarray:
     x = np.asarray(fmaps)
     if x.ndim != 3:
         raise ValueError(f"expected (B, d, m) feature maps, got shape {x.shape}")
-    g = Graph()
+    g = Graph(forward_only=True)
     return _forward(g.constant(x).bdc())
 
 
@@ -70,7 +70,7 @@ def class_prototypes(support: np.ndarray, n_way: int) -> np.ndarray:
     s = np.asarray(support)
     if s.ndim != 3 or s.shape[1] != s.shape[2] or n_way < 1 or s.shape[0] == 0 or s.shape[0] % n_way:
         raise ValueError(f"support matrices of shape {s.shape} do not split into {n_way} equal classes of (d, d)")
-    g = Graph()
+    g = Graph(forward_only=True)
     return _forward(prototypes_graph(g.constant(s), n_way, s.shape[0] // n_way, s.shape[1]))
 
 
@@ -79,5 +79,5 @@ def episode_classify(queries: np.ndarray, prototypes: np.ndarray, metric: str = 
     q, p = np.asarray(queries), np.asarray(prototypes)
     if q.ndim != 3 or q.shape[1:] != p.shape[1:] or q.shape[1] != q.shape[2] or 0 in (q.shape[0], p.shape[0]):
         raise ValueError(f"expected (Q, d, d) queries and (N, d, d) prototypes, got {q.shape} and {p.shape}")
-    g = Graph()
+    g = Graph(forward_only=True)
     return _forward(scores_graph(g.constant(q), g.constant(p), p.shape[0], p.shape[1], metric))

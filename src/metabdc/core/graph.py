@@ -17,6 +17,11 @@ Design constraints:
   * forward_eval also fills a per-node slot, `Graph.saved`, with what an
     op's VJP reuses: conv2d's column matrix, bdc's squared distances and
     their roots,
+  * a graph built as `Graph(forward_only=True)` is never differentiated:
+    forward_eval fills no `saved` slot and drops each interior value once
+    its last reader has run, keeping leaves, marked outputs and the nodes
+    nothing reads, so a whole-set pass holds only the values still to be
+    read; backward on it is an error,
   * backward starts from a scalar node only; it caches per loss node which
     nodes depend on a parameter, so a graph that is built once and replayed
     walks that once,
@@ -166,7 +171,10 @@ class Var:
     def value(self) -> np.ndarray:
         val = self.graph.values[self.idx]
         if val is None:
-            raise GraphError(f"node {self.idx} has no value; run forward_eval first")
+            hint = "run forward_eval first"
+            if self.graph.forward_only:
+                hint += "; a forward-only graph frees interior values after their last reader"
+            raise GraphError(f"node {self.idx} has no value; {hint}")
         return val
 
 
@@ -179,9 +187,14 @@ def _norm_axis(axis):
 
 
 class Graph:
-    """Ordered op records over named inputs, named parameters, and constants."""
+    """Ordered op records over named inputs, named parameters, and constants.
 
-    def __init__(self):
+    A `forward_only` graph keeps no VJP caches and frees interior values
+    during forward_eval; it cannot be differentiated.
+    """
+
+    def __init__(self, forward_only: bool = False):
+        self.forward_only = forward_only
         self.nodes: list[_Node] = []
         self.values: list[np.ndarray | None] = []
         self.saved: list[tuple | None] = []
@@ -409,7 +422,9 @@ def _conv2d_eval(vals, meta, graph, idx):
         raise ShapeMismatch(idx, "conv2d", "(B,C,H,W) and (O,C,kh,kw)", (x.shape, w.shape))
     if x.shape[1] != w.shape[1]:
         raise ShapeMismatch(idx, "conv2d", f"in-channels {w.shape[1]}", f"in-channels {x.shape[1]}")
-    out, graph.saved[idx] = _conv2d_forward(x, w, b, meta["stride"], meta["pad"])
+    out, cols = _conv2d_forward(x, w, b, meta["stride"], meta["pad"])
+    if not graph.forward_only:
+        graph.saved[idx] = cols
     return out
 
 
@@ -417,7 +432,9 @@ def _bdc_eval(vals, meta, graph, idx):
     fm = vals[0]
     if fm.ndim != 3:
         raise ShapeMismatch(idx, "bdc", "(B, d, m) feature maps", fm.shape)
-    out, graph.saved[idx] = _bdc_forward(fm)
+    out, dists = _bdc_forward(fm)
+    if not graph.forward_only:
+        graph.saved[idx] = dists
     return out
 
 
@@ -503,13 +520,16 @@ _OPS = {
 def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Evaluate all nodes in record order; returns the marked outputs.
 
-    Activations stay on the graph for a subsequent backward call.
+    Activations stay on the graph for a subsequent backward call, except on
+    a forward-only graph, which drops each interior value that is not a
+    marked output once its last reader has run.
     """
     feeds = feeds or {}
     unknown = set(feeds) - set(graph.inputs)
     if unknown:
         raise GraphError(f"unknown input names {sorted(unknown)}")
     values = graph.values
+    dead = _dead_after(graph) if graph.forward_only else None
     for idx, node in enumerate(graph.nodes):
         if node.parents:
             vals = [values[p] for p in node.parents]
@@ -518,6 +538,9 @@ def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> di
             except ValueError as exc:
                 shapes = [v.shape for v in vals]
                 raise ShapeMismatch(idx, node.op, "broadcast-compatible operands", shapes) from exc
+            if dead is not None:
+                for p in dead[idx]:
+                    values[p] = None
         elif node.op == "input":
             if node.name not in feeds:
                 raise GraphError(f"missing input {node.name!r}")
@@ -527,6 +550,17 @@ def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> di
                 raise ShapeMismatch(idx, "input:" + str(node.name), want, arr.shape)
             values[idx] = arr
     return {name: values[i] for name, i in graph.outputs.items()}
+
+
+def _dead_after(graph: Graph) -> list[list[int]]:
+    """Per node: the interior nodes, not marked outputs, whose last reader
+    it is."""
+    last = {p: idx for idx, node in enumerate(graph.nodes) for p in node.parents}
+    dead: list[list[int]] = [[] for _ in graph.nodes]
+    for p, idx in last.items():
+        if graph.nodes[p].parents and p not in graph.outputs.values():
+            dead[idx].append(p)
+    return dead
 
 
 def _param_paths(graph: Graph, last: int) -> list[bool]:
@@ -548,6 +582,8 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
     of one. Gradient slots are replaced, not accumulated, on each call.
     Constants and inputs get no gradient and no slot.
     """
+    if graph.forward_only:
+        raise GraphError("backward on a forward-only graph: it keeps no activations or VJP caches")
     if loss.graph is not graph:
         raise GraphError("loss node belongs to a different graph")
     out = graph.values[loss.idx]

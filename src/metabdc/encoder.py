@@ -154,7 +154,7 @@ def to_nchw(images: np.ndarray, config: EncoderConfig) -> np.ndarray:
 def encode(images: np.ndarray, config: EncoderConfig, params: dict[str, np.ndarray]) -> np.ndarray:
     """(B, H, W, C) images -> (B, d, m) feature maps, forward-only; deterministic."""
     nchw = to_nchw(images, config).astype(params["conv0_w"].dtype)
-    g = Graph()
+    g = Graph(forward_only=True)
     refs = bind_params(g, params)
     x = g.input("images", nchw.shape)
     fm = conv_stack(g, x, refs, config)

@@ -271,7 +271,7 @@ def meta_finetune(
 
 def classifier_scores(params: dict[str, np.ndarray], enc_cfg: EncoderConfig, split: ImageSet) -> np.ndarray:
     """(n, n_classes) raw scores for every row of a split."""
-    g = Graph()
+    g = Graph(forward_only=True)
     scores = classify_head(g, g.constant(encode(split.pixels, enc_cfg, params)), bind_params(g, params))
     forward_eval(g)
     return scores.value

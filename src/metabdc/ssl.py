@@ -78,6 +78,9 @@ class AugmentConfig:
             raise ValueError("rotation and ramp ranges must be nonnegative")
 
 
+# images augment_views samples at once; bounds its float64 temporaries
+_AUGMENT_BLOCK = 32
+
 IDENTITY_AUGMENT = AugmentConfig(crop_scale=(1.0, 1.0), gain=(1.0, 1.0), bias=(0.0, 0.0), rotation=0.0, ramp=0.0)
 
 
@@ -88,7 +91,9 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
     a linear intensity ramp in a random direction.
 
     Deterministic given (config, rng); the identity config returns exact
-    copies of the input in both views.
+    copies of the input in both views. Each view draws every per-image
+    parameter first, then samples `_AUGMENT_BLOCK` images at a time, so a
+    whole-set call holds only one block's float64 temporaries.
     """
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[0] == 0:
@@ -110,27 +115,35 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
         left = gen.integers(0, w - side + 1)[:, None, None]
         side = side[:, None, None]
         angle = gen.uniform(-config.rotation, config.rotation, size=b)[:, None, None]
-        cos, sin = np.cos(angle), np.sin(angle)
-        src_r = (cos * rows - sin * cols + h / 2.0) * (side / h) - 0.5 + top
-        src_c = (sin * rows + cos * cols + w / 2.0) * (side / w) - 0.5 + left
-        src_r = np.clip(src_r, 0.0, h - 1.0)
-        src_c = np.clip(src_c, 0.0, w - 1.0)
-        r0 = np.floor(src_r)
-        c0 = np.floor(src_c)
-        fr = src_r - r0
-        fc = src_c - c0
-        i00 = base + (r0 * w + c0).astype(np.int64)
-        i10 = i00 + (r0 < h - 1) * w  # the next row and column stop at the last one
-        right = c0 < w - 1
-        upper = flat.take(i00) * (1 - fc) + flat.take(i00 + right) * fc
-        lower = flat.take(i10) * (1 - fc) + flat.take(i10 + right) * fc
-        out = upper * (1 - fr) + lower * fr
-        out = out * gen.uniform(*config.gain, size=b)[:, None, None] + gen.uniform(*config.bias, size=b)[:, None, None]
+        gain = gen.uniform(*config.gain, size=b)[:, None, None]
+        bias = gen.uniform(*config.bias, size=b)[:, None, None]
         if config.ramp > 0:
             amp = gen.uniform(0.0, config.ramp, size=b)[:, None, None]
             turn = gen.uniform(0.0, 2.0 * np.pi, size=b)[:, None, None]
-            out = out + amp * (np.cos(turn) * xx + np.sin(turn) * yy)
-        views.append(out[..., None].astype(images.dtype))
+            turn_cos, turn_sin = np.cos(turn), np.sin(turn)
+        cos, sin = np.cos(angle), np.sin(angle)
+        view = np.empty((b, h, w, 1), dtype=images.dtype)
+        for lo in range(0, b, _AUGMENT_BLOCK):
+            blk = slice(lo, lo + _AUGMENT_BLOCK)
+            src_r = (cos[blk] * rows - sin[blk] * cols + h / 2.0) * (side[blk] / h) - 0.5 + top[blk]
+            src_c = (sin[blk] * rows + cos[blk] * cols + w / 2.0) * (side[blk] / w) - 0.5 + left[blk]
+            src_r = np.clip(src_r, 0.0, h - 1.0)
+            src_c = np.clip(src_c, 0.0, w - 1.0)
+            r0 = np.floor(src_r)
+            c0 = np.floor(src_c)
+            fr = src_r - r0
+            fc = src_c - c0
+            i00 = base[blk] + (r0 * w + c0).astype(np.int64)
+            i10 = i00 + (r0 < h - 1) * w  # the next row and column stop at the last one
+            right = c0 < w - 1
+            upper = flat.take(i00) * (1 - fc) + flat.take(i00 + right) * fc
+            lower = flat.take(i10) * (1 - fc) + flat.take(i10 + right) * fc
+            out = upper * (1 - fr) + lower * fr
+            out = out * gain[blk] + bias[blk]
+            if config.ramp > 0:
+                out = out + amp[blk] * (turn_cos[blk] * xx + turn_sin[blk] * yy)
+            view[blk, ..., 0] = out
+        views.append(view)
     return views[0], views[1]
 
 
@@ -386,8 +399,20 @@ def update_representation(
 # partition search
 
 
+def _partition_maps(za: np.ndarray, zb: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
+    """The contrastive maps (M_den, M_num, s_pos) of fixed embeddings,
+    evaluated once, in float64, on a forward-only graph."""
+    n = np.shape(za)[0]
+    g = Graph(forward_only=True)
+    maps = _contrastive_maps(
+        g, g.constant(np.asarray(za, dtype=np.float64)), g.constant(np.asarray(zb, dtype=np.float64)), n, tau
+    )
+    forward_eval(g)
+    return tuple(m.value for m in maps)
+
+
 def _partition_objective_graph(
-    g: Graph, w1: Var, za: np.ndarray, zb: np.ndarray, lambda2: float, tau: float
+    g: Graph, w1: Var, maps: tuple[np.ndarray, ...], lambda2: float, tau: float
 ) -> Var:
     """Graph node for the partition objective at membership weights w1 (first
     subset) and 1 - w1 (second): per subset, the membership-weighted mean
@@ -395,17 +420,12 @@ def _partition_objective_graph(
     weights it is the hard objective of that partition; a weight vector
     with all its mass in one subset leaves the other's mean undefined.
 
-    The embeddings are fixed, so the training maps are evaluated once, in
-    float64, and enter this graph as constants.
+    The embeddings are fixed, so `maps` are `_partition_maps`, built once
+    per search and shared by its relaxation and every hard objective; they
+    enter this graph as constants.
     """
-    n = np.shape(za)[0]
-    mg = Graph()
-    maps = _contrastive_maps(
-        mg, mg.constant(np.asarray(za, dtype=np.float64)), mg.constant(np.asarray(zb, dtype=np.float64)), n, tau
-    )
-    forward_eval(mg)
-    maps = tuple(g.constant(m.value) for m in maps)
-
+    n = maps[0].shape[0]
+    maps = tuple(g.constant(m) for m in maps)
     obj = None
     for w in (w1, 1.0 - w1):
         mass, loss, grad_theta = _subset_sums(maps, w, n, tau)
@@ -416,23 +436,31 @@ def _partition_objective_graph(
     return obj
 
 
+def _hard_objective(maps: tuple[np.ndarray, ...], in_first: np.ndarray, lambda2: float, tau: float) -> float:
+    """The partition objective at the 0/1 weights of mask `in_first`."""
+    g = Graph(forward_only=True)
+    obj = _partition_objective_graph(g, g.constant(in_first.astype(np.float64)), maps, lambda2, tau)
+    forward_eval(g)
+    return float(obj.value)
+
+
 def eval_partition_objective(
     za: np.ndarray, zb: np.ndarray, in_first: np.ndarray, lambda2: float, tau: float
 ) -> float:
     """Hard objective of a candidate partition: sum over both subsets of the
     per-sample mean contrastive loss + lambda2 * (mean theta-derivative)^2,
     the relaxation of find_partition_embeddings at hard 0/1 weights.
-    Degenerate partitions are invalid."""
+    Degenerate partitions are invalid. Builds the maps of (za, zb) for
+    this one call; the search builds them once and scores its candidates
+    through the same objective builder.
+    """
     in_first = np.asarray(in_first, dtype=bool)
     n = np.shape(za)[0]
     if in_first.shape != (n,):
         raise ValueError(f"mask of shape {in_first.shape} does not cover {n} samples")
     if in_first.all() or not in_first.any():
         raise ValueError("degenerate partition: one subset is empty")
-    g = Graph()
-    obj = _partition_objective_graph(g, g.constant(in_first.astype(np.float64)), za, zb, lambda2, tau)
-    forward_eval(g)
-    return float(obj.value)
+    return _hard_objective(_partition_maps(za, zb, tau), in_first, lambda2, tau)
 
 
 _ADAM_B1, _ADAM_B2 = 0.9, 0.999
@@ -458,10 +486,11 @@ def find_partition_embeddings(
     if n < 2:
         raise ValueError("partition search needs at least 2 samples")
 
+    maps = _partition_maps(za, zb, config.tau)
     logits_val = np.zeros(n)
     g = Graph()
     logits = g.parameter("logits", logits_val)
-    obj = _partition_objective_graph(g, logits.sigmoid(), za, zb, config.lambda2, config.tau)
+    obj = _partition_objective_graph(g, logits.sigmoid(), maps, config.lambda2, config.tau)
     best_obj = -np.inf
     best_mask: np.ndarray | None = None
     for restart in range(config.partition_restarts):
@@ -487,7 +516,7 @@ def find_partition_embeddings(
             flip = int(np.argmin(np.abs(logits_val)))
             in_first[flip] = not in_first[flip]
             log.debug("partition restart %d hardened degenerate; flipped sample %d", restart, flip)
-        hard_obj = eval_partition_objective(za, zb, in_first, config.lambda2, config.tau)
+        hard_obj = _hard_objective(maps, in_first, config.lambda2, config.tau)
         if hard_obj > best_obj:
             best_obj = hard_obj
             best_mask = in_first
@@ -502,7 +531,7 @@ def find_partition_embeddings(
 
 def _embed_dataset(images: np.ndarray, params: dict[str, np.ndarray], enc_cfg: EncoderConfig) -> np.ndarray:
     nchw = to_nchw(images, enc_cfg).astype(params["conv0_w"].dtype)
-    g = Graph()
+    g = Graph(forward_only=True)
     z = _embed_batch_graph(g, nchw, params, enc_cfg)
     g.mark_output("z", z)
     return forward_eval(g, {"images": nchw})["z"]

@@ -1,13 +1,9 @@
 import io
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import metabdc
 from metabdc.core import (
     Graph,
     GraphError,
@@ -24,6 +20,7 @@ from metabdc.core import (
     write_array,
 )
 from metabdc.core import graph as graph_module
+from fresh_interpreter import traced_numbers
 from gradcheck import grad_check
 from oracles import col2im_slice_add_oracle, conv2d_oracle
 
@@ -197,6 +194,64 @@ def test_forward_backward_bit_identical_across_runs():
         assert np.array_equal(ga[k], gb[k])
 
 
+def _encode_bdc_graph(forward_only):
+    """An encode-shaped stack, two conv + relu stages reshaped to (B, d, m)
+    maps, then one bdc node: (graph, images input, first conv, maps, bdc).
+    The maps are a marked output; the bdc node is read by nothing."""
+    rng = SeededRng(61).generator()
+    g = Graph(forward_only=forward_only)
+    x = g.input("images", (3, 1, 16, 16))
+    w0 = g.parameter("w0", rng.normal(size=(4, 1, 3, 3)).astype(np.float32))
+    b0 = g.parameter("b0", rng.normal(size=4).astype(np.float32))
+    w1 = g.parameter("w1", rng.normal(size=(6, 4, 3, 3)).astype(np.float32))
+    b1 = g.parameter("b1", rng.normal(size=6).astype(np.float32))
+    conv0 = x.conv2d(w0, b0, stride=2, pad=1)
+    fm = conv0.relu().conv2d(w1, b1, stride=2, pad=1).relu().reshape((-1, 6, 16))
+    g.mark_output("fm", fm)
+    return g, x, conv0, fm, fm.bdc()
+
+
+def _encode_bdc_feeds():
+    return {"images": SeededRng(62).generator().normal(size=(3, 1, 16, 16)).astype(np.float32)}
+
+
+def test_forward_only_graph_keeps_the_bytes_and_frees_interior_values():
+    """A forward-only sweep gives the maps and the bdc matrices byte-equal to
+    a full sweep of the same graph, keeps leaves, outputs and unread nodes,
+    frees every other interior value and keeps no VJP cache."""
+    full, *_, full_fm, full_bdc = _encode_bdc_graph(forward_only=False)
+    forward_eval(full, _encode_bdc_feeds())
+    g, x, conv0, fm, bdc = _encode_bdc_graph(forward_only=True)
+    out = forward_eval(g, _encode_bdc_feeds())
+    for got, want in ((out["fm"], full_fm.value), (fm.value, full_fm.value), (bdc.value, full_bdc.value)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert x.value.shape == (3, 1, 16, 16)
+    with pytest.raises(GraphError, match="forward-only"):
+        conv0.value
+    kept = {i for i, v in enumerate(g.values) if v is not None and g.nodes[i].parents}
+    assert kept == {fm.idx, bdc.idx}
+    assert all(slot is None for slot in g.saved)
+    assert all(full.saved[i] is not None for i, node in enumerate(full.nodes) if node.op in ("conv2d", "bdc"))
+
+
+def test_backward_rejects_a_forward_only_graph():
+    g, *_, bdc = _encode_bdc_graph(forward_only=True)
+    loss = (bdc * bdc).sum()
+    forward_eval(g, _encode_bdc_feeds())
+    with pytest.raises(GraphError, match="forward-only graph"):
+        backward(g, loss)
+
+
+def test_a_default_graph_keeps_every_value_and_differentiates():
+    g, *_, bdc = _encode_bdc_graph(forward_only=False)
+    loss = (bdc * bdc).sum()
+    forward_eval(g, _encode_bdc_feeds())
+    assert all(v is not None for v in g.values)
+    grads = backward(g, loss)
+    assert sorted(grads) == ["b0", "b1", "w0", "w1"]
+    assert all(np.abs(grad).max() > 0 for grad in grads.values())
+
+
 def test_backward_gives_constants_and_inputs_no_gradient(monkeypatch):
     """Parameter grads of a conv -> relu -> conv -> relu -> mul-by-constant ->
     matmul loss are bit-equal whether the images enter as an input or a
@@ -333,10 +388,8 @@ def test_im2col_calls_leave_no_memory_behind():
     Built with np.lib.stride_tricks.as_strided, which reads
     __array_interface__ on every call, they kept about 0.96 MB: a resized
     interned-string table."""
-    src = os.path.dirname(os.path.dirname(metabdc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _IM2COL_LOOP], env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 64 * 1024
+    [live] = traced_numbers(_IM2COL_LOOP)
+    assert live < 64 * 1024
 
 
 def test_sqrt_guard_clamps_and_zeroes_gradient_below_eps():

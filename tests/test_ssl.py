@@ -21,6 +21,8 @@ from metabdc.ssl import (
     IpIrmConfig,
     PartitionMatrix,
     _embed_dataset,
+    _hard_objective,
+    _partition_maps,
     _partition_objective_graph,
     augment_views,
     eval_partition_objective,
@@ -29,6 +31,7 @@ from metabdc.ssl import (
     update_representation,
     write_trace_csv,
 )
+from fresh_interpreter import traced_numbers
 from gradcheck import grad_check
 from oracles import (
     augment_views_oracle,
@@ -111,19 +114,23 @@ def test_augment_ramp_adds_a_bounded_plane():
 
 
 @pytest.mark.parametrize(
-    "config, shape",
+    "config, shape, seeds",
     [
-        (AugmentConfig(), (4, 16, 16, 1)),
-        (AugmentConfig(), (3, 12, 20, 1)),
-        (AugmentConfig(crop_scale=(1.0, 1.0)), (4, 16, 16, 1)),  # turned full frames clip at the last index
-        (AugmentConfig(crop_scale=(1.0, 1.0)), (3, 20, 12, 1)),
+        (AugmentConfig(), (4, 16, 16, 1), 50),
+        (AugmentConfig(), (3, 12, 20, 1), 50),
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (4, 16, 16, 1), 50),  # turned full frames clip at the last index
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (3, 20, 12, 1), 50),
+        (AugmentConfig(), (33, 16, 16, 1), 50),  # one image past a 32-image block
+        (AugmentConfig(), (256, 16, 16, 1), 5),  # a whole study pretraining set
     ],
-    ids=["default", "wide", "full-frame-turned", "tall-full-frame-turned"],
+    ids=["default", "wide", "full-frame-turned", "tall-full-frame-turned", "one-past-a-block", "whole-set"],
 )
-def test_augment_views_keep_the_bytes_of_the_fancy_index_sample(config, shape):
+def test_augment_views_keep_the_bytes_of_the_fancy_index_sample(config, shape, seeds):
     """Both views are byte-equal to the three-array fancy-index bilinear
-    sample over 50 seeds, on square and non-square float32 images."""
-    for seed in range(50):
+    sample, which draws and samples the whole batch at once, on square and
+    non-square float32 images and on batches of one, two and eight
+    32-image blocks."""
+    for seed in range(seeds):
         imgs = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
         got = augment_views(imgs, config, SeededRng(100 + seed))
         want = augment_views_oracle(imgs, config, SeededRng(100 + seed))
@@ -597,8 +604,9 @@ def test_partition_relaxation_matches_weighted_oracle_at_soft_weights():
         gen = np.random.default_rng(700 + seed)
         za, zb = unit_rows(gen, n, 4), unit_rows(gen, n, 4)
         w1 = gen.uniform(0.05, 0.95, size=n)
+        maps = _partition_maps(za, zb, cfg.tau)
         g = Graph()
-        obj = _partition_objective_graph(g, g.constant(w1), za, zb, cfg.lambda2, cfg.tau)
+        obj = _partition_objective_graph(g, g.constant(w1), maps, cfg.lambda2, cfg.tau)
         forward_eval(g)
         want = weighted_partition_objective(za, zb, w1, cfg.lambda2, cfg.tau)
         assert abs(float(obj.value) - want) <= 1e-9
@@ -606,11 +614,71 @@ def test_partition_relaxation_matches_weighted_oracle_at_soft_weights():
         def objective(point):
             g = Graph()
             logits = g.parameter("logits", point["logits"])
-            obj = _partition_objective_graph(g, logits.sigmoid(), za, zb, cfg.lambda2, cfg.tau)
+            obj = _partition_objective_graph(g, logits.sigmoid(), maps, cfg.lambda2, cfg.tau)
             forward_eval(g)
             return float(obj.value), backward(g, obj)
 
         assert grad_check(objective, {"logits": gen.normal(size=n)}, eps=1e-6) <= 1e-6
+
+
+def test_search_builds_its_maps_once_and_scores_with_the_bytes_of_eval_partition_objective(monkeypatch):
+    """The search builds its maps once and scores each restart's hardened
+    candidate on them; every score equals eval_partition_objective, which
+    builds the maps afresh, for the same mask."""
+    cfg = IpIrmConfig(partition_restarts=3)
+    za, zb = random_views(31, n=24, p=4)
+    builds = []
+    seen = []
+
+    def count_builds(*args):
+        builds.append(args)
+        return _partition_maps(*args)
+
+    def spy(maps, in_first, lambda2, tau):
+        value = _hard_objective(maps, in_first, lambda2, tau)
+        seen.append((in_first.copy(), value))
+        return value
+
+    monkeypatch.setattr(ssl_module, "_partition_maps", count_builds)
+    monkeypatch.setattr(ssl_module, "_hard_objective", spy)
+    find_partition_embeddings(za, zb, cfg, SeededRng(37))
+    monkeypatch.undo()
+    assert len(builds) == 1
+    assert len(seen) == cfg.partition_restarts
+    for mask, value in seen:
+        assert value == eval_partition_objective(za, zb, mask, cfg.lambda2, cfg.tau)
+
+
+_WHOLE_SET_PEAKS = """
+import gc, tracemalloc
+import numpy as np
+from metabdc.core import SeededRng
+from metabdc.ssl import AugmentConfig, IpIrmConfig, augment_views, find_partition_embeddings
+gen = np.random.default_rng(0)
+images = gen.normal(size=(256, 16, 16, 1)).astype(np.float32)
+za, zb = (z / np.linalg.norm(z, axis=1, keepdims=True) for z in gen.normal(size=(2, 256, 16)))
+augment_views(images[:2], AugmentConfig(), SeededRng(1))
+tracemalloc.start()
+for call in (
+    lambda: augment_views(images, AugmentConfig(), SeededRng(1)),
+    lambda: find_partition_embeddings(za, zb, IpIrmConfig(), SeededRng(2)),
+):
+    gc.collect()
+    tracemalloc.reset_peak()
+    entry = tracemalloc.get_traced_memory()[0]
+    call()
+    print(tracemalloc.get_traced_memory()[1] - entry)
+"""
+
+
+def test_whole_set_passes_keep_their_peak_memory_down():
+    """Peak traced bytes above entry, in a fresh interpreter, of one
+    augment_views call and one partition search over 256 study-sized
+    samples. Before blocked rendering, shared maps and forward-only graphs
+    they were about 7.5 MB and 8.5 MB; now about 1.6 MB and 4.2 MB."""
+    augment_peak, search_peak = traced_numbers(_WHOLE_SET_PEAKS)
+    assert augment_peak < 3_000_000
+    assert search_peak < 6_000_000
 
 
 # ---------------------------------------------------------------------------
