@@ -19,9 +19,9 @@ Design constraints:
     their roots,
   * a graph built as `Graph(forward_only=True)` is never differentiated:
     forward_eval fills no `saved` slot and drops each interior value once
-    its last reader has run, keeping leaves, marked outputs and the nodes
-    nothing reads, so a whole-set pass holds only the values still to be
-    read; backward on it is an error,
+    its last reader has run, keeping leaves and the nodes nothing reads,
+    so a whole-set pass holds only the values still to be read; backward
+    on it is an error,
   * backward starts from a scalar node only; it caches per loss node which
     nodes depend on a parameter, so a graph that is built once and replayed
     walks that once,
@@ -200,7 +200,6 @@ class Graph:
         self.saved: list[tuple | None] = []
         self.inputs: dict[str, int] = {}
         self.params: dict[str, int] = {}
-        self.outputs: dict[str, int] = {}
         self._path_cache: dict[int, list[bool]] = {}
 
     def _append(self, node: _Node) -> Var:
@@ -242,9 +241,6 @@ class Graph:
         var = self._append(_Node("const", (), {}))
         self.values[var.idx] = value
         return var
-
-    def mark_output(self, name: str, var: Var) -> None:
-        self.outputs[name] = var.idx
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +513,12 @@ _OPS = {
 # forward and reverse sweeps
 
 
-def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Evaluate all nodes in record order; returns the marked outputs.
+def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> None:
+    """Evaluate all nodes in record order; results are read as `Var.value`.
 
     Activations stay on the graph for a subsequent backward call, except on
-    a forward-only graph, which drops each interior value that is not a
-    marked output once its last reader has run.
+    a forward-only graph, which drops each interior value once its last
+    reader has run; a node nothing reads keeps its value.
     """
     feeds = feeds or {}
     unknown = set(feeds) - set(graph.inputs)
@@ -549,16 +545,14 @@ def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> di
             if len(arr.shape) != len(want) or any(w is not None and w != a for w, a in zip(want, arr.shape)):
                 raise ShapeMismatch(idx, "input:" + str(node.name), want, arr.shape)
             values[idx] = arr
-    return {name: values[i] for name, i in graph.outputs.items()}
 
 
 def _dead_after(graph: Graph) -> list[list[int]]:
-    """Per node: the interior nodes, not marked outputs, whose last reader
-    it is."""
+    """Per node: the interior nodes whose last reader it is."""
     last = {p: idx for idx, node in enumerate(graph.nodes) for p in node.parents}
     dead: list[list[int]] = [[] for _ in graph.nodes]
     for p, idx in last.items():
-        if graph.nodes[p].parents and p not in graph.outputs.values():
+        if graph.nodes[p].parents:
             dead[idx].append(p)
     return dead
 

@@ -5,6 +5,7 @@ array with row-aligned fine, coarse, group and domain labels.
 Preprocessing crops each row to a physical field of view, resizes it and
 z-scores each group's rows jointly; a split is a read-only subset of
 rows, and an `Episode` is support and query row indices into a split.
+Training loops draw each epoch's row order with `minibatches`.
 
 Fine classes nest inside coarse classes: the coarse label fixes a
 texture-scale cue (frequency band) that all its fine classes share, and
@@ -359,7 +360,20 @@ def split_dataset(
 
 
 # ---------------------------------------------------------------------------
-# episodes
+# minibatches and episodes
+
+
+def minibatches(n: int, batch_size: int, rng: SeededRng):
+    """One epoch over n rows in the order of a permutation drawn from `rng`:
+    yields (start, rows), the rows at positions start..start + batch_size of
+    that order. A 1-row tail is dropped: it cannot form a contrastive term,
+    and every training loop shares this one order and tail rule.
+    """
+    order = rng.generator().permutation(n)
+    for start in range(0, n, batch_size):
+        rows = order[start : start + batch_size]
+        if rows.size >= 2:
+            yield start, rows
 
 
 def sample_episode(split: ImageSet, spec: EpisodeSpec, rng: SeededRng) -> Episode:

@@ -158,8 +158,8 @@ def encode(images: np.ndarray, config: EncoderConfig, params: dict[str, np.ndarr
     refs = bind_params(g, params)
     x = g.input("images", nchw.shape)
     fm = conv_stack(g, x, refs, config)
-    g.mark_output("fm", fm)
-    return forward_eval(g, {"images": nchw})["fm"]
+    forward_eval(g, {"images": nchw})
+    return fm.value
 
 
 def save_encoder_checkpoint(path: str, params: dict[str, np.ndarray], config: EncoderConfig) -> None:

@@ -36,7 +36,7 @@ from .bdc import (
     scores_graph,
 )
 from .core import Graph, SeededRng, backward, forward_eval
-from .data import Episode, EpisodeSpec, ImageSet, sample_episode
+from .data import Episode, EpisodeSpec, ImageSet, minibatches, sample_episode
 from .encoder import EncoderConfig, bind_params, classify_head, conv_stack, encode, init_classifier, to_nchw
 from .metrics import auroc_multiclass_ovr
 from .optim import PesgState, ScheduleConfig, aucm_loss_graph, pesg_step, schedule_lr, sgd_step
@@ -314,11 +314,7 @@ def supervised_pretrain_ce(
     sched = ScheduleConfig("cosine", lr, epochs)
     for epoch in range(epochs):
         cur_lr = schedule_lr(sched, epoch)
-        order = rng.child(10_000 + epoch).generator().permutation(len(split))
-        for start in range(0, len(split), batch_size):
-            idx = order[start : start + batch_size]
-            if idx.size < 2:
-                continue
+        for _start, idx in minibatches(len(split), batch_size, rng.child(10_000 + epoch)):
             g = Graph()
             refs = bind_params(g, step_params)
             x = g.input("x", (idx.size,) + all_nchw.shape[1:])
@@ -369,11 +365,7 @@ def supervised_finetune(
     for epoch in range(config.epochs):
         lr = schedule_lr(sched, epoch)
         state.start_epoch(step_params, epoch, config.decay_epochs)
-        order = rng.child(10_000 + epoch).generator().permutation(len(train))
-        for start in range(0, len(train), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if idx.size < 2:
-                continue
+        for _start, idx in minibatches(len(train), config.batch_size, rng.child(10_000 + epoch)):
             g = Graph()
             refs = bind_params(g, step_params)
             x = g.input("x", (idx.size,) + all_nchw.shape[1:])

@@ -65,6 +65,9 @@ def auroc_multiclass_ovr(scores: np.ndarray, labels: np.ndarray, pair_totals: li
     labels = np.asarray(labels)
     if scores.ndim != 2 or scores.shape[0] != labels.shape[0]:
         raise ValueError(f"need (n, K) scores aligned with n labels, got {scores.shape} and {labels.shape}")
+    k = scores.shape[1]
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels must lie in [0, {k}) for {k} score columns, got {labels.min()} to {labels.max()}")
     present = sorted(set(int(l) for l in labels))
     if len(present) < 2:
         raise ValueError("multiclass AUROC needs at least 2 classes present")

@@ -1,7 +1,8 @@
 """Contrastive pretraining with iterative partition-based invariance.
 
-The unlabeled set is repeatedly split into two subsets by a partition
-matrix. Each subset contributes a contrastive loss over two augmented
+The unlabeled set is repeatedly split into two subsets by a partition:
+a 1-D boolean mask over the set, True for the first subset and False for
+the second. Each subset contributes a contrastive loss over two augmented
 views plus an invariance penalty: the squared derivative of that
 subset's per-sample mean loss with respect to a dummy scalar theta
 multiplying the similarities, evaluated at theta = 1. Training
@@ -47,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Graph, SeededRng, Var, backward, forward_eval
-from .encoder import EncoderConfig, bind_params, conv_stack, init_params, project_head, to_nchw
+from .data import minibatches
+from .encoder import EncoderConfig, bind_params, conv_stack, project_head, to_nchw
 from .imageops import resize_bilinear  # noqa: F401 - perfbench traces this module's binding
 from .optim import ScheduleConfig, lr_from_batch, schedule_lr, sgd_step
 
@@ -149,46 +151,6 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
 
 # ---------------------------------------------------------------------------
 # partitions
-
-
-@dataclass(frozen=True)
-class PartitionMatrix:
-    """n x 2 one-hot assignment of samples to two subsets."""
-
-    assignments: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = self.assignments
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"partition matrix must be (n, 2), got {a.shape}")
-        if not np.all((a == 0) | (a == 1)):
-            raise ValueError("partition entries must be 0/1")
-        if not np.all(a.sum(axis=1) == 1):
-            raise ValueError("every row must be one-hot")
-
-    @classmethod
-    def trivial(cls, n: int) -> "PartitionMatrix":
-        a = np.zeros((n, 2), dtype=np.int8)
-        a[:, 0] = 1
-        return cls(a)
-
-    @classmethod
-    def from_mask(cls, in_first: np.ndarray) -> "PartitionMatrix":
-        in_first = np.asarray(in_first, dtype=bool)
-        a = np.zeros((in_first.shape[0], 2), dtype=np.int8)
-        a[in_first, 0] = 1
-        a[~in_first, 1] = 1
-        return cls(a)
-
-    @property
-    def n(self) -> int:
-        return self.assignments.shape[0]
-
-    def subset_indices(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments[:, k] == 1)
-
-    def is_degenerate(self) -> bool:
-        return self.subset_indices(0).size == 0 or self.subset_indices(1).size == 0
 
 
 @dataclass(frozen=True)
@@ -337,7 +299,7 @@ def _objective_graph(
 def update_representation(
     params: dict[str, np.ndarray],
     enc_cfg: EncoderConfig,
-    partitions: list[PartitionMatrix],
+    partitions: list[np.ndarray],
     batch_stream,
     config: IpIrmConfig,
     lr: float,
@@ -353,9 +315,17 @@ def update_representation(
     every batch with that key, fed the batch's images and membership
     weights; `sgd_step` updates in place the parameter arrays it references.
 
-    `batch_stream` yields (sample_indices, view_a, view_b) with views as
-    (B, H, W, C) image batches. Mutates `params`; returns trace rows.
+    Each partition is a 1-D bool mask over the pretraining set: a batch's
+    first subset is where `mask[sample_indices]` is True, its second where
+    it is False. `batch_stream` yields (sample_indices, view_a, view_b)
+    with views as (B, H, W, C) image batches. Mutates `params`; returns
+    trace rows.
     """
+    for i, mask in enumerate(partitions):
+        # an int 0/1 mask would index the same, but ~ would make it -1/-2 weights
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.ndim == 1):
+            got = f"{mask.dtype} array of shape {mask.shape}" if isinstance(mask, np.ndarray) else type(mask).__name__
+            raise ValueError(f"partitions[{i}] must be a 1-D bool mask, got {got}")
     trace: list[TraceRow] = []
     graphs: dict[tuple, tuple] = {}
     step = step_offset
@@ -363,10 +333,10 @@ def update_representation(
         nchw = np.concatenate([to_nchw(view_a, enc_cfg), to_nchw(view_b, enc_cfg)]).astype(params["conv0_w"].dtype)
         feeds = {"images": nchw}
         pattern = []
-        for p_idx, partition in enumerate(partitions):
-            batch_cols = partition.assignments[indices]
-            for k in (0, 1):
-                weights = batch_cols[:, k].astype(np.float64)
+        for p_idx, mask in enumerate(partitions):
+            in_first = mask[indices]
+            for k, member in enumerate((in_first, ~in_first)):
+                weights = member.astype(np.float64)
                 if not weights.any():
                     log.debug("step %d: partition %d subset %d empty on this batch, skipped", step, p_idx, k)
                     pattern.append("empty")
@@ -468,8 +438,9 @@ _ADAM_B1, _ADAM_B2 = 0.9, 0.999
 
 def find_partition_embeddings(
     za: np.ndarray, zb: np.ndarray, config: IpIrmConfig, rng: SeededRng
-) -> PartitionMatrix:
-    """Search for the partition maximizing the subset objective.
+) -> np.ndarray:
+    """Search for the partition maximizing the subset objective; returns it
+    as a bool mask over the n samples, True for the first subset.
 
     Per-sample logits are optimized by gradient ascent on a soft relaxation
     with the embeddings fixed, hardened by thresholding (ties to the first
@@ -480,7 +451,9 @@ def find_partition_embeddings(
     corner, while the mean form keeps the ascent inside the valid region.
     Each logit's gradient through a mean scales like 1/n, so the ascent
     is Adam (per-coordinate step about `partition_lr` whatever n is).
-    All-degenerate outcomes error.
+    A candidate that hardens into one subset has its least-committed sample
+    moved across, so both subsets of the result are nonempty; if no
+    candidate scores above -inf, the search errors.
     """
     n = np.shape(za)[0]
     if n < 2:
@@ -522,7 +495,7 @@ def find_partition_embeddings(
             best_mask = in_first
     if best_mask is None:
         raise ValueError("all candidate partitions degenerate")
-    return PartitionMatrix.from_mask(best_mask)
+    return best_mask
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +506,8 @@ def _embed_dataset(images: np.ndarray, params: dict[str, np.ndarray], enc_cfg: E
     nchw = to_nchw(images, enc_cfg).astype(params["conv0_w"].dtype)
     g = Graph(forward_only=True)
     z = _embed_batch_graph(g, nchw, params, enc_cfg)
-    g.mark_output("z", z)
-    return forward_eval(g, {"images": nchw})["z"]
+    forward_eval(g, {"images": nchw})
+    return z.value
 
 
 PRETRAIN_MODES = ("simclr", "ipirm")
@@ -546,23 +519,22 @@ def pretrain(
     config: IpIrmConfig,
     enc_cfg: EncoderConfig,
     rng: SeededRng,
-    dtype=np.float32,
-    init: dict[str, np.ndarray] | None = None,
-) -> tuple[dict[str, np.ndarray], list[PartitionMatrix], list[TraceRow]]:
+    init: dict[str, np.ndarray],
+) -> tuple[dict[str, np.ndarray], list[np.ndarray], list[TraceRow]]:
     """Full pretraining: a training phase, then (search + train) rounds.
 
     simclr mode forces lambda1 = 0 and zero search rounds, which is exactly
-    the ipirm path restricted to the trivial partition. Training starts
-    from a copy of `init` when given, else from a draw on rng.child(0).
-    Returns the trained params, the grown partition set, and the per-step
-    trace.
+    the ipirm path restricted to the trivial partition (every image in the
+    first subset). Training starts from a copy of `init`, in its dtype.
+    Returns the trained params, the grown partition set as bool masks over
+    `images`, and the per-step trace.
     """
     if mode not in PRETRAIN_MODES:
         raise ValueError(f"unknown pretrain mode {mode!r}")
     images = np.asarray(images)
-    if images.shape[0] == 0:
-        raise ValueError("empty pretraining dataset")
     n = images.shape[0]
+    if n < 2:
+        raise ValueError(f"pretraining needs at least 2 images for a contrastive term, got {n}")
 
     lambda1 = 0.0 if mode == "simclr" else config.lambda1
     n_outer = 0 if mode == "simclr" else config.outer_iterations
@@ -570,21 +542,14 @@ def pretrain(
     total_epochs = (n_outer + 1) * config.epochs_per_iter
     sched = ScheduleConfig(kind="cosine", base_lr=base_lr, total_epochs=total_epochs)
 
-    if init is None:
-        params = init_params(enc_cfg, rng.child(0), dtype=dtype)
-    else:
-        params = {k: np.array(v, dtype=dtype) for k, v in init.items()}
-    partitions = [PartitionMatrix.trivial(n)]
+    params = {k: v.copy() for k, v in init.items()}
+    partitions = [np.ones(n, dtype=bool)]
     trace: list[TraceRow] = []
     epoch = 0
     step = 0
 
     def batches(epoch_idx: int):
-        order = rng.child(10_000 + epoch_idx).generator().permutation(n)
-        for b_start in range(0, n, config.batch_size):
-            idx = order[b_start : b_start + config.batch_size]
-            if idx.size < 2:
-                continue  # a 1-sample tail cannot form a contrastive term
+        for b_start, idx in minibatches(n, config.batch_size, rng.child(10_000 + epoch_idx)):
             va, vb = augment_views(
                 images[idx], config.augment, rng.child(20_000 + epoch_idx).child(b_start)
             )

@@ -91,8 +91,9 @@ def test_graph_variant_matches_numpy_path():
     batch = rng.normal(size=(4, 6, 8))
     g = Graph()
     x = g.parameter("x", batch)
-    g.mark_output("a", x.bdc())
-    out = forward_eval(g)["a"]
+    a = x.bdc()
+    forward_eval(g)
+    out = a.value
     assert np.array_equal(out, bdc_matrix(batch))
     for i in range(4):
         assert np.abs(out[i] - bdc_oracle(batch[i])).max() <= 1e-9
@@ -222,8 +223,9 @@ def test_episode_scores_graph_matches_numpy():
         g = Graph()
         s = g.parameter("s", support)
         q = g.parameter("q", queries)
-        g.mark_output("scores", scores_graph(q, prototypes_graph(s, n, k, d), n, d, metric))
-        got = forward_eval(g)["scores"]
+        scores = scores_graph(q, prototypes_graph(s, n, k, d), n, d, metric)
+        forward_eval(g)
+        got = scores.value
         ref = score_oracle(queries, [protos[c] for c in range(n)], metric)
         assert np.abs(got - ref).max() <= 1e-9
         assert np.array_equal(got, episode_classify(queries, class_prototypes(support, n), metric))

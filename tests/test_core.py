@@ -41,9 +41,9 @@ def scalar_fn(build):
 def test_forward_times_two():
     g = Graph()
     x = g.input("x", (None,))
-    g.mark_output("y", x * 2.0)
-    out = forward_eval(g, {"x": np.array([1.0, 2.0, 3.0])})
-    assert np.array_equal(out["y"], [2.0, 4.0, 6.0])
+    y = x * 2.0
+    forward_eval(g, {"x": np.array([1.0, 2.0, 3.0])})
+    assert np.array_equal(y.value, [2.0, 4.0, 6.0])
 
 
 def test_backward_square_at_three():
@@ -104,7 +104,6 @@ def test_backward_requires_forward_first():
 def test_shape_mismatch_names_node_and_shapes():
     g = Graph()
     x = g.input("x", (2, 3))
-    g.mark_output("y", x * 1.0)
     with pytest.raises(ShapeMismatch) as exc:
         forward_eval(g, {"x": np.ones((4, 3))})
     assert exc.value.node == x.idx
@@ -197,7 +196,7 @@ def test_forward_backward_bit_identical_across_runs():
 def _encode_bdc_graph(forward_only):
     """An encode-shaped stack, two conv + relu stages reshaped to (B, d, m)
     maps, then one bdc node: (graph, images input, first conv, maps, bdc).
-    The maps are a marked output; the bdc node is read by nothing."""
+    The bdc node reads the maps and is read by nothing."""
     rng = SeededRng(61).generator()
     g = Graph(forward_only=forward_only)
     x = g.input("images", (3, 1, 16, 16))
@@ -207,7 +206,6 @@ def _encode_bdc_graph(forward_only):
     b1 = g.parameter("b1", rng.normal(size=6).astype(np.float32))
     conv0 = x.conv2d(w0, b0, stride=2, pad=1)
     fm = conv0.relu().conv2d(w1, b1, stride=2, pad=1).relu().reshape((-1, 6, 16))
-    g.mark_output("fm", fm)
     return g, x, conv0, fm, fm.bdc()
 
 
@@ -216,20 +214,21 @@ def _encode_bdc_feeds():
 
 
 def test_forward_only_graph_keeps_the_bytes_and_frees_interior_values():
-    """A forward-only sweep gives the maps and the bdc matrices byte-equal to
-    a full sweep of the same graph, keeps leaves, outputs and unread nodes,
-    frees every other interior value and keeps no VJP cache."""
-    full, *_, full_fm, full_bdc = _encode_bdc_graph(forward_only=False)
+    """A forward-only sweep gives the bdc matrices byte-equal to a full
+    sweep of the same graph, keeps leaves and the unread bdc node, frees
+    every other interior value (the maps too, once bdc has read them) and
+    keeps no VJP cache."""
+    full, *_, full_bdc = _encode_bdc_graph(forward_only=False)
     forward_eval(full, _encode_bdc_feeds())
     g, x, conv0, fm, bdc = _encode_bdc_graph(forward_only=True)
-    out = forward_eval(g, _encode_bdc_feeds())
-    for got, want in ((out["fm"], full_fm.value), (fm.value, full_fm.value), (bdc.value, full_bdc.value)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    forward_eval(g, _encode_bdc_feeds())
+    assert bdc.value.dtype == full_bdc.value.dtype and np.array_equal(bdc.value, full_bdc.value)
     assert x.value.shape == (3, 1, 16, 16)
-    with pytest.raises(GraphError, match="forward-only"):
-        conv0.value
+    for freed in (conv0, fm):
+        with pytest.raises(GraphError, match="forward-only"):
+            freed.value
     kept = {i for i, v in enumerate(g.values) if v is not None and g.nodes[i].parents}
-    assert kept == {fm.idx, bdc.idx}
+    assert kept == {bdc.idx}
     assert all(slot is None for slot in g.saved)
     assert all(full.saved[i] is not None for i, node in enumerate(full.nodes) if node.op in ("conv2d", "bdc"))
 
@@ -406,8 +405,9 @@ def test_sqrt_guard_clamps_and_zeroes_gradient_below_eps():
 def test_logsumexp_stable_for_large_inputs():
     g = Graph()
     x = g.parameter("x", np.array([[1000.0, 1000.0]]))
-    g.mark_output("y", x.logsumexp(axis=1))
-    out = forward_eval(g)["y"]
+    y = x.logsumexp(axis=1)
+    forward_eval(g)
+    out = y.value
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out, [1000.0 + np.log(2.0)], atol=1e-9)
 
@@ -415,9 +415,9 @@ def test_logsumexp_stable_for_large_inputs():
 def test_l2_normalize_unit_norm():
     g = Graph()
     x = g.parameter("x", np.array([[3.0, 4.0], [0.1, 0.0]]))
-    g.mark_output("z", l2_normalize(x, axis=1))
-    z = forward_eval(g)["z"]
-    np.testing.assert_allclose(np.linalg.norm(z, axis=1), [1.0, 1.0], atol=1e-9)
+    z = l2_normalize(x, axis=1)
+    forward_eval(g)
+    np.testing.assert_allclose(np.linalg.norm(z.value, axis=1), [1.0, 1.0], atol=1e-9)
 
 
 def test_every_primitive_op_gradchecks():

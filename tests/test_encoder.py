@@ -59,8 +59,9 @@ def test_conv_stack_output_does_not_depend_on_batch_size():
     def fmaps(batch):
         g = Graph()
         x = g.input("images", batch.shape)
-        g.mark_output("f", conv_stack(g, x, bind_params(g, params), cfg))
-        return forward_eval(g, {"images": batch})["f"]
+        f = conv_stack(g, x, bind_params(g, params), cfg)
+        forward_eval(g, {"images": batch})
+        return f.value
 
     whole = fmaps(images)
     for size in (1, 10, 20, 30, 64, 256):

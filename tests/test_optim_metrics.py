@@ -435,6 +435,14 @@ def test_ovr_fewer_than_two_classes_rejected():
         auroc_multiclass_ovr(mat, np.array([1, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("labels", [[0, -1, 0, -1], [0, 2, 0, 1]], ids=["negative", "past-the-last-column"])
+def test_ovr_rejects_labels_outside_the_score_columns(labels):
+    # -1 would otherwise be scored against the last column, and 2 index past it
+    mat = np.random.default_rng(43).normal(size=(4, 2))
+    with pytest.raises(ValueError, match="^labels "):
+        auroc_multiclass_ovr(mat, np.array(labels))
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 

@@ -6,8 +6,6 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from metabdc.config import ExperimentConfig
 from metabdc.core import Graph, SeededRng, backward, forward_eval
@@ -19,7 +17,6 @@ from metabdc.ssl import (
     AugmentConfig,
     IDENTITY_AUGMENT,
     IpIrmConfig,
-    PartitionMatrix,
     _embed_dataset,
     _hard_objective,
     _partition_maps,
@@ -154,38 +151,7 @@ def test_augment_rejections():
 
 
 # ---------------------------------------------------------------------------
-# partition types
-
-
-def test_partition_trivial_and_masks():
-    p = PartitionMatrix.trivial(5)
-    assert p.n == 5
-    np.testing.assert_array_equal(p.subset_indices(0), np.arange(5))
-    assert p.subset_indices(1).size == 0
-    assert p.is_degenerate()
-
-    q = PartitionMatrix.from_mask(np.array([True, False, True]))
-    np.testing.assert_array_equal(q.subset_indices(0), [0, 2])
-    np.testing.assert_array_equal(q.subset_indices(1), [1])
-    assert not q.is_degenerate()
-
-
-def test_partition_matrix_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        PartitionMatrix(np.array([[1, 1], [0, 1]]))
-    with pytest.raises(ValueError):
-        PartitionMatrix(np.array([[0, 0], [0, 1]]))
-    with pytest.raises(ValueError):
-        PartitionMatrix(np.array([[2, -1], [0, 1]]))
-    with pytest.raises(ValueError):
-        PartitionMatrix(np.ones((3, 3)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(mask=st.lists(st.booleans(), min_size=1, max_size=20))
-def test_partition_from_mask_rows_one_hot(mask):
-    p = PartitionMatrix.from_mask(np.array(mask))
-    assert np.all(p.assignments.sum(axis=1) == 1)
+# configuration
 
 
 def test_ipirm_config_validation():
@@ -219,7 +185,7 @@ def test_tau_floor_keeps_the_contrastive_maps_finite(batch_size):
     cfg = IpIrmConfig(tau=floor * (1 + 1e-9), batch_size=batch_size)
     images = np.repeat(np.random.default_rng(5).normal(size=(1, 8, 8, 1)), batch_size, axis=0)
     params = init_params(TINY, SeededRng(3))
-    partitions = [PartitionMatrix.trivial(batch_size), PartitionMatrix.from_mask(np.arange(batch_size) % 2 == 0)]
+    partitions = [np.ones(batch_size, dtype=bool), np.arange(batch_size) % 2 == 0]
     trace = update_representation(
         params, TINY, partitions, [(np.arange(batch_size), images, images)], cfg, lr=0.01, lambda1=0.2
     )
@@ -343,7 +309,7 @@ def test_update_trivial_lambda0_equals_plain_simclr_loss():
     zb = _embed_dataset(vb, params, TINY)
     expect = contrastive_oracle(za, zb, np.arange(n), 1.0, cfg.tau)
 
-    trace = update_representation(params, TINY, [PartitionMatrix.trivial(n)], stream, cfg, lr=0.0, lambda1=0.0)
+    trace = update_representation(params, TINY, [np.ones(n, dtype=bool)], stream, cfg, lr=0.0, lambda1=0.0)
     assert len(trace) == 1
     assert abs(trace[0].loss - expect) <= 1e-12
     assert trace[0].penalty >= 0.0
@@ -367,7 +333,7 @@ def test_update_two_subset_trace_matches_oracle():
     want_loss = sum(contrastive_oracle(za, zb, m, 1.0, cfg.tau) for m in [np.arange(n), *split])
     want_pen = sum(complex_theta_grad(za, zb, m, cfg.tau) ** 2 / m.size for m in split)
 
-    partitions = [PartitionMatrix.trivial(n), PartitionMatrix.from_mask(mask)]
+    partitions = [np.ones(n, dtype=bool), mask]
     trace = update_representation(params, TINY, partitions, stream, cfg, lr=0.0, lambda1=0.3)
     assert len(trace) == 1 and trace[0].partition_count == 2
     assert abs(trace[0].loss - want_loss) <= 1e-10
@@ -384,7 +350,7 @@ def test_update_replays_one_graph_per_batch_pattern_with_the_bytes_of_fresh_buil
     n = 8
     gen = np.random.default_rng(139)
     images = gen.normal(size=(n, 8, 8, 1)).astype(np.float32)
-    partitions = [PartitionMatrix.trivial(n), PartitionMatrix.from_mask(np.arange(n) < 4)]
+    partitions = [np.ones(n, dtype=bool), np.arange(n) < 4]
     batches = [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7], [1, 2, 3, 0], [0, 4, 6]]
     stream = []
     for idx in map(np.array, batches):
@@ -421,10 +387,24 @@ def test_update_zero_lr_leaves_params():
     params = init_params(TINY, SeededRng(43), dtype=np.float64)
     before = {k: v.copy() for k, v in params.items()}
     update_representation(
-        params, TINY, [PartitionMatrix.trivial(n)], _single_batch_stream(images, 47, n), IpIrmConfig(), lr=0.0, lambda1=0.2
+        params, TINY, [np.ones(n, dtype=bool)], _single_batch_stream(images, 47, n), IpIrmConfig(), lr=0.0, lambda1=0.2
     )
     for k in params:
         np.testing.assert_array_equal(params[k], before[k])
+
+
+@pytest.mark.parametrize(
+    "bad", [np.arange(4) % 2, np.ones((4, 1), dtype=bool)], ids=["int-zero-one", "two-dimensional-bool"]
+)
+def test_update_rejects_a_partition_that_is_not_a_1d_bool_mask(bad):
+    # an int 0/1 mask indexes like a bool one, but its complement ~ is -1/-2
+    n = 4
+    images = np.random.default_rng(41).normal(size=(n, 8, 8, 1))
+    params = init_params(TINY, SeededRng(43), dtype=np.float64)
+    with pytest.raises(ValueError, match=r"^partitions\[1\] "):
+        update_representation(
+            params, TINY, [np.ones(n, dtype=bool), bad], _single_batch_stream(images, 47, n), IpIrmConfig(), lr=0.0, lambda1=0.2
+        )
 
 
 def test_update_step_decreases_loss_in_most_seeds():
@@ -440,8 +420,8 @@ def test_update_step_decreases_loss_in_most_seeds():
         images = np.random.default_rng(1000 + seed).normal(size=(n, 8, 8, 1))
         params = init_params(wide, SeededRng(seed), dtype=np.float64)
         stream = _single_batch_stream(images, 2000 + seed, n)
-        before = update_representation(params, wide, [PartitionMatrix.trivial(n)], stream, cfg, lr=3e-4, lambda1=0.0)
-        after = update_representation(params, wide, [PartitionMatrix.trivial(n)], stream, cfg, lr=0.0, lambda1=0.0)
+        before = update_representation(params, wide, [np.ones(n, dtype=bool)], stream, cfg, lr=3e-4, lambda1=0.0)
+        after = update_representation(params, wide, [np.ones(n, dtype=bool)], stream, cfg, lr=0.0, lambda1=0.0)
         if after[0].loss < before[0].loss:
             wins += 1
     assert wins >= 18, f"loss decreased in only {wins}/20 seeds"
@@ -451,7 +431,7 @@ def test_update_skips_empty_subset_and_logs(caplog):
     n = 4
     images = np.random.default_rng(53).normal(size=(n, 8, 8, 1))
     params = init_params(TINY, SeededRng(59), dtype=np.float64)
-    ps = [PartitionMatrix.trivial(n)]  # trivial partition: subset 1 is always empty
+    ps = [np.ones(n, dtype=bool)]  # trivial partition: subset 1 is always empty
     with caplog.at_level(logging.DEBUG, logger="metabdc.ssl"):
         trace = update_representation(
             params, TINY, ps, _single_batch_stream(images, 61, n), IpIrmConfig(), lr=0.01, lambda1=0.2
@@ -467,7 +447,7 @@ def test_update_non_finite_loss_aborts():
     params["proj_w2"][0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         update_representation(
-            params, TINY, [PartitionMatrix.trivial(n)], _single_batch_stream(images, 73, n), IpIrmConfig(), lr=0.01, lambda1=0.0
+            params, TINY, [np.ones(n, dtype=bool)], _single_batch_stream(images, 73, n), IpIrmConfig(), lr=0.01, lambda1=0.0
         )
 
 
@@ -510,8 +490,8 @@ def test_search_attains_95pct_of_exhaustive():
     for seed in range(3):
         za, zb, _ = make_cluster_instance(seed, sizes=(5, 3) if seed % 2 else (4, 4), noise=0.1 + 0.04 * seed)
         best, _ = exhaustive_best(za, zb, cfg.lambda2, cfg.tau)
-        part = find_partition_embeddings(za, zb, cfg, SeededRng(900 + seed))
-        got = eval_partition_objective(za, zb, part.assignments[:, 0] == 1, cfg.lambda2, cfg.tau)
+        found = find_partition_embeddings(za, zb, cfg, SeededRng(900 + seed))
+        got = eval_partition_objective(za, zb, found, cfg.lambda2, cfg.tau)
         assert got >= 0.95 * best, f"seed {seed}: {got} < 0.95 * {best}"
 
 
@@ -521,8 +501,7 @@ def test_search_recovers_two_nuisance_clusters():
     best, best_mask = exhaustive_best(za, zb, cfg.lambda2, cfg.tau)
     # the constructed instance makes the cluster split the exhaustive optimum
     assert (best_mask == (cids == 0)).all() or (best_mask == (cids == 1)).all()
-    part = find_partition_embeddings(za, zb, cfg, SeededRng(77))
-    found = part.assignments[:, 0] == 1
+    found = find_partition_embeddings(za, zb, cfg, SeededRng(77))
     assert (found == best_mask).all() or (found == ~best_mask).all()
 
 
@@ -531,9 +510,9 @@ def test_search_tie_case_returns_valid_partition():
     gen = np.random.default_rng(79)
     za, zb = unit_rows(gen, 2, 4), unit_rows(gen, 2, 4)
     cfg = IpIrmConfig()
-    part = find_partition_embeddings(za, zb, cfg, SeededRng(81))
-    assert not part.is_degenerate()
-    val = eval_partition_objective(za, zb, part.assignments[:, 0] == 1, cfg.lambda2, cfg.tau)
+    found = find_partition_embeddings(za, zb, cfg, SeededRng(81))
+    assert found.dtype == bool and found.shape == (2,) and found.any() and not found.all()
+    val = eval_partition_objective(za, zb, found, cfg.lambda2, cfg.tau)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -547,7 +526,7 @@ def test_search_deterministic():
     cfg = IpIrmConfig()
     p1 = find_partition_embeddings(za, zb, cfg, SeededRng(83))
     p2 = find_partition_embeddings(za, zb, cfg, SeededRng(83))
-    np.testing.assert_array_equal(p1.assignments, p2.assignments)
+    np.testing.assert_array_equal(p1, p2)
 
 
 def test_search_moves_off_its_start_and_beats_random_partitions_at_training_scale():
@@ -561,7 +540,7 @@ def test_search_moves_off_its_start_and_beats_random_partitions_at_training_scal
     va, vb = augment_views(images, cfg.augment, SeededRng(1))
     za, zb = _embed_dataset(va, params, exp.encoder), _embed_dataset(vb, params, exp.encoder)
     rng = SeededRng(2)
-    found = find_partition_embeddings(za, zb, cfg, rng).assignments[:, 0] == 1
+    found = find_partition_embeddings(za, zb, cfg, rng)
     n = found.size
     for restart in range(cfg.partition_restarts):
         start = rng.child(restart).generator().normal(size=n) >= 0
@@ -702,8 +681,9 @@ def _small_cfg(**kw):
 def test_pretrain_simclr_equals_ipirm_without_searches():
     images = np.random.default_rng(89).normal(size=(12, 8, 8, 1))
     cfg = _small_cfg(lambda1=0.0)
-    p1, parts1, t1 = pretrain("simclr", images, cfg, TINY, SeededRng(97))
-    p2, parts2, t2 = pretrain("ipirm", images, cfg, TINY, SeededRng(97))
+    init = init_params(TINY, SeededRng(97).child(0))
+    p1, parts1, t1 = pretrain("simclr", images, cfg, TINY, SeededRng(97), init)
+    p2, parts2, t2 = pretrain("ipirm", images, cfg, TINY, SeededRng(97), init)
     assert len(parts1) == len(parts2) == 1
     assert len(t1) == len(t2) > 0
     for r1, r2 in zip(t1, t2):
@@ -715,11 +695,13 @@ def test_pretrain_simclr_equals_ipirm_without_searches():
 def test_pretrain_two_outer_iterations_grow_three_partitions():
     images = np.random.default_rng(101).normal(size=(12, 8, 8, 1))
     cfg = _small_cfg(outer_iterations=2)
-    _, parts, trace = pretrain("ipirm", images, cfg, TINY, SeededRng(103))
+    _, parts, trace = pretrain("ipirm", images, cfg, TINY, SeededRng(103), init_params(TINY, SeededRng(103).child(0)))
     assert len(parts) == 3
-    np.testing.assert_array_equal(parts[0].assignments, PartitionMatrix.trivial(12).assignments)
+    for p in parts:
+        assert p.dtype == bool and p.shape == (12,)
+    assert parts[0].all()  # the trivial partition: every image in the first subset
     for p in parts[1:]:
-        assert p.n == 12 and not p.is_degenerate()
+        assert p.any() and not p.all()
     # three training phases of one epoch each over 12 images in batches of 6
     assert trace[-1].step == 3 * 2 - 1
     assert trace[-1].partition_count == 3
@@ -728,22 +710,24 @@ def test_pretrain_two_outer_iterations_grow_three_partitions():
 def test_pretrain_lr_follows_batch_rule_and_schedule():
     images = np.random.default_rng(107).normal(size=(12, 8, 8, 1))
     cfg = _small_cfg(epochs_per_iter=2, base_lr=None)
-    _, _, trace = pretrain("simclr", images, cfg, TINY, SeededRng(109))
+    _, _, trace = pretrain("simclr", images, cfg, TINY, SeededRng(109), init_params(TINY, SeededRng(109).child(0)))
     base = lr_from_batch(6)
     assert trace[0].lr == pytest.approx(base)
     assert trace[2].lr == pytest.approx(base / 2)  # cosine at epoch 1 of 2
 
 
 def test_pretrain_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        pretrain("moco", np.zeros((4, 8, 8, 1)), _small_cfg(), TINY, SeededRng(0))
-    with pytest.raises(ValueError):
-        pretrain("simclr", np.zeros((0, 8, 8, 1)), _small_cfg(), TINY, SeededRng(0))
+    init = init_params(TINY, SeededRng(0))
+    with pytest.raises(ValueError, match="unknown pretrain mode"):
+        pretrain("moco", np.zeros((4, 8, 8, 1)), _small_cfg(), TINY, SeededRng(0), init)
+    for n in (0, 1):  # one image is a dropped 1-row tail in every epoch: nothing would train
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            pretrain("simclr", np.zeros((n, 8, 8, 1)), _small_cfg(), TINY, SeededRng(0), init)
 
 
 def test_trace_csv_layout(tmp_path):
     images = np.random.default_rng(113).normal(size=(6, 8, 8, 1))
-    _, _, trace = pretrain("simclr", images, _small_cfg(), TINY, SeededRng(127))
+    _, _, trace = pretrain("simclr", images, _small_cfg(), TINY, SeededRng(127), init_params(TINY, SeededRng(127).child(0)))
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), trace)
     lines = path.read_text().strip().split("\n")
