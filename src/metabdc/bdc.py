@@ -7,14 +7,16 @@ observations. The centered matrix is symmetric with zero row sums, is
 invariant to adding a constant to every channel, and vanishes exactly
 when all channels are pairwise identical.
 
-Each computation has one implementation, a graph builder: training
-differentiates through it, and the array functions `bdc_matrix`,
-`class_prototypes` and `episode_classify` run the same builder forward
-only on a whole batch. The BDC matrix is one graph op, `bdc`, whose
-forward and closed-form VJP live in `core.graph`. Squared distances are
-taken from the Gram matrix alone, so a channel's distance to itself is
-exactly zero, and they are float64 whatever the feature dtype, which
-promotes everything downstream of them to float64.
+An episode's (Q, N) scores are the negated squared Frobenius distances
+from each query matrix to each class prototype, the element-wise mean of
+that class's support matrices. Each computation has one implementation,
+a graph builder: training differentiates through it, and the array
+functions `bdc_matrix`, `class_prototypes` and `episode_classify` run
+the same builder forward only on a whole batch. The BDC matrix is one
+graph op, `bdc`, whose forward and closed-form VJP live in `core.graph`.
+Squared distances are taken from the Gram matrix alone, so a channel's
+distance to itself is exactly zero, and they are float64 whatever the
+feature dtype, which promotes everything downstream of them to float64.
 
 Square roots of computed squared distances are guarded as
 sqrt(max(x, 1e-12)), which keeps gradients finite at coincident channels
@@ -27,28 +29,16 @@ import numpy as np
 
 from .core import Graph, Var, forward_eval
 
-METRICS = ("neg_sq_distance", "inner_product")
-
-
 def prototypes_graph(support_bdc: Var, n_way: int, k_shot: int, d: int) -> Var:
     """(N*K, d, d) class-major support matrices -> (N, d, d) class means."""
     return support_bdc.reshape((n_way, k_shot, d, d)).mean(axis=1)
 
 
-def scores_graph(query_bdc: Var, protos: Var, n_way: int, d: int, metric: str = "neg_sq_distance") -> Var:
-    """(Q, d, d) queries against (N, d, d) prototypes -> raw (Q, N) scores.
-
-    neg_sq_distance is the negated squared Frobenius distance (the
-    default); inner_product is the Frobenius inner product.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    qf = query_bdc.reshape((-1, 1, d * d))
-    pf = protos.reshape((1, n_way, d * d))
-    if metric == "neg_sq_distance":
-        diff = qf - pf
-        return -(diff * diff).sum(axis=2)
-    return (qf * pf).sum(axis=2)
+def scores_graph(query_bdc: Var, protos: Var, n_way: int, d: int) -> Var:
+    """(Q, d, d) queries against (N, d, d) prototypes -> raw (Q, N) scores,
+    the negated squared Frobenius distances."""
+    diff = query_bdc.reshape((-1, 1, d * d)) - protos.reshape((1, n_way, d * d))
+    return -(diff * diff).sum(axis=2)
 
 
 def _forward(out: Var) -> np.ndarray:
@@ -74,10 +64,10 @@ def class_prototypes(support: np.ndarray, n_way: int) -> np.ndarray:
     return _forward(prototypes_graph(g.constant(s), n_way, s.shape[0] // n_way, s.shape[1]))
 
 
-def episode_classify(queries: np.ndarray, prototypes: np.ndarray, metric: str = "neg_sq_distance") -> np.ndarray:
+def episode_classify(queries: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Raw (Q, N) scores of (Q, d, d) query matrices against (N, d, d) prototypes."""
     q, p = np.asarray(queries), np.asarray(prototypes)
     if q.ndim != 3 or q.shape[1:] != p.shape[1:] or q.shape[1] != q.shape[2] or 0 in (q.shape[0], p.shape[0]):
         raise ValueError(f"expected (Q, d, d) queries and (N, d, d) prototypes, got {q.shape} and {p.shape}")
     g = Graph(forward_only=True)
-    return _forward(scores_graph(g.constant(q), g.constant(p), p.shape[0], p.shape[1], metric))
+    return _forward(scores_graph(g.constant(q), g.constant(p), p.shape[0], p.shape[1]))

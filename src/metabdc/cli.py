@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import ExperimentConfig, apply_profile, load_config, save_config
+from .config import PROFILES, ExperimentConfig, apply_profile, load_config, save_config
 from .core import SeededRng
 from .encoder import load_encoder_checkpoint, save_encoder_checkpoint
 from .experiment import (
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config (defaults when omitted)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--profile", choices=("ci", "paper"), help="episode/repeat budget override")
+        p.add_argument("--profile", choices=PROFILES, help="episode/repeat budget override")
         p.add_argument("--out", default="runs", help="artifact directory")
     args = parser.parse_args(argv)
 

@@ -30,7 +30,6 @@ FINETUNE_KINDS = (
     "meta-coarse-other",
     "fully-supervised",
 )
-LABEL_SPACES = ("fine", "coarse")
 
 
 def train_label_space(kind: str) -> str:
@@ -46,22 +45,19 @@ def train_source(kind: str) -> str:
 
 @dataclass(frozen=True)
 class ProxyConfig:
-    """Labeled-proxy supervised pretraining (the stand-in for borrowed
-    fully supervised weights)."""
+    """Labeled-proxy supervised pretraining on fine labels (the stand-in
+    for borrowed fully supervised weights)."""
 
     epochs: int = 10
     batch_size: int = 64
     lr: float = 1e-2
     weight_decay: float = 1e-4
-    label_space: str = "fine"
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size < 2:
             raise ValueError("proxy training needs positive epochs and batches of at least 2")
         if self.lr <= 0:
             raise ValueError("proxy LR must be positive")
-        if self.label_space not in LABEL_SPACES:
-            raise ValueError(f"unknown proxy label space {self.label_space!r}")
 
 
 def _default_other_data() -> SyntheticConfig:

@@ -66,9 +66,6 @@ class HierarchySpec:
     def n_coarse(self) -> int:
         return max(self.mapping) + 1
 
-    def coarse_of(self, fine: int) -> int:
-        return self.mapping[fine]
-
     @classmethod
     def nested(cls, n_fine: int, n_coarse: int) -> "HierarchySpec":
         if n_fine % n_coarse != 0:

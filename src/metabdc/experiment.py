@@ -140,8 +140,8 @@ def pretrain_encoder(
     Every kind starts from one random draw on rng.child(0), so `none` is
     exactly the initialization the trained kinds start from and a gain
     over it is the training's, not the draw's. none: that draw.
-    supervised-proxy: cross-entropy training on a freshly generated
-    labeled proxy source (data config reseeded, so its images are
+    supervised-proxy: cross-entropy training on the fine labels of a
+    freshly generated proxy source (data config reseeded, so its images are
     disjoint from the experiment's). simclr/ipirm: the contrastive paths.
     Writes a checkpoint (and a trace CSV for the contrastive kinds) when
     out_dir is given.
@@ -151,15 +151,11 @@ def pretrain_encoder(
     if kind == "supervised-proxy":
         proxy_cfg = replace(cfg.data, seed=cfg.data.seed + 9999)
         proxy = _source_images(cfg, proxy_cfg)
-        n_classes = (
-            proxy_cfg.hierarchy.n_fine if cfg.proxy.label_space == "fine" else proxy_cfg.hierarchy.n_coarse
-        )
         params = supervised_pretrain_ce(
             params,
             cfg.encoder,
             proxy,
-            cfg.proxy.label_space,
-            n_classes,
+            proxy_cfg.hierarchy.n_fine,
             epochs=cfg.proxy.epochs,
             batch_size=cfg.proxy.batch_size,
             lr=cfg.proxy.lr,
@@ -235,7 +231,7 @@ def test_cell(
     repeats: list[list[float]] = []
     for rep in range(cfg.test_repeats):
         episodes = sample_episode_block(primary.test, spec, cfg.test_episodes, rng.child(10 + rep))
-        repeats.append(evaluate_episodes(params, cfg.encoder, primary.test, episodes, cfg.tune.metric))
+        repeats.append(evaluate_episodes(params, cfg.encoder, primary.test, episodes))
     return repeats
 
 

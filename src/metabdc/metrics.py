@@ -86,7 +86,6 @@ def auroc_multiclass_ovr(scores: np.ndarray, labels: np.ndarray, pair_totals: li
 class AggregateResult:
     mean: float
     std: float
-    repeat_means: tuple[float, ...]
 
 
 def aggregate_episode_metrics(per_repeat: list[list[float]]) -> AggregateResult:
@@ -97,8 +96,4 @@ def aggregate_episode_metrics(per_repeat: list[list[float]]) -> AggregateResult:
     if not per_repeat or any(len(r) == 0 for r in per_repeat):
         raise ValueError("need at least one episode in every repeat")
     repeat_means = tuple(float(np.mean(r)) for r in per_repeat)
-    return AggregateResult(
-        mean=float(np.mean(repeat_means)),
-        std=float(np.std(repeat_means)),
-        repeat_means=repeat_means,
-    )
+    return AggregateResult(mean=float(np.mean(repeat_means)), std=float(np.std(repeat_means)))

@@ -4,15 +4,14 @@ The AUC-margin surrogate is a min-max objective: squared deviations of
 positive scores from a center a and negative scores from b, plus a dual
 variable alpha enforcing the margin between class means. It is minimized
 over (scores, a, b) and maximized over alpha, with alpha projected to
-stay nonnegative. `pesg_step` performs that saddle-point update with
-optional weight decay and a proximal pull toward a reference point that
-`PesgState.start_epoch` refreshes at the step schedule's decay epochs.
+stay nonnegative. `pesg_step` performs that saddle-point update, with
+weight decay on the model parameters only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,19 +113,13 @@ def aucm_loss_graph(
 # PESG
 
 
-@dataclass
+@dataclass(frozen=True)
 class PesgState:
-    """Saddle-point bookkeeping: which keys are centers/duals, plus the proximal anchor."""
+    """Which `pesg_step` keys are centers and which are duals; every other
+    key is a model parameter."""
 
-    center_names: tuple[str, ...]  # a/b style scalars: descent, no decay, no proximal
+    center_names: tuple[str, ...]  # a/b style scalars: descent, no decay
     dual_names: tuple[str, ...]  # alpha style scalars: ascent + projection to >= 0
-    reference: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def start_epoch(self, params: dict[str, np.ndarray], epoch: int, decay_epochs: tuple[int, ...]) -> None:
-        """Refresh the proximal anchor at the first epoch and at each decay epoch."""
-        if epoch in decay_epochs or not self.reference:
-            model_names = set(params) - set(self.center_names) - set(self.dual_names)
-            self.reference = {k: params[k].copy() for k in model_names}
 
 
 def pesg_step(
@@ -135,13 +128,12 @@ def pesg_step(
     state: PesgState,
     lr: float,
     weight_decay: float = 0.0,
-    proximal: float = 0.0,
 ) -> None:
     """One PESG update, in place.
 
-    Model entries descend with weight decay plus the proximal pull, center
-    entries (a, b) descend plainly, dual entries (alpha) ascend and are
-    projected back to >= 0. Non-finite gradients abort.
+    Model entries descend with weight decay, center entries (a, b) descend
+    plainly, dual entries (alpha) ascend and are projected back to >= 0.
+    Non-finite gradients abort.
     """
     for name, gval in grads.items():
         if not np.all(np.isfinite(gval)):
@@ -154,5 +146,4 @@ def pesg_step(
         elif name in state.center_names:
             w -= (lr * g).astype(w.dtype, copy=False)
         else:
-            pull = proximal * (w - state.reference[name]) if state.reference else 0.0
-            w -= (lr * (g + weight_decay * w + pull)).astype(w.dtype, copy=False)
+            w -= (lr * (g + weight_decay * w)).astype(w.dtype, copy=False)

@@ -371,12 +371,14 @@ def update_representation(
 
 def _partition_maps(za: np.ndarray, zb: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
     """The contrastive maps (M_den, M_num, s_pos) of fixed embeddings,
-    evaluated once, in float64, on a forward-only graph."""
-    n = np.shape(za)[0]
+    evaluated once, in float64, on a forward-only graph. Non-finite
+    embeddings are an error."""
+    za, zb = np.asarray(za, dtype=np.float64), np.asarray(zb, dtype=np.float64)
+    for name, z in (("za", za), ("zb", zb)):
+        if not np.isfinite(z).all():
+            raise ValueError(f"{name} has non-finite entries")
     g = Graph(forward_only=True)
-    maps = _contrastive_maps(
-        g, g.constant(np.asarray(za, dtype=np.float64)), g.constant(np.asarray(zb, dtype=np.float64)), n, tau
-    )
+    maps = _contrastive_maps(g, g.constant(za), g.constant(zb), za.shape[0], tau)
     forward_eval(g)
     return tuple(m.value for m in maps)
 

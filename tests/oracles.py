@@ -283,17 +283,14 @@ def prototype_oracle(mats, labels) -> dict[int, np.ndarray]:
     return protos
 
 
-def score_oracle(queries, protos, metric="neg_sq_distance") -> np.ndarray:
+def score_oracle(queries, protos) -> np.ndarray:
     """(Q, N) scores, one entry at a time: the negated squared Frobenius
-    distance or the Frobenius inner product of query q and prototype n."""
+    distance of query q and prototype n."""
     out = np.zeros((len(queries), len(protos)))
     for qi, q in enumerate(queries):
         for ni, p in enumerate(protos):
             q64, p64 = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
-            if metric == "neg_sq_distance":
-                out[qi, ni] = -sum(float(v) ** 2 for v in (q64 - p64).ravel())
-            else:
-                out[qi, ni] = sum(float(a) * float(b) for a, b in zip(q64.ravel(), p64.ravel()))
+            out[qi, ni] = -sum(float(v) ** 2 for v in (q64 - p64).ravel())
     return out
 
 

@@ -191,24 +191,14 @@ def test_episode_classify_prefers_nearer_prototype():
     q = np.eye(3)[None]
     # class 0 prototype equals the query, class 1 is far away
     protos = np.stack([np.eye(3), np.eye(3) * 5.0])
-    scores = episode_classify(q, protos, metric="neg_sq_distance")
+    scores = episode_classify(q, protos)
     assert scores.shape == (1, 2)
     assert scores[0, 0] > scores[0, 1]
     np.testing.assert_allclose(scores, score_oracle(q, protos), atol=1e-12)
-
-
-def test_episode_classify_inner_product_and_validation():
-    q = np.eye(2)[None]
-    protos = np.stack([np.eye(2), -np.eye(2)])
-    scores = episode_classify(q, protos, metric="inner_product")
-    assert scores[0, 0] > scores[0, 1]
-    np.testing.assert_allclose(scores, score_oracle(q, protos, "inner_product"), atol=1e-12)
     with pytest.raises(ValueError):
-        episode_classify(q, protos, metric="cosine")
+        episode_classify(np.zeros((0, 3, 3)), protos)
     with pytest.raises(ValueError):
-        episode_classify(np.zeros((0, 2, 2)), protos)
-    with pytest.raises(ValueError):
-        episode_classify(np.eye(3)[None], protos)
+        episode_classify(np.eye(2)[None], protos)
 
 
 def test_episode_scores_graph_matches_numpy():
@@ -219,13 +209,12 @@ def test_episode_scores_graph_matches_numpy():
     support = rng.normal(size=(n * k, d, d))
     queries = rng.normal(size=(qn, d, d))
     protos = prototype_oracle(support, np.repeat(np.arange(n), k))
-    for metric in ("neg_sq_distance", "inner_product"):
-        g = Graph()
-        s = g.parameter("s", support)
-        q = g.parameter("q", queries)
-        scores = scores_graph(q, prototypes_graph(s, n, k, d), n, d, metric)
-        forward_eval(g)
-        got = scores.value
-        ref = score_oracle(queries, [protos[c] for c in range(n)], metric)
-        assert np.abs(got - ref).max() <= 1e-9
-        assert np.array_equal(got, episode_classify(queries, class_prototypes(support, n), metric))
+    g = Graph()
+    s = g.parameter("s", support)
+    q = g.parameter("q", queries)
+    scores = scores_graph(q, prototypes_graph(s, n, k, d), n, d)
+    forward_eval(g)
+    got = scores.value
+    ref = score_oracle(queries, [protos[c] for c in range(n)])
+    assert np.abs(got - ref).max() <= 1e-9
+    assert np.array_equal(got, episode_classify(queries, class_prototypes(support, n)))

@@ -42,7 +42,7 @@ def test_hierarchy_nested_eight_to_two():
     h = HierarchySpec.nested(8, 2)
     assert h.mapping == (0, 0, 0, 0, 1, 1, 1, 1)
     assert h.n_fine == 8 and h.n_coarse == 2
-    assert h.coarse_of(3) == 0 and h.coarse_of(4) == 1
+    assert h.mapping[3] == 0 and h.mapping[4] == 1
 
 
 def test_hierarchy_validation():
@@ -59,7 +59,7 @@ def test_generated_images_respect_hierarchy():
     images = generate_synthetic(cfg)
     assert len(images) == 8 * cfg.count_per_fine
     assert images.pixels.shape == (len(images), 16, 16, 1) and images.pixels.dtype == np.float32
-    assert images.coarse.tolist() == [cfg.hierarchy.coarse_of(f) for f in images.fine.tolist()]
+    assert images.coarse.tolist() == [cfg.hierarchy.mapping[f] for f in images.fine.tolist()]
     # rows run fine class, then domain tag, then group
     per_domain = cfg.count_per_fine // 2
     assert images.fine.tolist() == [f for f in range(8) for _ in range(cfg.count_per_fine)]

@@ -4,7 +4,6 @@ selection, determinism, and the supervised paths."""
 import numpy as np
 import pytest
 
-from metabdc.config import ExperimentConfig
 from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.data import Episode, EpisodeSpec, ImageSet
 from metabdc.encoder import EncoderConfig, bind_params, encode, init_params, to_nchw
@@ -20,9 +19,7 @@ from metabdc.finetune import (
     supervised_finetune,
     supervised_pretrain_ce,
 )
-from metabdc.experiment import finetune_cell, prepare_splits, pretrain_encoder
-from metabdc.experiment import test_cell as eval_cell  # alias keeps pytest from collecting it
-from oracles import aucm_oracle, bdc_oracle, prototype_oracle, score_oracle
+from oracles import bdc_oracle, prototype_oracle, score_oracle
 
 ENC = EncoderConfig(height=8, width=8, channels=1, stages=((2, 3, 2),), proj_hidden=8, proj_dim=4)
 
@@ -46,18 +43,12 @@ def make_episode(split, n_way=2, k_shot=2, q_query=3):
     return Episode(support, query, classes)
 
 
-def graph_episode_loss(params, split, episode, config, with_grads=False):
+def graph_episode_loss(params, split, episode, temperature, with_grads=False):
     nchw = to_nchw(split.pixels, ENC).astype(np.float64)
     sup, qry = nchw[episode.support], nchw[episode.query]
-    step = dict(params)
-    if config.loss == "aucm":
-        for way in range(episode.n_way):
-            step[f"ep_a{way}"] = np.zeros(1)
-            step[f"ep_b{way}"] = np.zeros(1)
-            step[f"ep_alpha{way}"] = np.zeros(1)
     g = Graph()
-    refs = bind_params(g, step)
-    loss = _episode_loss_graph(g, refs, ENC, (episode.n_way, episode.k_shot, episode.q_query), config)
+    refs = bind_params(g, params)
+    loss = _episode_loss_graph(g, refs, ENC, (episode.n_way, episode.k_shot, episode.q_query), temperature)
     forward_eval(g, {"sup": sup, "qry": qry})
     value = float(loss.value)
     if not with_grads:
@@ -87,8 +78,7 @@ class TestEpisodeLossOracles:
         params = init_params(ENC, SeededRng(1), dtype=np.float64)
         split = make_images(6, 3, seed=4)
         episode = make_episode(split, n_way=3, k_shot=2, q_query=3)
-        config = FinetuneConfig(epochs=1, temperature=2.5)
-        got = graph_episode_loss(params, split, episode, config)
+        got = graph_episode_loss(params, split, episode, temperature=2.5)
 
         z = numpy_episode_scores(params, split, episode, temperature=2.5)
         labels = np.array([episode.class_list.index(c) for c in split.fine[episode.query]])
@@ -96,27 +86,11 @@ class TestEpisodeLossOracles:
         want = float(np.mean(lse - z[np.arange(len(labels)), labels]))
         assert abs(got - want) < 1e-10
 
-    def test_aucm_loss_matches_per_way_sum(self):
-        params = init_params(ENC, SeededRng(2), dtype=np.float64)
-        split = make_images(6, 2, seed=5)
-        episode = make_episode(split, n_way=2, k_shot=2, q_query=3)
-        config = FinetuneConfig(epochs=1, loss="aucm", temperature=32.0, aucm_margin=1.0)
-        got = graph_episode_loss(params, split, episode, config)
-
-        z = numpy_episode_scores(params, split, episode, temperature=32.0)
-        prob = 1.0 / (1.0 + np.exp(-z))  # the margin is built for scores in [0, 1]
-        labels = np.array([episode.class_list.index(c) for c in split.fine[episode.query]])
-        want = 0.0
-        for way in range(episode.n_way):
-            want += aucm_oracle(prob[:, way], (labels == way).astype(np.int64), 0.0, 0.0, 0.0, 1.0, 1.0 / episode.n_way)
-        assert abs(got - want) < 1e-10
-
     def test_ce_loss_grad_matches_central_difference(self):
         params = init_params(ENC, SeededRng(3), dtype=np.float64)
         split = make_images(4, 2, seed=6)
         episode = make_episode(split, n_way=2, k_shot=1, q_query=2)
-        config = FinetuneConfig(epochs=1, temperature=1.0)
-        _, grads = graph_episode_loss(params, split, episode, config, with_grads=True)
+        _, grads = graph_episode_loss(params, split, episode, temperature=1.0, with_grads=True)
 
         w = params["conv0_w"]
         coords = [np.unravel_index(i, w.shape) for i in [0, 3, 7, 11, 16]]
@@ -124,9 +98,9 @@ class TestEpisodeLossOracles:
         for coord in coords:
             orig = w[coord]
             w[coord] = orig + eps
-            hi = graph_episode_loss(params, split, episode, config)
+            hi = graph_episode_loss(params, split, episode, temperature=1.0)
             w[coord] = orig - eps
-            lo = graph_episode_loss(params, split, episode, config)
+            lo = graph_episode_loss(params, split, episode, temperature=1.0)
             w[coord] = orig
             fd = (hi - lo) / (2 * eps)
             assert abs(grads["conv0_w"][coord] - fd) <= 1e-6 * max(1.0, abs(fd))
@@ -152,10 +126,9 @@ class TestEpisodeEvaluation:
         params = init_params(enc, SeededRng(6))
         split = make_images(15, spec.n_way, seed=12, hw=enc.height)
         nchw = to_nchw(split.pixels, enc).astype(np.float32)
-        config = FinetuneConfig(epochs=1)
         for episode in sample_episode_block(split, spec, 3, SeededRng(21)):
             g = Graph()
-            _episode_loss_graph(g, bind_params(g, params), enc, (spec.n_way, spec.k_shot, spec.q_query), config)
+            _episode_loss_graph(g, bind_params(g, params), enc, (spec.n_way, spec.k_shot, spec.q_query), 1.0)
             forward_eval(g, {"sup": nchw[episode.support], "qry": nchw[episode.query]})
             want = g.values[_scores_node(g)]
             got, _ = episode_scores(params, enc, split, episode)
@@ -217,31 +190,6 @@ class TestMetaFinetune:
         for k in r1.params:
             assert np.array_equal(r1.params[k], r2.params[k])
 
-    def test_aucm_episode_loss_runs(self):
-        params = init_params(ENC, SeededRng(8))
-        images = make_images(8, 2, seed=16)
-        spec = EpisodeSpec(2, 2, 3, "fine")
-        config = tiny_tune(loss="aucm", lr=1e-4, temperature=32.0, epochs=2)
-        result = meta_finetune(params, ENC, images, images, spec, spec, config, SeededRng(17))
-        assert all(np.isfinite(result.val_history))
-        assert not any(k.startswith("ep_") for k in result.params)
-
-    def test_aucm_study_cell_trains_at_the_default_lr(self):
-        # the study's none/meta-fine-same 5-shot cell at seed 5; with raw
-        # distance scores in the margin this loss went non-finite by episode 3
-        cfg = ExperimentConfig(pretrain="none", k_shots=(5,), tune=FinetuneConfig(loss="aucm"))
-        assert cfg.tune.lr == FinetuneConfig().lr
-        primary = prepare_splits(cfg, "same")
-        rng = SeededRng(5)
-        params = pretrain_encoder(cfg, primary.train, rng.child(1))
-        result = finetune_cell(cfg, params, primary, None, "meta-fine-same", 5, rng.child(100).child(0))
-        repeats = eval_cell(cfg, result.params, primary, "meta-fine-same", 5, rng.child(100))
-        test_auroc = float(np.mean(repeats))
-        print(f"aucm cell: val {result.val_history}, test {test_auroc:.4f}")
-        assert all(np.isfinite(result.val_history))
-        assert all(np.isfinite(v).all() for v in result.params.values())
-        assert 0.0 <= test_auroc <= 1.0
-
     def test_wrong_image_size_rejected(self):
         params = init_params(ENC, SeededRng(9))
         images = make_images(8, 2, seed=18, hw=12)
@@ -283,7 +231,7 @@ class TestSupervised:
         before = {k: v.copy() for k, v in params.items()}
         images = make_images(10, 2, seed=26)
         out = supervised_pretrain_ce(
-            params, ENC, images, "fine", 2, epochs=2, batch_size=8, lr=1e-2, weight_decay=1e-4,
+            params, ENC, images, 2, epochs=2, batch_size=8, lr=1e-2, weight_decay=1e-4,
             rng=SeededRng(27),
         )
         assert not np.array_equal(out["conv0_w"], before["conv0_w"])
@@ -296,14 +244,6 @@ class TestSupervised:
 
 
 class TestConfigValidation:
-    def test_rejects_unknown_loss(self):
-        with pytest.raises(ValueError, match="episode loss"):
-            FinetuneConfig(loss="hinge")
-
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(ValueError, match="metric"):
-            FinetuneConfig(metric="cosine")
-
     @pytest.mark.parametrize("kw", [{"lr": 0.0}, {"temperature": -1.0}, {"aucm_margin": 0.0}])
     def test_rejects_nonpositive_scalars(self, kw):
         with pytest.raises(ValueError):

@@ -103,11 +103,10 @@ def all_non_default_cfg():
             weight_decay=5e-4, base_lr=None,
             augment=AugmentConfig(crop_scale=(0.5, 0.9), gain=(0.9, 1.1), bias=(-0.2, 0.2), rotation=0.5, ramp=1.0),
         ),
-        proxy=ProxyConfig(epochs=3, batch_size=16, lr=0.05, weight_decay=1e-3, label_space="coarse"),
+        proxy=ProxyConfig(epochs=3, batch_size=16, lr=0.05, weight_decay=1e-3),
         tune=FinetuneConfig(
             lr=0.003, weight_decay=1e-3, epochs=5, decay_epochs=(2, 4), episodes_per_epoch=20,
-            val_episodes=10, loss="aucm", metric="inner_product", temperature=2.0, aucm_margin=0.5,
-            batch_size=16, proximal=0.1,
+            val_episodes=10, temperature=2.0, aucm_margin=0.5, batch_size=16,
         ),
         test_episodes=50,
         test_repeats=2,
@@ -115,7 +114,7 @@ def all_non_default_cfg():
             ("tune.lr", (0.01, 0.003)),
             ("tune.decay_epochs", ((1,), (2, 3))),
             ("ipirm.base_lr", (None, 0.002)),
-            ("proxy.label_space", ("fine",)),
+            ("proxy.epochs", (2,)),
         ),
     )
 
@@ -165,7 +164,7 @@ class TestConfigParsing:
             ({"tune": {"decay_epochs": [1, "2"]}}, "tune.decay_epochs[1]"),
             ({"data": {"seed": 7.9}}, "data.seed"),
             ({"data": {"hierarchy": "00001111"}}, "data.hierarchy"),
-            ({"proxy": {"label_space": ["fine"]}}, "proxy.label_space"),
+            ({"data": {"texture_family": ["rings"]}}, "data.texture_family"),
             ({"encoder": {"stages": [[8, 3]]}}, "encoder.stages[0]"),
             ({"ipirm": {"augment": {"gain": [1.0]}}}, "ipirm.augment.gain"),
             ({"ipirm": {"augment": {"crop_scale": [0.5, 2.0]}}}, "ipirm.augment"),
@@ -207,8 +206,17 @@ class TestConfigParsing:
                 config_from_dict(raw)
 
     def test_unknown_nested_key(self):
-        with pytest.raises(ValueError, match="unknown tune keys"):
-            config_from_dict({"tune": {"momentum": 0.9}})
+        # the episode loss, score metric, PESG proximal weight and proxy
+        # label space were fields once; each has one fixed setting now
+        for section, key, value in (
+            ("tune", "momentum", 0.9),
+            ("tune", "loss", "aucm"),
+            ("tune", "metric", "inner_product"),
+            ("tune", "proximal", 0.1),
+            ("proxy", "label_space", "coarse"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"unknown {section} keys: {[key]}")):
+                config_from_dict({section: {key: value}})
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError, match="pretrain kind"):
@@ -239,6 +247,8 @@ class TestConfigParsing:
             tiny_cfg(grid=(("data.seed", (1,)),))
         with pytest.raises(ValueError, match="no field"):
             tiny_cfg(grid=(("tune.momentum", (0.9,)),))
+        with pytest.raises(ValueError, match=re.escape("grid path 'tune.metric': no field 'metric' in tune")):
+            config_from_dict({"grid": {"tune.metric": ["inner_product"]}})
         with pytest.raises(ValueError, match="no values"):
             tiny_cfg(grid=(("tune.lr", ()),))
 

@@ -521,6 +521,19 @@ def test_search_needs_two_samples():
         find_partition_embeddings(np.zeros((1, 4)), np.zeros((1, 4)), IpIrmConfig(), SeededRng(0))
 
 
+@pytest.mark.parametrize("bad", ["za", "zb"])
+@pytest.mark.parametrize("entry", ["search", "objective"])
+def test_non_finite_embeddings_are_rejected_naming_the_array(bad, entry):
+    gen = np.random.default_rng(89)
+    z = {"za": gen.normal(size=(6, 4)), "zb": gen.normal(size=(6, 4))}
+    z[bad][2, 1] = np.nan
+    with pytest.raises(ValueError, match=f"^{bad} has non-finite entries"):
+        if entry == "search":
+            find_partition_embeddings(z["za"], z["zb"], IpIrmConfig(), SeededRng(0))
+        else:
+            eval_partition_objective(z["za"], z["zb"], np.arange(6) < 3, lambda2=0.5, tau=0.5)
+
+
 def test_search_deterministic():
     za, zb, _ = make_cluster_instance(5)
     cfg = IpIrmConfig()
