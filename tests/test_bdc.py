@@ -195,10 +195,23 @@ def test_episode_classify_prefers_nearer_prototype():
     assert scores.shape == (1, 2)
     assert scores[0, 0] > scores[0, 1]
     np.testing.assert_allclose(scores, score_oracle(q, protos), atol=1e-12)
+
+
+def test_episode_classify_inner_product_and_validation():
+    """The score is the negative squared distance, not the inner product: a
+    scaled copy of the query wins on inner product but loses here."""
+    q = np.eye(2)[None]
+    protos = np.stack([np.eye(2), np.eye(2) * 5.0])
+    scores = episode_classify(q, protos)
+    assert np.einsum("qij,nij->qn", q, protos)[0].argmax() == 1
+    assert scores[0].argmax() == 0
+    np.testing.assert_allclose(scores, score_oracle(q, protos), atol=1e-12)
+    with pytest.raises(TypeError):
+        episode_classify(q, protos, metric="inner_product")
     with pytest.raises(ValueError):
-        episode_classify(np.zeros((0, 3, 3)), protos)
+        episode_classify(np.zeros((0, 2, 2)), protos)
     with pytest.raises(ValueError):
-        episode_classify(np.eye(2)[None], protos)
+        episode_classify(np.eye(3)[None], protos)
 
 
 def test_episode_scores_graph_matches_numpy():
