@@ -34,8 +34,6 @@ FINETUNE_KINDS = (
 
 def train_label_space(kind: str) -> str:
     """Meta-train label space implied by the fine-tune kind."""
-    if kind == "fully-supervised":
-        return "coarse"
     return "fine" if "-fine-" in kind else "coarse"
 
 

@@ -299,9 +299,10 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
     """Output of one conv and the column matrix its VJP reuses."""
     b, c, h, wd, oc, ic, kh, kw, ho, wo = _conv_geometry(x.shape, w.shape, stride, pad)
     cols = _im2col(x, kh, kw, stride, pad, ho, wo)
-    prod = (w.reshape(oc, -1) @ cols).reshape(oc, b, ho, wo).transpose(1, 0, 2, 3)
-    out = np.empty((b, oc, ho, wo), dtype=np.result_type(prod, bias))
-    return np.add(prod, bias[None, :, None, None], out=out), cols
+    # One matmul per image: some BLAS kernels round a column of one wide
+    # (oc, B*ho*wo) product by its width, which would tie an image to its batch.
+    prod = np.matmul(w.reshape(oc, -1), cols.reshape(-1, b, ho * wo).transpose(1, 0, 2)).reshape(b, oc, ho, wo)
+    return prod + bias[None, :, None, None], cols
 
 
 def _conv2d_vjp(grad, x, w, stride, pad, need_x, cols):

@@ -1,4 +1,6 @@
-"""Experiment orchestration: pretrain, fine-tune, evaluate, grid search.
+"""Experiment orchestration: pretrain, fine-tune, evaluate, grid search,
+report. The one module that knows how a run is wired: the seed's streams,
+cell training and testing, metrics rows and the results table.
 
 run_experiment executes one pretraining kind against every configured
 fine-tune column and shot setting, writing a metrics CSV plus
@@ -19,7 +21,7 @@ import numpy as np
 from .config import ExperimentConfig, apply_grid_overrides, train_label_space, train_source
 from .core import SeededRng
 from .data import EpisodeSpec, ImageSet, SyntheticConfig, generate_synthetic, preprocess_dataset, split_dataset
-from .encoder import EncoderConfig, init_params, save_encoder_checkpoint
+from .encoder import init_params, save_encoder_checkpoint
 from .finetune import (
     FinetuneResult,
     classifier_scores,
@@ -60,7 +62,6 @@ class CellOutcome:
 @dataclass
 class RowFragment:
     pretrain: str
-    seed: int
     cells: dict[tuple[str, int], CellOutcome]
     metrics_path: str
 
@@ -105,7 +106,18 @@ def other_splits(cfg: ExperimentConfig, kinds: tuple[str, ...]) -> Splits | None
 
 
 # ---------------------------------------------------------------------------
-# artifact names
+# streams and artifact names
+
+
+def pretrain_stream(seed: int) -> SeededRng:
+    """The stream pretraining draws from under `seed`."""
+    return SeededRng(seed).child(1)
+
+
+def cell_stream(seed: int, idx: int) -> SeededRng:
+    """The stream of cell `idx` of `cell_list` under `seed`: its child(0)
+    fine-tunes, and test episodes hang off the stream itself."""
+    return SeededRng(seed).child(100 + idx)
 
 
 def seed_tag(seed: int) -> str:
@@ -235,18 +247,16 @@ def test_cell(
     return repeats
 
 
-def run_cell(
-    cfg: ExperimentConfig,
-    params: dict[str, np.ndarray],
-    primary: Splits,
-    other: Splits | None,
-    kind: str,
-    shots: int,
-    rng: SeededRng,
-) -> tuple[FinetuneResult, list[list[float]]]:
-    """Fine-tune one cell, then meta-test its selected checkpoint."""
-    result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(0))
-    return result, test_cell(cfg, result.params, primary, kind, shots, rng)
+def val_rows(cell_id: str, result: FinetuneResult) -> list[MetricsRow]:
+    return [MetricsRow(cell_id, "val", epoch, 0, score) for epoch, score in enumerate(result.val_history)]
+
+
+def test_rows(cell_id: str, repeats: list[list[float]]) -> list[MetricsRow]:
+    return [
+        MetricsRow(cell_id, "test", e_idx, rep, score)
+        for rep, scores in enumerate(repeats)
+        for e_idx, score in enumerate(scores)
+    ]
 
 
 def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
@@ -263,39 +273,69 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir: str) -> RowFragmen
     of the row still runs. Artifacts: metrics CSV, pretrain checkpoint,
     and one checkpoint per successful cell.
     """
+    log.info("running pretraining row %s", cfg.pretrain)
     os.makedirs(out_dir, exist_ok=True)
-    rng = SeededRng(seed)
     primary = prepare_splits(cfg, "same")
     other = other_splits(cfg, cfg.finetune_kinds)
 
     tag = seed_tag(seed)
-    params = pretrain_encoder(cfg, primary.train, rng.child(1), out_dir, tag)
+    params = pretrain_encoder(cfg, primary.train, pretrain_stream(seed), out_dir, tag)
 
     rows: list[MetricsRow] = []
     cells: dict[tuple[str, int], CellOutcome] = {}
     for idx, (kind, shots) in enumerate(cell_list(cfg)):
         cell_id = run_id(cfg, kind, shots, seed)
+        rng = cell_stream(seed, idx)
         try:
-            result, repeats = run_cell(cfg, params, primary, other, kind, shots, rng.child(100 + idx))
+            result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(0))
+            repeats = test_cell(cfg, result.params, primary, kind, shots, rng)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             log.warning("cell %s failed: %s", cell_id, exc)
             cells[(kind, shots)] = CellOutcome(reason=_failure_reason(exc))
             continue
-        for epoch, score in enumerate(result.val_history):
-            rows.append(MetricsRow(cell_id, "val", epoch, 0, score))
-        if kind == "fully-supervised":
-            rows.append(MetricsRow(cell_id, "test", 0, 0, repeats[0][0]))
-            cells[(kind, shots)] = CellOutcome(mean=repeats[0][0], std=0.0)
-        else:
-            for rep, scores in enumerate(repeats):
-                for e_idx, score in enumerate(scores):
-                    rows.append(MetricsRow(cell_id, "test", e_idx, rep, score))
-            agg = aggregate_episode_metrics(repeats)
-            cells[(kind, shots)] = CellOutcome(mean=agg.mean, std=agg.std)
+        rows += val_rows(cell_id, result) + test_rows(cell_id, repeats)
+        agg = aggregate_episode_metrics(repeats)
+        cells[(kind, shots)] = CellOutcome(mean=agg.mean, std=agg.std)
         save_encoder_checkpoint(cell_checkpoint(out_dir, cfg, kind, shots, seed), result.params, cfg.encoder)
     metrics_path = os.path.join(out_dir, f"metrics-{cfg.pretrain}{tag}.csv")
     write_metrics_csv(metrics_path, rows)
-    return RowFragment(cfg.pretrain, seed, cells, metrics_path)
+    return RowFragment(cfg.pretrain, cells, metrics_path)
+
+
+def write_report(cfg: ExperimentConfig, fragments: list[RowFragment], seed: int, out_dir: str) -> tuple[str, str]:
+    """Write results.csv and results.txt, one row per fragment and one
+    column per cell of `cfg`, and return both paths."""
+    if not fragments:
+        raise ValueError("no result rows to tabulate")
+    os.makedirs(out_dir, exist_ok=True)
+    columns = cell_list(cfg)
+    names = ["pretrain"] + [f"{kind}@{shot_label(shots)}" for kind, shots in columns]
+    grid = [[fragment.pretrain] + [_cell_text(fragment.cells.get(col)) for col in columns] for fragment in fragments]
+    meta = f"seed={seed} config={cfg.digest()}"
+
+    csv_path = os.path.join(out_dir, "results.csv")
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"# {meta}\n")
+        for row in [names] + grid:
+            f.write(",".join(row) + "\n")
+
+    txt_path = os.path.join(out_dir, "results.txt")
+    widths = [max(len(row[j]) for row in [names] + grid) for j in range(len(names))]
+    with open(txt_path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(meta + "\n")
+        f.write(" | ".join(n.ljust(w) for n, w in zip(names, widths)) + "\n")
+        f.write("-+-".join("-" * w for w in widths) + "\n")
+        for row in grid:
+            f.write(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "\n")
+    return csv_path, txt_path
+
+
+def _cell_text(outcome: CellOutcome | None) -> str:
+    if outcome is None:
+        return "FAILED(missing)"
+    if outcome.failed:
+        return f"FAILED({outcome.reason})"
+    return f"{outcome.mean:.4f} +- {outcome.std:.4f}"
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +355,17 @@ def _grid_score(cfg: ExperimentConfig, seed: int) -> float:
     Pretraining reruns per point, so axes over pretraining fields are
     selected by the fine-tuned validation AUROC downstream of them.
     """
-    rng = SeededRng(seed)
     primary = prepare_splits(cfg, "same")
     kind, shots = cell_list(cfg)[0]
     other = other_splits(cfg, (kind,))
-    params = pretrain_encoder(cfg, primary.train, rng.child(1))
-    result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(100).child(0))
+    params = pretrain_encoder(cfg, primary.train, pretrain_stream(seed))
+    result = finetune_cell(cfg, params, primary, other, kind, shots, cell_stream(seed, 0).child(0))
     return max(result.val_history)
 
 
-def grid_search(cfg: ExperimentConfig, seed: int) -> tuple[ExperimentConfig, list[GridPoint]]:
-    """Exhaustive product over the declared grid axes.
+def grid_search(cfg: ExperimentConfig, seed: int) -> tuple[ExperimentConfig, GridPoint, list[GridPoint]]:
+    """Exhaustive product over the declared grid axes; returns the best
+    config, its point and every point.
 
     Best is the highest validation score; exact ties keep the earlier
     point in declaration order. Every point failing is an error.
@@ -334,7 +374,7 @@ def grid_search(cfg: ExperimentConfig, seed: int) -> tuple[ExperimentConfig, lis
         raise ValueError("config declares no grid axes")
     paths = [path for path, _ in cfg.grid]
     points: list[GridPoint] = []
-    best: tuple[float, int] | None = None
+    best: GridPoint | None = None
     for combo in itertools.product(*[values for _, values in cfg.grid]):
         overrides = dict(zip(paths, combo))
         try:
@@ -345,9 +385,8 @@ def grid_search(cfg: ExperimentConfig, seed: int) -> tuple[ExperimentConfig, lis
             points.append(GridPoint(tuple(overrides.items()), None, _failure_reason(exc)))
             continue
         points.append(GridPoint(tuple(overrides.items()), score))
-        if best is None or score > best[0]:
-            best = (score, len(points) - 1)
+        if best is None or score > best.score:
+            best = points[-1]
     if best is None:
         raise RuntimeError("every grid point failed")
-    winner = dict(points[best[1]].overrides)
-    return apply_grid_overrides(cfg, winner), points
+    return apply_grid_overrides(cfg, dict(best.overrides)), best, points

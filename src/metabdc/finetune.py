@@ -134,8 +134,13 @@ def _episode_loss_graph(
     bdc_s = conv_stack(g, sup, refs, enc_cfg).bdc()
     bdc_q = conv_stack(g, qry, refs, enc_cfg).bdc()
     scores = scores_graph(bdc_q, prototypes_graph(bdc_s, n_way, k_shot, d), n_way, d)
-    z = scores * (1.0 / temperature)
-    onehot = g.constant(np.eye(n_way)[np.repeat(np.arange(n_way), q_query)])
+    return _cross_entropy(g, scores * (1.0 / temperature), np.repeat(np.arange(n_way), q_query), n_way)
+
+
+def _cross_entropy(g: Graph, z, labels: np.ndarray, n_classes: int):
+    """Mean cross-entropy of the (n, n_classes) score rows `z` against
+    integer `labels`."""
+    onehot = g.constant(np.eye(n_classes)[labels])
     return (z.logsumexp(axis=1) - (z * onehot).sum(axis=1)).mean()
 
 
@@ -249,9 +254,7 @@ def supervised_pretrain_ce(
             g = Graph()
             refs = bind_params(g, step_params)
             x = g.input("x", (idx.size,) + all_nchw.shape[1:])
-            z = classify_head(g, conv_stack(g, x, refs, enc_cfg), refs)
-            onehot = g.constant(np.eye(n_classes)[labels[idx]])
-            loss = (z.logsumexp(axis=1) - (z * onehot).sum(axis=1)).mean()
+            loss = _cross_entropy(g, classify_head(g, conv_stack(g, x, refs, enc_cfg), refs), labels[idx], n_classes)
             forward_eval(g, {"x": all_nchw[idx]})
             if not np.isfinite(float(loss.value)):
                 raise FloatingPointError(f"non-finite proxy loss at epoch {epoch}")

@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from metabdc.encoder import (
 )
 from metabdc.finetune import classifier_scores
 from metabdc.ssl import _embed_dataset
+from fresh_interpreter import run_snippet
 from gradcheck import grad_check
 
 TINY = EncoderConfig(height=8, width=8, channels=1, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
@@ -47,11 +52,9 @@ def test_config_rejects_bad_stages():
         EncoderConfig(stages=((8, 3, 2), (16, -1, 2)))
 
 
-def test_conv_stack_output_does_not_depend_on_batch_size():
+def check_batch_independence():
     """Each image's feature map is bit-identical whether it is encoded alone
-    or in a batch of up to 256. Training encodes support and query as two
-    batches and evaluation encodes them as one, so their bit parity rests
-    on this."""
+    or in a batch of up to 256."""
     cfg = EncoderConfig()
     params = init_params(cfg, SeededRng(7))
     images = SeededRng(9).generator().normal(size=(256, 1, 16, 16)).astype(np.float32)
@@ -67,6 +70,44 @@ def test_conv_stack_output_does_not_depend_on_batch_size():
     for size in (1, 10, 20, 30, 64, 256):
         for start in (0, 256 - size):
             assert np.array_equal(fmaps(images[start : start + size]), whole[start : start + size]), (size, start)
+
+
+def test_conv_stack_output_does_not_depend_on_batch_size():
+    """Training encodes support and query as two batches and evaluation
+    encodes them as one, so their bit parity rests on this."""
+    check_batch_independence()
+
+
+def openblas_kernel() -> str | None:
+    """The kernel numpy's OpenBLAS runs, or None where numpy's BLAS is not a
+    DYNAMIC_ARCH OpenBLAS that reports it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            if hasattr(lib, name):
+                getattr(lib, name).restype = ctypes.c_char_p
+                return getattr(lib, name)().decode()
+    return None
+
+
+@pytest.mark.parametrize("kernel", ["SkylakeX", "Haswell", "Sandybridge", "Prescott"])
+def test_batch_independence_holds_under_each_blas_kernel(kernel):
+    """OPENBLAS_CORETYPE forces one OpenBLAS kernel per process, standing in
+    for another host's CPU; OpenBLAS falls back to a kernel this CPU can run,
+    so the failure message names the kernel read back, not the one asked for."""
+    if openblas_kernel() is None:
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS that reports its kernel, so none can be forced")
+    snippet = "import test_encoder\nprint(test_encoder.openblas_kernel())\ntest_encoder.check_batch_independence()"
+    out = run_snippet(snippet, OPENBLAS_CORETYPE=kernel)
+    ran = out.stdout.strip() or "unknown"
+    assert out.returncode == 0, f"OPENBLAS_CORETYPE={kernel} ran kernel {ran}:\n{out.stderr[-2000:]}"
 
 
 def test_init_bounds_and_determinism():

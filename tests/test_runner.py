@@ -1,6 +1,7 @@
 """Runner layer: strict config parsing, per-cell orchestration with
 failure isolation, grid search, report emission, and the CLI."""
 
+import csv
 import json
 import os
 import re
@@ -35,9 +36,9 @@ from metabdc.experiment import (
     prepare_splits,
     run_experiment,
     shot_label,
+    write_report,
 )
 from metabdc.finetune import FinetuneConfig
-from metabdc.report import ResultsTable, column_label, emit_report
 from metabdc.ssl import AugmentConfig, IpIrmConfig
 
 
@@ -390,16 +391,17 @@ class TestGridSearch:
 
     def test_exact_tie_keeps_earlier_point(self):
         cfg = tiny_cfg(grid=(("tune.lr", (0.01, 0.01)),), finetune_kinds=("meta-fine-same",))
-        best_cfg, points = grid_search(cfg, 2)
+        best_cfg, best, points = grid_search(cfg, 2)
         assert len(points) == 2
         assert points[0].score == points[1].score
+        assert best is points[0]
         assert best_cfg.tune.lr == 0.01
 
     def test_selects_max_validation_score(self):
         cfg = tiny_cfg(grid=(("tune.epochs", (2, 3)),), finetune_kinds=("meta-fine-same",))
-        best_cfg, points = grid_search(cfg, 2)
+        best_cfg, best, points = grid_search(cfg, 2)
         assert [p.score is not None for p in points] == [True, True]
-        best = max(points, key=lambda p: p.score)
+        assert best.score == max(p.score for p in points)
         assert best_cfg.tune.epochs == dict(best.overrides)["tune.epochs"]
 
     def test_all_points_failing_is_an_error(self):
@@ -409,10 +411,9 @@ class TestGridSearch:
 
 
 class TestReport:
-    def make_table(self):
-        cfg = tiny_cfg()
+    def fragments(self):
         full = RowFragment(
-            "none", 0,
+            "none",
             {
                 ("meta-fine-same", 1): CellOutcome(mean=0.8123, std=0.0456),
                 ("fully-supervised", 0): CellOutcome(mean=0.7, std=0.0),
@@ -420,15 +421,15 @@ class TestReport:
             "a.csv",
         )
         partial = RowFragment(
-            "simclr", 0,
+            "simclr",
             {("meta-fine-same", 1): CellOutcome(reason="ValueError: class 5; support count != 40")},
             "b.csv",
         )
-        return cfg, ResultsTable.from_fragments(cfg, [full, partial], 0)
+        return [full, partial]
 
     def test_layout_and_failure_rendering(self, tmp_path):
-        cfg, table = self.make_table()
-        csv_path, txt_path = emit_report(table, str(tmp_path))
+        cfg = tiny_cfg()
+        csv_path, txt_path = write_report(cfg, self.fragments(), 0, str(tmp_path))
         with open(csv_path) as f:
             lines = f.read().splitlines()
         assert lines[0] == f"# seed=0 config={cfg.digest()}"
@@ -437,26 +438,33 @@ class TestReport:
         assert lines[3].startswith("simclr,FAILED(ValueError")
         assert "FAILED(missing)" in lines[3]
         with open(txt_path) as f:
-            text = f.read()
-        assert "meta-fine-same@1shot" in text
-        assert "0.8123 +- 0.0456" in text
+            text = f.read().splitlines()
+        assert text[0] == f"seed=0 config={cfg.digest()}"
+        assert text[1] == "pretrain | meta-fine-same@1shot" + " " * 28 + " | fully-supervised@whole"
+        assert text[3] == "none     | 0.8123 +- 0.0456" + " " * 32 + " | 0.7000 +- 0.0000      "
+        assert text[4].startswith("simclr   | FAILED(ValueError: class 5; support count != 40) | FAILED(missing)")
 
     def test_reemit_is_byte_identical(self, tmp_path):
-        _, table = self.make_table()
-        csv_path, txt_path = emit_report(table, str(tmp_path))
-        with open(csv_path, "rb") as f:
-            first = f.read()
-        emit_report(table, str(tmp_path))
-        with open(csv_path, "rb") as f:
-            assert f.read() == first
+        paths = write_report(tiny_cfg(), self.fragments(), 0, str(tmp_path))
+        first = []
+        for path in paths:
+            with open(path, "rb") as f:
+                first.append(f.read())
+        write_report(tiny_cfg(), self.fragments(), 0, str(tmp_path))
+        for path, before in zip(paths, first):
+            with open(path, "rb") as f:
+                assert f.read() == before
 
-    def test_column_label(self):
-        assert column_label(("meta-coarse-other", 5)) == "meta-coarse-other@5shot"
-        assert column_label(("fully-supervised", 0)) == "fully-supervised@whole"
+    def test_column_label(self, tmp_path):
+        # a column is labelled kind@shots, with the whole-split column @whole
+        cfg = tiny_cfg(finetune_kinds=("meta-coarse-other", "fully-supervised"), k_shots=(5,))
+        csv_path, _ = write_report(cfg, self.fragments()[:1], 0, str(tmp_path))
+        with open(csv_path) as f:
+            assert f.read().splitlines()[1] == "pretrain,meta-coarse-other@5shot,fully-supervised@whole"
 
-    def test_empty_fragments_rejected(self):
+    def test_empty_fragments_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no result rows"):
-            ResultsTable.from_fragments(tiny_cfg(), [], 0)
+            write_report(tiny_cfg(), [], 0, str(tmp_path))
 
 
 class TestCli:
@@ -481,12 +489,37 @@ class TestCli:
         assert lines[0] == "run_id,phase,episode,repeat,auroc"
         assert len(lines) == 1 + 3 * 2  # test_episodes x test_repeats
 
+    def test_phases_reproduce_the_runners_first_cell(self, tmp_path):
+        # the CLI phases run cell 0 on the streams run_experiment gives it, so
+        # checkpoints and rows agree byte for byte
+        cfg = tiny_cfg(pretrain="ipirm", pretrain_kinds=("ipirm",))
+        cfg_path = str(tmp_path / "cfg.json")
+        save_config(cfg_path, cfg)
+        phases, runner = str(tmp_path / "phases"), str(tmp_path / "runner")
+        for command in ("pretrain", "finetune", "evaluate"):
+            assert main([command, "--config", cfg_path, "--seed", "6", "--out", phases]) == 0
+        fragment = run_experiment(cfg, 6, runner)
+
+        def read(path):
+            with open(path, "rb") as f:
+                return f.read()
+
+        for name in ("pretrain-ipirm-s6.mbcp", "pretrain-ipirm-s6-trace.csv", "cell-ipirm-meta-fine-same-1shot-s6.mbcp"):
+            assert read(os.path.join(phases, name)) == read(os.path.join(runner, name)), name
+        cell_id = "ipirm+meta-fine-same-1shot-s6"
+        header, *rows = read(fragment.metrics_path).splitlines(keepends=True)
+        for phase in ("val", "test"):
+            phase_header, *phase_rows = read(os.path.join(phases, f"{phase}-{cell_id}.csv")).splitlines(keepends=True)
+            assert phase_header == header
+            assert phase_rows == [row for row in rows if row.startswith(f"{cell_id},{phase},".encode())]
+            assert phase_rows
+
     def test_evaluate_without_checkpoint_fails(self, setup, capsys):
         _, cfg_path, out = setup
         assert main(["evaluate", "--config", cfg_path, "--seed", "9", "--out", out]) == 2
         assert "finetune" in capsys.readouterr().err
 
-    def test_grid_writes_best_config(self, setup):
+    def test_grid_writes_best_config(self, setup, tmp_path):
         cfg, cfg_path, out = setup
         assert main(["grid", "--config", cfg_path, "--out", out]) == 0
         with open(os.path.join(out, "grid.csv")) as f:
@@ -495,6 +528,16 @@ class TestCli:
         assert len(lines) == 3
         best = load_config(os.path.join(out, "best_config.json"))
         assert best.tune.lr in (0.01, 0.003)
+
+        # a tuple value prints with commas; its label still reads back whole
+        cfg_path = str(tmp_path / "tuple-grid.json")
+        save_config(cfg_path, replace(cfg, grid=(("tune.decay_epochs", ((1,), (0, 1))),)))
+        assert main(["grid", "--config", cfg_path, "--out", out]) == 0
+        with open(os.path.join(out, "grid.csv"), newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [2, 2, 2]
+        assert [row[0] for row in rows] == ["point", "tune.decay_epochs=(1,)", "tune.decay_epochs=(0, 1)"]
+        assert all(0.0 <= float(row[1]) <= 1.0 for row in rows[1:])
 
     def test_report_full_table(self, setup):
         _, cfg_path, out = setup
