@@ -7,10 +7,12 @@ named by pretraining kind, cell, and seed, so phases can be run
 separately and pick up each other's checkpoints.
 
 This module only parses arguments, hands checkpoints from one phase to
-the next and prints; experiment.py wires the run. finetune and evaluate
-operate on the first configured cell (the first fine-tune kind at the
-first shot setting) with cell 0's stream, so their checkpoint and rows
-equal those of the first cell of `report`'s run of the same seed.
+the next and prints; experiment.py wires the run. report builds the
+splits once and calls run_experiment once per pretraining row, so each
+row's cells number from 0. finetune and evaluate operate on the first
+configured cell (the first fine-tune kind at the first shot setting) with
+cell 0's stream, so their checkpoint and rows equal those of the first
+cell of the configured pretraining kind's row in `report` at the same seed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from .config import PROFILES, ExperimentConfig, apply_profile, load_config, save_config
 from .encoder import load_encoder_checkpoint, save_encoder_checkpoint
@@ -73,9 +74,9 @@ def cmd_finetune(cfg: ExperimentConfig, seed: int, out: str) -> int:
         params = pretrain_encoder(cfg, primary.train, pretrain_stream(seed), out, seed_tag(seed))
     other = other_splits(cfg, (kind,))
     result = finetune_cell(cfg, params, primary, other, kind, shots, cell_stream(seed, 0).child(0))
-    ckpt = cell_checkpoint(out, cfg, kind, shots, seed)
+    ckpt = cell_checkpoint(out, cfg.pretrain, kind, shots, seed)
     save_encoder_checkpoint(ckpt, result.params, cfg.encoder)
-    cell_id = run_id(cfg, kind, shots, seed)
+    cell_id = run_id(cfg.pretrain, kind, shots, seed)
     write_metrics_csv(os.path.join(out, f"val-{cell_id}.csv"), val_rows(cell_id, result))
     print(f"fine-tuned {kind} ({shot_label(shots)}): best epoch {result.best_epoch}, "
           f"val AUROC {result.val_history[result.best_epoch]:.4f} -> {ckpt}")
@@ -84,14 +85,14 @@ def cmd_finetune(cfg: ExperimentConfig, seed: int, out: str) -> int:
 
 def cmd_evaluate(cfg: ExperimentConfig, seed: int, out: str) -> int:
     kind, shots = cell_list(cfg)[0]
-    ckpt = cell_checkpoint(out, cfg, kind, shots, seed)
+    ckpt = cell_checkpoint(out, cfg.pretrain, kind, shots, seed)
     if not os.path.exists(ckpt):
         print(f"no fine-tuned checkpoint at {ckpt}; run the finetune subcommand first", file=sys.stderr)
         return 2
     params = load_encoder_checkpoint(ckpt, cfg.encoder)
     primary = prepare_splits(cfg, "same")
     repeats = test_cell(cfg, params, primary, kind, shots, cell_stream(seed, 0))
-    cell_id = run_id(cfg, kind, shots, seed)
+    cell_id = run_id(cfg.pretrain, kind, shots, seed)
     path = os.path.join(out, f"test-{cell_id}.csv")
     write_metrics_csv(path, test_rows(cell_id, repeats))
     agg = aggregate_episode_metrics(repeats)
@@ -121,8 +122,12 @@ def cmd_grid(cfg: ExperimentConfig, seed: int, out: str) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, seed: int, out: str) -> int:
-    fragments = [run_experiment(replace(cfg, pretrain=kind), seed, out) for kind in cfg.pretrain_kinds]
-    csv_path, txt_path = write_report(cfg, fragments, seed, out)
+    primary = prepare_splits(cfg, "same")
+    other = other_splits(cfg, cfg.finetune_kinds)
+    outcomes = {}
+    for kind in cfg.pretrain_kinds:  # one run per row, so each row's cells number from 0
+        outcomes.update(run_experiment(cfg, seed, primary, other, [(kind, *c) for c in cell_list(cfg)], out))
+    csv_path, txt_path = write_report(cfg, outcomes, seed, out)
     with open(txt_path, "r", encoding="utf-8") as f:
         print(f.read(), end="")
     print(f"report -> {csv_path}, {txt_path}")

@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("train and eval domains must differ")
         if not 0.0 <= self.val_fraction <= 1.0:
             raise ValueError(f"val_fraction: must lie in [0, 1], got {self.val_fraction}")
+        if self.fov_mm <= 0:
+            raise ValueError(f"fov_mm: must be positive, got {self.fov_mm}")
         if self.encoder.height != self.encoder.width:
             # preprocessing resizes every image to encoder.height x encoder.height
             raise ValueError(f"encoder: input must be square, got {self.encoder.height}x{self.encoder.width}")

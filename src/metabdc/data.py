@@ -189,6 +189,9 @@ class SyntheticConfig:
             raise ValueError("factor strengths must be nonnegative")
         if self.band_base <= 0 or self.band_step < 0:
             raise ValueError("need a positive base frequency and a nonnegative band step")
+        for name in ("px", "py"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: pixel spacing must be positive, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 report. The one module that knows how a run is wired: the seed's streams,
 cell training and testing, metrics rows and the results table.
 
-run_experiment executes one pretraining kind against every configured
-fine-tune column and shot setting, writing a metrics CSV plus
-checkpoints. A failing cell is recorded with its reason and the run
-moves on. All randomness hangs off the single seed, so a repeated run
-reproduces its CSV byte for byte.
+run_experiment runs any list of (pretraining kind, fine-tune kind, shots)
+cells, pretraining each kind once and writing per kind a metrics CSV plus
+checkpoints. A failing cell is recorded with its reason and the run moves
+on. All randomness hangs off the single seed, so a repeated run
+reproduces its CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -59,11 +59,7 @@ class CellOutcome:
         return self.reason is not None
 
 
-@dataclass
-class RowFragment:
-    pretrain: str
-    cells: dict[tuple[str, int], CellOutcome]
-    metrics_path: str
+Cell = tuple[str, str, int]  # (pretraining kind, fine-tune kind, shots); shots 0 marks whole-dataset
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ def pretrain_stream(seed: int) -> SeededRng:
 
 
 def cell_stream(seed: int, idx: int) -> SeededRng:
-    """The stream of cell `idx` of `cell_list` under `seed`: its child(0)
-    fine-tunes, and test episodes hang off the stream itself."""
+    """The stream of cell `idx` of a run's cell list under `seed`: its
+    child(0) fine-tunes, and test episodes hang off the stream itself."""
     return SeededRng(seed).child(100 + idx)
 
 
@@ -124,16 +120,16 @@ def seed_tag(seed: int) -> str:
     return f"-s{seed}"
 
 
-def run_id(cfg: ExperimentConfig, kind: str, shots: int, seed: int) -> str:
-    return f"{cfg.pretrain}+{kind}-{shot_label(shots)}{seed_tag(seed)}"
+def run_id(pretrain: str, kind: str, shots: int, seed: int) -> str:
+    return f"{pretrain}+{kind}-{shot_label(shots)}{seed_tag(seed)}"
 
 
 def pretrain_checkpoint(out_dir: str, kind: str, tag: str = "") -> str:
     return os.path.join(out_dir, f"pretrain-{kind}{tag}.mbcp")
 
 
-def cell_checkpoint(out_dir: str, cfg: ExperimentConfig, kind: str, shots: int, seed: int) -> str:
-    return os.path.join(out_dir, f"cell-{cfg.pretrain}-{kind}-{shot_label(shots)}{seed_tag(seed)}.mbcp")
+def cell_checkpoint(out_dir: str, pretrain: str, kind: str, shots: int, seed: int) -> str:
+    return os.path.join(out_dir, f"cell-{pretrain}-{kind}-{shot_label(shots)}{seed_tag(seed)}.mbcp")
 
 
 # ---------------------------------------------------------------------------
@@ -266,51 +262,54 @@ def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
             f.write(f"{row.run_id},{row.phase},{row.episode},{row.repeat},{row.auroc:.10g}\n")
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int, out_dir: str) -> RowFragment:
-    """One pretraining row of the ablation: every configured cell.
+def run_experiment(
+    cfg: ExperimentConfig, seed: int, primary: Splits, other: Splits | None, cells: list[Cell], out_dir: str
+) -> dict[Cell, CellOutcome]:
+    """Run each (pretraining kind, fine-tune kind, shots) cell of `cells`.
 
-    Failures are per cell: the reason lands in the fragment and the rest
-    of the row still runs. Artifacts: metrics CSV, pretrain checkpoint,
-    and one checkpoint per successful cell.
+    Each kind the list names is pretrained once on pretrain_stream(seed);
+    cell `idx` runs on cell_stream(seed, idx), numbered across the whole
+    list. A failing cell records its reason and the others still run. Each
+    pretraining kind writes its checkpoint (and trace CSV),
+    metrics-<kind>-s<seed>.csv and one checkpoint per successful cell.
     """
-    log.info("running pretraining row %s", cfg.pretrain)
     os.makedirs(out_dir, exist_ok=True)
-    primary = prepare_splits(cfg, "same")
-    other = other_splits(cfg, cfg.finetune_kinds)
-
     tag = seed_tag(seed)
-    params = pretrain_encoder(cfg, primary.train, pretrain_stream(seed), out_dir, tag)
+    outcomes: dict[Cell, CellOutcome] = {}
+    for pk in dict.fromkeys(cell[0] for cell in cells):
+        log.info("running pretraining row %s", pk)
+        params = pretrain_encoder(replace(cfg, pretrain=pk), primary.train, pretrain_stream(seed), out_dir, tag)
+        rows: list[MetricsRow] = []
+        for idx, cell in enumerate(cells):
+            if cell[0] != pk:
+                continue
+            _, kind, shots = cell
+            cell_id = run_id(*cell, seed)
+            rng = cell_stream(seed, idx)
+            try:
+                result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(0))
+                repeats = test_cell(cfg, result.params, primary, kind, shots, rng)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                log.warning("cell %s failed: %s", cell_id, exc)
+                outcomes[cell] = CellOutcome(reason=_failure_reason(exc))
+                continue
+            rows += val_rows(cell_id, result) + test_rows(cell_id, repeats)
+            agg = aggregate_episode_metrics(repeats)
+            outcomes[cell] = CellOutcome(mean=agg.mean, std=agg.std)
+            save_encoder_checkpoint(cell_checkpoint(out_dir, *cell, seed), result.params, cfg.encoder)
+        write_metrics_csv(os.path.join(out_dir, f"metrics-{pk}{tag}.csv"), rows)
+    return outcomes
 
-    rows: list[MetricsRow] = []
-    cells: dict[tuple[str, int], CellOutcome] = {}
-    for idx, (kind, shots) in enumerate(cell_list(cfg)):
-        cell_id = run_id(cfg, kind, shots, seed)
-        rng = cell_stream(seed, idx)
-        try:
-            result = finetune_cell(cfg, params, primary, other, kind, shots, rng.child(0))
-            repeats = test_cell(cfg, result.params, primary, kind, shots, rng)
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            log.warning("cell %s failed: %s", cell_id, exc)
-            cells[(kind, shots)] = CellOutcome(reason=_failure_reason(exc))
-            continue
-        rows += val_rows(cell_id, result) + test_rows(cell_id, repeats)
-        agg = aggregate_episode_metrics(repeats)
-        cells[(kind, shots)] = CellOutcome(mean=agg.mean, std=agg.std)
-        save_encoder_checkpoint(cell_checkpoint(out_dir, cfg, kind, shots, seed), result.params, cfg.encoder)
-    metrics_path = os.path.join(out_dir, f"metrics-{cfg.pretrain}{tag}.csv")
-    write_metrics_csv(metrics_path, rows)
-    return RowFragment(cfg.pretrain, cells, metrics_path)
 
-
-def write_report(cfg: ExperimentConfig, fragments: list[RowFragment], seed: int, out_dir: str) -> tuple[str, str]:
-    """Write results.csv and results.txt, one row per fragment and one
-    column per cell of `cfg`, and return both paths."""
-    if not fragments:
+def write_report(cfg: ExperimentConfig, outcomes: dict[Cell, CellOutcome], seed: int, out_dir: str) -> tuple[str, str]:
+    """Write results.csv and results.txt, one row per pretraining kind and
+    one column per cell of `cfg`, and return both paths."""
+    if not outcomes:
         raise ValueError("no result rows to tabulate")
     os.makedirs(out_dir, exist_ok=True)
     columns = cell_list(cfg)
     names = ["pretrain"] + [f"{kind}@{shot_label(shots)}" for kind, shots in columns]
-    grid = [[fragment.pretrain] + [_cell_text(fragment.cells.get(col)) for col in columns] for fragment in fragments]
+    grid = [[pk] + [_cell_text(outcomes.get((pk, *col))) for col in columns] for pk in cfg.pretrain_kinds]
     meta = f"seed={seed} config={cfg.digest()}"
 
     csv_path = os.path.join(out_dir, "results.csv")

@@ -56,6 +56,10 @@ class FinetuneConfig:
             raise ValueError("epochs and episode counts must be positive")
         if self.batch_size < 2:
             raise ValueError("supervised batch size must be at least 2")
+        try:  # the step schedule both fine-tuning loops build
+            ScheduleConfig("step", self.lr, self.epochs, self.decay_epochs)
+        except ValueError as exc:
+            raise ValueError(f"decay_epochs: {exc}") from None
 
 
 @dataclass

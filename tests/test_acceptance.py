@@ -10,7 +10,6 @@ and the directional study on the default synthetic dataset. Run with
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,13 +25,7 @@ from metabdc.data import (
     sample_episode,
 )
 from metabdc.encoder import EncoderConfig, bind_params, conv_stack, init_params, project_head
-from metabdc.experiment import (
-    finetune_cell,
-    prepare_splits,
-    pretrain_encoder,
-    run_experiment,
-    test_cell as eval_cell,  # alias keeps pytest from collecting it
-)
+from metabdc.experiment import cell_list, prepare_splits, run_experiment
 from metabdc.finetune import FinetuneConfig, episode_scores
 from metabdc.metrics import auroc_binary, auroc_multiclass_ovr
 from metabdc.optim import lr_from_batch
@@ -414,7 +407,7 @@ def test_episode_sampler_invariants_and_duplicate_query():
 # 9. directional study on the default synthetic dataset
 
 
-def test_pretraining_and_granularity_trends_hold():
+def test_pretraining_and_granularity_trends_hold(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(
         pretrain="none",
@@ -424,33 +417,26 @@ def test_pretraining_and_granularity_trends_hold():
     )
     primary = prepare_splits(cfg, "same")
     other = prepare_splits(cfg, "other")
-    cells = [("none", "meta-fine-same"), ("ipirm", "meta-fine-same"),
-             ("ipirm", "meta-coarse-same"), ("ipirm", "meta-fine-other")]
-    scores: dict[tuple[str, str], list[float]] = {c: [] for c in cells}
+    untrained, fine = ("none", "meta-fine-same", 5), ("ipirm", "meta-fine-same", 5)
+    coarse, fine_other = ("ipirm", "meta-coarse-same", 5), ("ipirm", "meta-fine-other", 5)
+    cells = [untrained, fine, coarse, fine_other]
+    scores: dict[tuple[str, str, int], list[float]] = {c: [] for c in cells}
     for seed in range(5):
-        rng = SeededRng(seed)
-        pret = {
-            kind: pretrain_encoder(replace(cfg, pretrain=kind), primary.train, rng.child(1))
-            for kind in ("none", "ipirm")
-        }
-        for idx, (pk, fk) in enumerate(cells):
-            cell_rng = rng.child(100 + idx)
-            src_other = other if fk.endswith("-other") else None
-            result = finetune_cell(cfg, pret[pk], primary, src_other, fk, 5, cell_rng.child(0))
-            reps = eval_cell(cfg, result.params, primary, fk, 5, cell_rng)
-            scores[(pk, fk)].append(float(np.mean([x for rep in reps for x in rep])))
+        outcomes = run_experiment(cfg, seed, primary, other, cells, str(tmp_path))
+        assert not any(o.failed for o in outcomes.values()), outcomes
+        for cell in cells:
+            scores[cell].append(outcomes[cell].mean)
 
     for seed in range(5):
-        got = {c: v[seed] for c, v in scores.items()}
-        fine = got[("ipirm", "meta-fine-same")]
-        print(f"  seed {seed}: " + " ".join(f"{pk}/{fk}={v:.4f}" for (pk, fk), v in got.items())
-              + f" | gain {fine - got[('none', 'meta-fine-same')]:+.4f}"
-              f" fine-over-coarse {fine - got[('ipirm', 'meta-coarse-same')]:+.4f}"
-              f" same-over-other {fine - got[('ipirm', 'meta-fine-other')]:+.4f}", flush=True)
-    means = {c: float(np.mean(v)) for c, v in scores.items()}
-    a = means[("ipirm", "meta-fine-same")] - means[("none", "meta-fine-same")]
-    b = means[("ipirm", "meta-fine-same")] - means[("ipirm", "meta-coarse-same")]
-    c = means[("ipirm", "meta-fine-same")] - means[("ipirm", "meta-fine-other")]
+        got = {cell: v[seed] for cell, v in scores.items()}
+        print(f"  seed {seed}: " + " ".join(f"{pk}/{fk}={v:.4f}" for (pk, fk, _), v in got.items())
+              + f" | gain {got[fine] - got[untrained]:+.4f}"
+              f" fine-over-coarse {got[fine] - got[coarse]:+.4f}"
+              f" same-over-other {got[fine] - got[fine_other]:+.4f}", flush=True)
+    means = {cell: float(np.mean(v)) for cell, v in scores.items()}
+    a = means[fine] - means[untrained]
+    b = means[fine] - means[coarse]
+    c = means[fine] - means[fine_other]
     elapsed = time.time() - t0
     ok = a >= 0.02 and b >= 0.02 and c > 0 and elapsed <= 1800.0
     _line(ok, f"5-seed trends: pretrain gain {a:+.4f}, fine-over-coarse {b:+.4f}, "
@@ -473,11 +459,13 @@ def test_same_seed_experiment_is_byte_identical(tmp_path):
         test_episodes=3,
         test_repeats=2,
     )
-    frag1 = run_experiment(cfg, 5, str(tmp_path / "a"))
-    frag2 = run_experiment(cfg, 5, str(tmp_path / "b"))
-    with open(frag1.metrics_path, "rb") as f:
+    primary = prepare_splits(cfg, "same")
+    cells = [("none", *cell) for cell in cell_list(cfg)]
+    run_experiment(cfg, 5, primary, None, cells, str(tmp_path / "a"))
+    run_experiment(cfg, 5, primary, None, cells, str(tmp_path / "b"))
+    with open(tmp_path / "a" / "metrics-none-s5.csv", "rb") as f:
         blob1 = f.read()
-    with open(frag2.metrics_path, "rb") as f:
+    with open(tmp_path / "b" / "metrics-none-s5.csv", "rb") as f:
         blob2 = f.read()
     ok = len(blob1) > 0 and blob1 == blob2
     _line(ok, f"same-seed reruns write byte-identical metrics ({len(blob1)} bytes)")

@@ -29,16 +29,21 @@ from metabdc.encoder import EncoderConfig, init_params
 from metabdc import experiment
 from metabdc.experiment import (
     CellOutcome,
-    RowFragment,
     cell_list,
+    cell_stream,
+    finetune_cell,
     grid_search,
+    other_splits,
     pretrain_encoder,
+    pretrain_stream,
     prepare_splits,
     run_experiment,
     shot_label,
+    test_cell as eval_cell,  # alias keeps pytest from collecting it
     write_report,
 )
 from metabdc.finetune import FinetuneConfig
+from metabdc.metrics import aggregate_episode_metrics
 from metabdc.ssl import AugmentConfig, IpIrmConfig
 
 
@@ -69,6 +74,18 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def run_row(cfg, seed, out):
+    """run_experiment over the cells of `cfg.pretrain`'s row, as `report` runs it."""
+    primary = prepare_splits(cfg, "same")
+    cells = [(cfg.pretrain, *cell) for cell in cell_list(cfg)]
+    return run_experiment(cfg, seed, primary, other_splits(cfg, cfg.finetune_kinds), cells, out)
+
+
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
 
 
 def all_non_default_cfg():
@@ -188,6 +205,15 @@ class TestConfigParsing:
             ({"val_fraction": -0.1}, "val_fraction"),
             ({"val_fraction": 1.5}, "val_fraction"),
             ({"encoder": {"height": 16, "width": 12}}, "encoder"),
+            ({"tune": {"decay_epochs": [5]}}, "tune.decay_epochs"),
+            ({"tune": {"decay_epochs": [-1]}}, "tune.decay_epochs"),
+            ({"tune": {"epochs": 2}}, "tune.decay_epochs"),
+            ({"data": {"px": 0}}, "data.px"),
+            ({"data": {"py": -6.25}}, "data.py"),
+            ({"other_data": {"px": -1.0}}, "other_data.px"),
+            ({"other_data": {"py": 0.0}}, "other_data.py"),
+            ({"fov_mm": 0}, "fov_mm"),
+            ({"fov_mm": -100.0}, "fov_mm"),
         ],
     )
     def test_mistyped_value_is_rejected_naming_its_path(self, raw, path):
@@ -291,18 +317,17 @@ class TestExperiment:
     def test_run_experiment_artifacts(self, tmp_path):
         cfg = tiny_cfg()
         out = str(tmp_path / "run")
-        fragment = run_experiment(cfg, 7, out)
-        assert fragment.pretrain == "none"
-        assert set(fragment.cells) == {("meta-fine-same", 1), ("fully-supervised", 0)}
-        assert not any(c.failed for c in fragment.cells.values())
-        for outcome in fragment.cells.values():
+        outcomes = run_row(cfg, 7, out)
+        assert list(outcomes) == [("none", "meta-fine-same", 1), ("none", "fully-supervised", 0)]
+        assert not any(c.failed for c in outcomes.values())
+        for outcome in outcomes.values():
             assert 0.0 <= outcome.mean <= 1.0
 
         assert os.path.exists(os.path.join(out, "pretrain-none-s7.mbcp"))
         assert os.path.exists(os.path.join(out, "cell-none-meta-fine-same-1shot-s7.mbcp"))
         assert os.path.exists(os.path.join(out, "cell-none-fully-supervised-whole-s7.mbcp"))
 
-        with open(fragment.metrics_path) as f:
+        with open(os.path.join(out, "metrics-none-s7.csv")) as f:
             lines = f.read().splitlines()
         assert lines[0] == "run_id,phase,episode,repeat,auroc"
         body = [line.split(",") for line in lines[1:]]
@@ -318,24 +343,21 @@ class TestExperiment:
 
     def test_same_seed_metrics_byte_identical(self, tmp_path):
         cfg = tiny_cfg()
-        frag_a = run_experiment(cfg, 11, str(tmp_path / "a"))
-        frag_b = run_experiment(cfg, 11, str(tmp_path / "b"))
-        with open(frag_a.metrics_path, "rb") as f:
-            bytes_a = f.read()
-        with open(frag_b.metrics_path, "rb") as f:
-            bytes_b = f.read()
-        assert bytes_a == bytes_b
+        run_row(cfg, 11, str(tmp_path / "a"))
+        run_row(cfg, 11, str(tmp_path / "b"))
+        name = "metrics-none-s11.csv"
+        assert read_bytes(str(tmp_path / "a" / name)) == read_bytes(str(tmp_path / "b" / name))
 
     def test_cell_failure_is_isolated(self, tmp_path):
         # shot count larger than any eval pool: that cell fails, the rest run
         cfg = tiny_cfg(k_shots=(1, 40), finetune_kinds=("meta-fine-same",))
-        fragment = run_experiment(cfg, 5, str(tmp_path / "run"))
-        good = fragment.cells[("meta-fine-same", 1)]
-        bad = fragment.cells[("meta-fine-same", 40)]
+        outcomes = run_row(cfg, 5, str(tmp_path / "run"))
+        good = outcomes[("none", "meta-fine-same", 1)]
+        bad = outcomes[("none", "meta-fine-same", 40)]
         assert not good.failed
         assert bad.failed
         assert bad.reason and "," not in bad.reason and "\n" not in bad.reason
-        with open(fragment.metrics_path) as f:
+        with open(str(tmp_path / "run" / "metrics-none-s5.csv")) as f:
             content = f.read()
         assert "1shot" in content and "40shot" not in content
 
@@ -379,9 +401,21 @@ class TestExperiment:
 
     def test_other_source_cell_uses_other_data(self, tmp_path):
         cfg = tiny_cfg(finetune_kinds=("meta-fine-other",))
-        fragment = run_experiment(cfg, 3, str(tmp_path / "run"))
-        outcome = fragment.cells[("meta-fine-other", 1)]
-        assert not outcome.failed
+        outcomes = run_row(cfg, 3, str(tmp_path / "run"))
+        assert not outcomes[("none", "meta-fine-other", 1)].failed
+
+    def test_cells_are_numbered_across_the_whole_list(self, tmp_path):
+        # cell 1 runs on cell_stream(seed, 1) from its kind's pretrain_stream
+        # encoder, although it is the first cell of its pretraining kind
+        cfg = tiny_cfg(finetune_kinds=("meta-fine-same",))
+        primary = prepare_splits(cfg, "same")
+        cells = [("none", "meta-fine-same", 1), ("ipirm", "meta-fine-same", 1)]
+        outcomes = run_experiment(cfg, 4, primary, None, cells, str(tmp_path))
+        params = pretrain_encoder(replace(cfg, pretrain="ipirm"), primary.train, pretrain_stream(4))
+        rng = cell_stream(4, 1)
+        result = finetune_cell(cfg, params, primary, None, "meta-fine-same", 1, rng.child(0))
+        agg = aggregate_episode_metrics(eval_cell(cfg, result.params, primary, "meta-fine-same", 1, rng))
+        assert outcomes[cells[1]] == CellOutcome(mean=agg.mean, std=agg.std)
 
 
 class TestGridSearch:
@@ -411,25 +445,16 @@ class TestGridSearch:
 
 
 class TestReport:
-    def fragments(self):
-        full = RowFragment(
-            "none",
-            {
-                ("meta-fine-same", 1): CellOutcome(mean=0.8123, std=0.0456),
-                ("fully-supervised", 0): CellOutcome(mean=0.7, std=0.0),
-            },
-            "a.csv",
-        )
-        partial = RowFragment(
-            "simclr",
-            {("meta-fine-same", 1): CellOutcome(reason="ValueError: class 5; support count != 40")},
-            "b.csv",
-        )
-        return [full, partial]
+    CFG = dict(pretrain_kinds=("none", "simclr"))
+    OUTCOMES = {
+        ("none", "meta-fine-same", 1): CellOutcome(mean=0.8123, std=0.0456),
+        ("none", "fully-supervised", 0): CellOutcome(mean=0.7, std=0.0),
+        ("simclr", "meta-fine-same", 1): CellOutcome(reason="ValueError: class 5; support count != 40"),
+    }
 
     def test_layout_and_failure_rendering(self, tmp_path):
-        cfg = tiny_cfg()
-        csv_path, txt_path = write_report(cfg, self.fragments(), 0, str(tmp_path))
+        cfg = tiny_cfg(**self.CFG)
+        csv_path, txt_path = write_report(cfg, self.OUTCOMES, 0, str(tmp_path))
         with open(csv_path) as f:
             lines = f.read().splitlines()
         assert lines[0] == f"# seed=0 config={cfg.digest()}"
@@ -445,12 +470,12 @@ class TestReport:
         assert text[4].startswith("simclr   | FAILED(ValueError: class 5; support count != 40) | FAILED(missing)")
 
     def test_reemit_is_byte_identical(self, tmp_path):
-        paths = write_report(tiny_cfg(), self.fragments(), 0, str(tmp_path))
+        paths = write_report(tiny_cfg(**self.CFG), self.OUTCOMES, 0, str(tmp_path))
         first = []
         for path in paths:
             with open(path, "rb") as f:
                 first.append(f.read())
-        write_report(tiny_cfg(), self.fragments(), 0, str(tmp_path))
+        write_report(tiny_cfg(**self.CFG), self.OUTCOMES, 0, str(tmp_path))
         for path, before in zip(paths, first):
             with open(path, "rb") as f:
                 assert f.read() == before
@@ -458,13 +483,13 @@ class TestReport:
     def test_column_label(self, tmp_path):
         # a column is labelled kind@shots, with the whole-split column @whole
         cfg = tiny_cfg(finetune_kinds=("meta-coarse-other", "fully-supervised"), k_shots=(5,))
-        csv_path, _ = write_report(cfg, self.fragments()[:1], 0, str(tmp_path))
+        csv_path, _ = write_report(cfg, self.OUTCOMES, 0, str(tmp_path))
         with open(csv_path) as f:
             assert f.read().splitlines()[1] == "pretrain,meta-coarse-other@5shot,fully-supervised@whole"
 
     def test_empty_fragments_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no result rows"):
-            write_report(tiny_cfg(), [], 0, str(tmp_path))
+            write_report(tiny_cfg(), {}, 0, str(tmp_path))
 
 
 class TestCli:
@@ -498,18 +523,15 @@ class TestCli:
         phases, runner = str(tmp_path / "phases"), str(tmp_path / "runner")
         for command in ("pretrain", "finetune", "evaluate"):
             assert main([command, "--config", cfg_path, "--seed", "6", "--out", phases]) == 0
-        fragment = run_experiment(cfg, 6, runner)
-
-        def read(path):
-            with open(path, "rb") as f:
-                return f.read()
+        run_row(cfg, 6, runner)
 
         for name in ("pretrain-ipirm-s6.mbcp", "pretrain-ipirm-s6-trace.csv", "cell-ipirm-meta-fine-same-1shot-s6.mbcp"):
-            assert read(os.path.join(phases, name)) == read(os.path.join(runner, name)), name
+            assert read_bytes(os.path.join(phases, name)) == read_bytes(os.path.join(runner, name)), name
         cell_id = "ipirm+meta-fine-same-1shot-s6"
-        header, *rows = read(fragment.metrics_path).splitlines(keepends=True)
+        header, *rows = read_bytes(os.path.join(runner, "metrics-ipirm-s6.csv")).splitlines(keepends=True)
         for phase in ("val", "test"):
-            phase_header, *phase_rows = read(os.path.join(phases, f"{phase}-{cell_id}.csv")).splitlines(keepends=True)
+            phase_csv = os.path.join(phases, f"{phase}-{cell_id}.csv")
+            phase_header, *phase_rows = read_bytes(phase_csv).splitlines(keepends=True)
             assert phase_header == header
             assert phase_rows == [row for row in rows if row.startswith(f"{cell_id},{phase},".encode())]
             assert phase_rows
@@ -538,6 +560,20 @@ class TestCli:
         assert [len(row) for row in rows] == [2, 2, 2]
         assert [row[0] for row in rows] == ["point", "tune.decay_epochs=(1,)", "tune.decay_epochs=(0, 1)"]
         assert all(0.0 <= float(row[1]) <= 1.0 for row in rows[1:])
+
+    def test_report_rows_match_runs_of_one_row(self, tmp_path):
+        # report numbers each row's cells from 0: its metrics CSVs equal
+        # run_experiment over that row alone
+        cfg = tiny_cfg(pretrain_kinds=("none", "ipirm"))
+        cfg_path = str(tmp_path / "cfg.json")
+        save_config(cfg_path, cfg)
+        report = str(tmp_path / "report")
+        assert main(["report", "--config", cfg_path, "--seed", "2", "--out", report]) == 0
+        for kind in cfg.pretrain_kinds:
+            row = str(tmp_path / kind)
+            run_row(replace(cfg, pretrain=kind), 2, row)
+            name = f"metrics-{kind}-s2.csv"
+            assert read_bytes(os.path.join(report, name)) == read_bytes(os.path.join(row, name)), name
 
     def test_report_full_table(self, setup):
         _, cfg_path, out = setup
