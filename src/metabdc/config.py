@@ -122,9 +122,6 @@ class ExperimentConfig:
             raise ValueError(f"val_fraction: must lie in [0, 1], got {self.val_fraction}")
         if self.fov_mm <= 0:
             raise ValueError(f"fov_mm: must be positive, got {self.fov_mm}")
-        if self.encoder.height != self.encoder.width:
-            # preprocessing resizes every image to encoder.height x encoder.height
-            raise ValueError(f"encoder: input must be square, got {self.encoder.height}x{self.encoder.width}")
         # the label spaces each configured column needs must exist at episode width
         for kind in self.finetune_kinds:
             if kind == "fully-supervised":

@@ -1,7 +1,7 @@
 """Synthetic hierarchical imaging data, preprocessing, splits, episodes.
 
-A dataset is one `ImageSet` from generation on: an (n, H, W, C) pixel
-array with row-aligned fine, coarse, group and domain labels.
+A dataset is one `ImageSet` from generation on: an (n, S, S) array of
+single-channel pixels with row-aligned fine, coarse, group and domain labels.
 Preprocessing crops each row to a physical field of view, resizes it and
 z-scores each group's rows jointly; a split is a read-only subset of
 rows, and an `Episode` is support and query row indices into a split.
@@ -92,8 +92,8 @@ class EpisodeSpec:
 
 @dataclass(frozen=True)
 class ImageSet:
-    """(n, H, W, C) pixels with row-aligned fine, coarse, group and domain
-    labels; every array is made read-only."""
+    """(n, S, S) single-channel pixels with row-aligned fine, coarse, group
+    and domain labels; every array is made read-only."""
 
     pixels: np.ndarray
     fine: np.ndarray
@@ -243,7 +243,7 @@ def generate_synthetic(config: SyntheticConfig) -> ImageSet:
     group = row // config.group_size
     ax = np.linspace(-1.0, 1.0, size)
     yy, xx = np.meshgrid(ax, ax, indexing="ij")
-    pixels = np.empty((n, size, size, 1), dtype=np.float32)
+    pixels = np.empty((n, size, size), dtype=np.float32)
     rng = SeededRng(config.seed)
     for index, (f, c, dom) in enumerate(zip(fine.tolist(), coarse.tolist(), domain.tolist())):
         gen = rng.child(index).generator()
@@ -260,7 +260,7 @@ def generate_synthetic(config: SyntheticConfig) -> ImageSet:
         else:
             img = img + config.domain_shift * (0.8 * xx + 0.6 * yy)
             noise_scale = config.noise * (1.0 + config.domain_shift)
-        pixels[index, :, :, 0] = img + noise_scale * gen.normal(size=(size, size))
+        pixels[index] = img + noise_scale * gen.normal(size=(size, size))
     return ImageSet(pixels, fine, coarse, group, domain)
 
 
@@ -275,17 +275,17 @@ def preprocess_dataset(images: ImageSet, px: float, py: float, fov_mm: float, ou
     `px` and `py` are the source's column and row spacings in mm per
     pixel. The crop covers round(FOV/px) x round(FOV/py) pixels
     (half-up), zero-padded where it leaves the image. The pipeline passes
-    the encoder's input height as `out_size`.
+    the encoder's input size as `out_size`.
     """
     if fov_mm <= 0 or out_size <= 0:
         raise ValueError("FOV and output size must be positive")
     n_cols = fov_pixels(fov_mm, px)
     n_rows = fov_pixels(fov_mm, py)
-    n, h, w, channels = images.pixels.shape
-    out = np.empty((n, out_size, out_size, channels), dtype=images.pixels.dtype)
-    for i, c in np.ndindex(n, channels):
-        patch = crop_with_padding(images.pixels[i, :, :, c], (h - 1) / 2.0, (w - 1) / 2.0, n_rows, n_cols)
-        out[i, :, :, c] = resize_bilinear(patch, out_size, out_size)
+    n, h, w = images.pixels.shape
+    out = np.empty((n, out_size, out_size), dtype=images.pixels.dtype)
+    for i, image in enumerate(images.pixels):
+        patch = crop_with_padding(image, (h - 1) / 2.0, (w - 1) / 2.0, n_rows, n_cols)
+        out[i] = resize_bilinear(patch, out_size, out_size)
     for gid in dict.fromkeys(images.group.tolist()):
         rows = np.flatnonzero(images.group == gid)
         block = out[rows]

@@ -27,9 +27,7 @@ from .core.rng import SeededRng
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    height: int = 16
-    width: int = 16
-    channels: int = 1
+    size: int = 16  # input images are size x size, one channel
     # (out_channels, kernel, stride) per stage; padding is kernel // 2
     stages: tuple[tuple[int, int, int], ...] = ((8, 3, 2), (16, 3, 2))
     proj_hidden: int = 32
@@ -45,17 +43,16 @@ class EncoderConfig:
                 raise ValueError(f"stages[{i}]: conv stage channels and stride must be positive")
         if self.feature_dim < 2:
             raise ValueError("feature map needs at least 2 channels")
-        if self.num_positions < 2:
+        if self.out_size < 2:
             raise ValueError("feature map needs at least 2 spatial positions")
 
     @property
-    def out_hw(self) -> tuple[int, int]:
-        h, w = self.height, self.width
+    def out_size(self) -> int:
+        """Side length of the square feature map."""
+        side = self.size
         for _, k, s in self.stages:
-            pad = k // 2
-            h = (h + 2 * pad - k) // s + 1
-            w = (w + 2 * pad - k) // s + 1
-        return h, w
+            side = (side + 2 * (k // 2) - k) // s + 1
+        return side
 
     @property
     def feature_dim(self) -> int:
@@ -63,8 +60,7 @@ class EncoderConfig:
 
     @property
     def num_positions(self) -> int:
-        h, w = self.out_hw
-        return h * w
+        return self.out_size**2
 
     def digest(self) -> str:
         return config_digest(dataclasses.asdict(self))
@@ -82,7 +78,7 @@ def init_params(config: EncoderConfig, rng: SeededRng, dtype=np.float32) -> dict
     """
     gen = rng.generator()
     params: dict[str, np.ndarray] = {}
-    in_ch = config.channels
+    in_ch = 1
     for i, (out_ch, k, _s) in enumerate(config.stages):
         fan_in = in_ch * k * k
         fan_out = out_ch * k * k
@@ -117,12 +113,11 @@ def bind_params(g: Graph, params: dict[str, np.ndarray]) -> dict[str, Var]:
 
 
 def conv_stack(g: Graph, images: Var, refs: dict[str, Var], config: EncoderConfig) -> Var:
-    """(B, C, H, W) image batch -> (B, d, m) feature maps."""
+    """(B, 1, S, S) image batch -> (B, d, m) feature maps."""
     x = images
     for i, (_out_ch, k, s) in enumerate(config.stages):
         x = x.conv2d(refs[f"conv{i}_w"], refs[f"conv{i}_b"], stride=s, pad=k // 2).relu()
-    h, w = config.out_hw
-    return x.reshape((-1, config.feature_dim, h * w))
+    return x.reshape((-1, config.feature_dim, config.num_positions))
 
 
 def project_head(g: Graph, fmaps: Var, refs: dict[str, Var], config: EncoderConfig) -> Var:
@@ -138,13 +133,11 @@ def classify_head(g: Graph, fmaps: Var, refs: dict[str, Var]) -> Var:
 
 
 def to_nchw(images: np.ndarray, config: EncoderConfig) -> np.ndarray:
-    """(B, H, W, C) images -> a (B, C, H, W) view, shape-checked against `config`."""
+    """(B, S, S) images -> a (B, 1, S, S) view, shape-checked against `config`."""
     images = np.asarray(images)
-    if images.ndim != 4 or images.shape[1:] != (config.height, config.width, config.channels):
-        raise ValueError(
-            f"images are {images.shape}, encoder expects (B, {config.height}, {config.width}, {config.channels})"
-        )
-    return np.transpose(images, (0, 3, 1, 2))
+    if images.ndim != 3 or images.shape[1:] != (config.size, config.size):
+        raise ValueError(f"images are {images.shape}, encoder expects (B, {config.size}, {config.size})")
+    return images[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +145,7 @@ def to_nchw(images: np.ndarray, config: EncoderConfig) -> np.ndarray:
 
 
 def encode(images: np.ndarray, config: EncoderConfig, params: dict[str, np.ndarray]) -> np.ndarray:
-    """(B, H, W, C) images -> (B, d, m) feature maps, forward-only; deterministic."""
+    """(B, S, S) images -> (B, d, m) feature maps, forward-only; deterministic."""
     nchw = to_nchw(images, config).astype(params["conv0_w"].dtype)
     g = Graph(forward_only=True)
     refs = bind_params(g, params)

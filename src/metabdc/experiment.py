@@ -4,9 +4,10 @@ cell training and testing, metrics rows and the results table.
 
 run_experiment runs any list of (pretraining kind, fine-tune kind, shots)
 cells, pretraining each kind once and writing per kind a metrics CSV plus
-checkpoints. A failing cell is recorded with its reason and the run moves
-on. All randomness hangs off the single seed, so a repeated run
-reproduces its CSVs byte for byte.
+checkpoints. A failing cell is recorded with its reason, a failing
+pretraining in each cell of its kind, and the run moves on. All
+randomness hangs off the single seed, so a repeated run reproduces its
+CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, apply_grid_overrides, train_label_space, train_source
+from .config import FINETUNE_KINDS, PRETRAIN_KINDS, ExperimentConfig, apply_grid_overrides, train_label_space, train_source
 from .core import SeededRng
 from .data import EpisodeSpec, ImageSet, SyntheticConfig, generate_synthetic, preprocess_dataset, split_dataset
 from .encoder import init_params, save_encoder_checkpoint
@@ -92,7 +93,7 @@ def prepare_splits(cfg: ExperimentConfig, which: str = "same") -> Splits:
 
 def _source_images(cfg: ExperimentConfig, data_cfg: SyntheticConfig) -> ImageSet:
     """Every image of one generated source, preprocessed as `cfg` sets."""
-    return preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, cfg.fov_mm, cfg.encoder.height)
+    return preprocess_dataset(generate_synthetic(data_cfg), data_cfg.px, data_cfg.py, cfg.fov_mm, cfg.encoder.size)
 
 
 def other_splits(cfg: ExperimentConfig, kinds: tuple[str, ...]) -> Splits | None:
@@ -262,6 +263,23 @@ def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
             f.write(f"{row.run_id},{row.phase},{row.episode},{row.repeat},{row.auroc:.10g}\n")
 
 
+def _check_cells(cells: list[Cell]) -> None:
+    """Reject a cell no run can mean: an unknown kind, a repeated cell, or
+    shots other than 0 for fully-supervised and below 1 for an episodic kind."""
+    for i, cell in enumerate(cells):
+        pk, kind, shots = cell
+        if pk not in PRETRAIN_KINDS:
+            raise ValueError(f"cells[{i}]: unknown pretrain kind {pk!r}")
+        if kind not in FINETUNE_KINDS:
+            raise ValueError(f"cells[{i}]: unknown fine-tune kind {kind!r}")
+        if cells.index(cell) != i:
+            raise ValueError(f"cells[{i}]: repeats cells[{cells.index(cell)}] {cell}")
+        if kind == "fully-supervised" and shots != 0:
+            raise ValueError(f"cells[{i}]: fully-supervised trains on the whole split; shots must be 0, got {shots}")
+        if kind != "fully-supervised" and shots < 1:
+            raise ValueError(f"cells[{i}]: {kind} needs at least 1 shot, got {shots}")
+
+
 def run_experiment(
     cfg: ExperimentConfig, seed: int, primary: Splits, other: Splits | None, cells: list[Cell], out_dir: str
 ) -> dict[Cell, CellOutcome]:
@@ -269,19 +287,30 @@ def run_experiment(
 
     Each kind the list names is pretrained once on pretrain_stream(seed);
     cell `idx` runs on cell_stream(seed, idx), numbered across the whole
-    list. A failing cell records its reason and the others still run. Each
-    pretraining kind writes its checkpoint (and trace CSV),
-    metrics-<kind>-s<seed>.csv and one checkpoint per successful cell.
+    list. A failing cell records its reason and the others still run; a
+    failing pretraining records its reason in each of its kind's cells.
+    Each pretraining kind writes metrics-<kind>-s<seed>.csv and, when it
+    succeeds, its checkpoint (and trace CSV) and one checkpoint per
+    successful cell. A cell list no run can mean is an error.
     """
+    _check_cells(cells)
     os.makedirs(out_dir, exist_ok=True)
     tag = seed_tag(seed)
     outcomes: dict[Cell, CellOutcome] = {}
     for pk in dict.fromkeys(cell[0] for cell in cells):
         log.info("running pretraining row %s", pk)
-        params = pretrain_encoder(replace(cfg, pretrain=pk), primary.train, pretrain_stream(seed), out_dir, tag)
+        failure = None
+        try:
+            params = pretrain_encoder(replace(cfg, pretrain=pk), primary.train, pretrain_stream(seed), out_dir, tag)
+        except Exception as exc:  # noqa: BLE001 - a failed pretraining fails its own cells only
+            log.warning("pretraining %s failed: %s", pk, exc)
+            failure = CellOutcome(reason=_failure_reason(exc))
         rows: list[MetricsRow] = []
         for idx, cell in enumerate(cells):
             if cell[0] != pk:
+                continue
+            if failure is not None:
+                outcomes[cell] = failure
                 continue
             _, kind, shots = cell
             cell_id = run_id(*cell, seed)

@@ -131,7 +131,7 @@ def _episode_loss_graph(
     sampler is class-major, so query labels are always
     repeat(arange(n_way), q_query) and one graph serves every episode."""
     n_way, k_shot, q_query = episode_shape
-    image = (enc_cfg.channels, enc_cfg.height, enc_cfg.width)
+    image = (1, enc_cfg.size, enc_cfg.size)
     sup = g.input("sup", (n_way * k_shot, *image))
     qry = g.input("qry", (n_way * q_query, *image))
     d = enc_cfg.feature_dim

@@ -87,10 +87,10 @@ IDENTITY_AUGMENT = AugmentConfig(crop_scale=(1.0, 1.0), gain=(1.0, 1.0), bias=(0
 
 
 def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
-    """Two stochastic views per image: a random square crop, turned by a
-    random rotation and resized to the full frame in one bilinear sample
-    (edge pixels repeat past the border), then intensity gain and bias and
-    a linear intensity ramp in a random direction.
+    """Two stochastic views of a (B, H, W) single-channel batch, each of its
+    shape: a random square crop, turned by a random rotation and resized to
+    the full frame in one bilinear sample (edge pixels repeat past the
+    border), then intensity gain and bias and a randomly turned linear ramp.
 
     Deterministic given (config, rng); the identity config returns exact
     copies of the input in both views. Each view draws every per-image
@@ -98,11 +98,9 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
     whole-set call holds only one block's float64 temporaries.
     """
     images = np.asarray(images)
-    if images.ndim != 4 or images.shape[0] == 0:
-        raise ValueError(f"expected a nonempty (B, H, W, C) batch, got shape {images.shape}")
-    b, h, w, c = images.shape
-    if c != 1:
-        raise ValueError("augmentation supports single-channel images")
+    if images.ndim != 3 or images.shape[0] == 0:
+        raise ValueError(f"expected a nonempty (B, H, W) batch, got shape {images.shape}")
+    b, h, w = images.shape
     gen = rng.generator()
     flat = images.reshape(-1)  # each sample's four source pixels are taken by flat index
     base = (np.arange(b) * (h * w))[:, None, None]
@@ -124,7 +122,7 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
             turn = gen.uniform(0.0, 2.0 * np.pi, size=b)[:, None, None]
             turn_cos, turn_sin = np.cos(turn), np.sin(turn)
         cos, sin = np.cos(angle), np.sin(angle)
-        view = np.empty((b, h, w, 1), dtype=images.dtype)
+        view = np.empty((b, h, w), dtype=images.dtype)
         for lo in range(0, b, _AUGMENT_BLOCK):
             blk = slice(lo, lo + _AUGMENT_BLOCK)
             src_r = (cos[blk] * rows - sin[blk] * cols + h / 2.0) * (side[blk] / h) - 0.5 + top[blk]
@@ -144,7 +142,7 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
             out = out * gain[blk] + bias[blk]
             if config.ramp > 0:
                 out = out + amp[blk] * (turn_cos[blk] * xx + turn_sin[blk] * yy)
-            view[blk, ..., 0] = out
+            view[blk] = out
         views.append(view)
     return views[0], views[1]
 
@@ -318,7 +316,7 @@ def update_representation(
     Each partition is a 1-D bool mask over the pretraining set: a batch's
     first subset is where `mask[sample_indices]` is True, its second where
     it is False. `batch_stream` yields (sample_indices, view_a, view_b)
-    with views as (B, H, W, C) image batches. Mutates `params`; returns
+    with views as (B, S, S) image batches. Mutates `params`; returns
     trace rows.
     """
     for i, mask in enumerate(partitions):

@@ -152,9 +152,8 @@ def augment_views_oracle(images, config, rng):
     of the four neighbours gathered by (batch, row, column) fancy indexing,
     the next row and column clamped to the last one by `np.minimum`."""
     images = np.asarray(images)
-    b, h, w, _ = images.shape
+    b, h, w = images.shape
     gen = rng.generator()
-    pixels = images[..., 0]
     batch = np.arange(b)[:, None, None]
     rows = (np.arange(h) - (h - 1) / 2.0)[None, :, None]
     cols = (np.arange(w) - (w - 1) / 2.0)[None, None, :]
@@ -178,15 +177,15 @@ def augment_views_oracle(images, config, rng):
         fc = src_c - c0
         r1 = np.minimum(r0 + 1, h - 1)
         c1 = np.minimum(c0 + 1, w - 1)
-        upper = pixels[batch, r0, c0] * (1 - fc) + pixels[batch, r0, c1] * fc
-        lower = pixels[batch, r1, c0] * (1 - fc) + pixels[batch, r1, c1] * fc
+        upper = images[batch, r0, c0] * (1 - fc) + images[batch, r0, c1] * fc
+        lower = images[batch, r1, c0] * (1 - fc) + images[batch, r1, c1] * fc
         out = upper * (1 - fr) + lower * fr
         out = out * gen.uniform(*config.gain, size=b)[:, None, None] + gen.uniform(*config.bias, size=b)[:, None, None]
         if config.ramp > 0:
             amp = gen.uniform(0.0, config.ramp, size=b)[:, None, None]
             turn = gen.uniform(0.0, 2.0 * np.pi, size=b)[:, None, None]
             out = out + amp * (np.cos(turn) * xx + np.sin(turn) * yy)
-        views.append(out[..., None].astype(images.dtype))
+        views.append(out.astype(images.dtype))
     return views[0], views[1]
 
 

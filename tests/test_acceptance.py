@@ -40,7 +40,7 @@ from metabdc.ssl import (
 from gradcheck import grad_check
 from oracles import bdc_oracle, contrastive_oracle, subset_terms
 
-TINY = EncoderConfig(height=8, width=8, channels=1, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
+TINY = EncoderConfig(size=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
 
 
 def _line(ok: bool, label: str) -> None:
@@ -201,7 +201,7 @@ def test_bdc_matrix_matches_bruteforce_double_centering():
 
 
 def test_trivial_partition_reduces_to_plain_contrastive():
-    images = np.random.default_rng(11).normal(size=(12, 8, 8, 1))
+    images = np.random.default_rng(11).normal(size=(12, 8, 8))
     cfg = IpIrmConfig(
         lambda1=0.0, outer_iterations=0, epochs_per_iter=3, batch_size=6,
         partition_steps=1, partition_restarts=1, base_lr=0.05,

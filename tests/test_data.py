@@ -58,7 +58,7 @@ def test_generated_images_respect_hierarchy():
     cfg = small_config()
     images = generate_synthetic(cfg)
     assert len(images) == 8 * cfg.count_per_fine
-    assert images.pixels.shape == (len(images), 16, 16, 1) and images.pixels.dtype == np.float32
+    assert images.pixels.shape == (len(images), 16, 16) and images.pixels.dtype == np.float32
     assert images.coarse.tolist() == [cfg.hierarchy.mapping[f] for f in images.fine.tolist()]
     # rows run fine class, then domain tag, then group
     per_domain = cfg.count_per_fine // 2
@@ -120,7 +120,7 @@ def test_domain_tags_shift_statistics():
     d1 = images.pixels[images.domain == 1]
     assert abs(float(d1.mean()) - float(d0.mean())) >= 0.0  # ramp is zero-mean
     # the ramp shows up as a spatial gradient along its direction
-    col_means = d1.mean(axis=(0, 1, 3)) - d0.mean(axis=(0, 1, 3))
+    col_means = d1.mean(axis=(0, 1)) - d0.mean(axis=(0, 1))
     assert col_means[-1] - col_means[0] > 0.1
 
 
@@ -154,14 +154,14 @@ def test_linear_probe_separates_fine_classes():
 
 
 def _per_image_preprocess(images, px, py, fov_mm, out_size):
-    """The 2-D crop and resize of each image around its center, then one
+    """The crop and resize of each image around its center, then one
     z-score per group over its images' concatenated pixels, image by image."""
     n_rows, n_cols = fov_pixels(fov_mm, py), fov_pixels(fov_mm, px)
     resized = []
     for img in images.pixels:
         center = ((img.shape[0] - 1) / 2.0, (img.shape[1] - 1) / 2.0)
-        patch = crop_with_padding(img[:, :, 0], center[0], center[1], n_rows, n_cols)
-        resized.append(resize_bilinear(patch, out_size, out_size)[:, :, None])
+        patch = crop_with_padding(img, center[0], center[1], n_rows, n_cols)
+        resized.append(resize_bilinear(patch, out_size, out_size))
     out = list(resized)
     for gid in set(images.group.tolist()):
         rows = [i for i, g in enumerate(images.group.tolist()) if g == gid]
@@ -193,9 +193,9 @@ def test_preprocess_native_fov_is_identity_before_zscore():
 
 
 def test_preprocess_crop_then_resize_shape():
-    pixels = np.random.default_rng(0).normal(size=(1, 40, 40, 1))
+    pixels = np.random.default_rng(0).normal(size=(1, 40, 40))
     out = preprocess_dataset(_image_set(pixels, [0], [0], [0]), px=0.78125, py=0.78125, fov_mm=100.0, out_size=32)
-    assert out.pixels.shape == (1, 32, 32, 1)  # 128px FOV window squeezed to 32
+    assert out.pixels.shape == (1, 32, 32)  # 128px FOV window squeezed to 32
 
 
 @pytest.mark.parametrize(
@@ -210,7 +210,7 @@ def test_preprocess_equals_per_image_crop_resize_and_group_zscore(cfg, fov_mm, o
     images = generate_synthetic(cfg)
     out = preprocess_dataset(images, cfg.px, cfg.py, fov_mm, out_size)
     want = _per_image_preprocess(images, cfg.px, cfg.py, fov_mm, out_size)
-    assert out.pixels.shape == (len(images), out_size, out_size, 1)
+    assert out.pixels.shape == (len(images), out_size, out_size)
     assert out.pixels.dtype == want.dtype and out.pixels.tobytes() == want.tobytes()
 
 
@@ -231,7 +231,7 @@ def test_zscore_normalizes_each_group():
 
 
 def test_zscore_rejects_constant_group():
-    images = _image_set(np.ones((1, 8, 8, 1)), [0], [0], [0])
+    images = _image_set(np.ones((1, 8, 8)), [0], [0], [0])
     with pytest.raises(ValueError, match="group 0 is constant"):
         preprocess_dataset(images, 12.5, 12.5, 100.0, 8)
 
@@ -241,7 +241,7 @@ def test_zscore_rejects_constant_group():
 
 
 def _tiny_set(fine, group, domain):
-    return _image_set(np.zeros((len(fine), 2, 2, 1)) + np.asarray(fine)[:, None, None, None], fine, group, domain)
+    return _image_set(np.zeros((len(fine), 2, 2)) + np.asarray(fine)[:, None, None], fine, group, domain)
 
 
 def test_split_domain_purity_and_group_disjointness():
@@ -325,12 +325,12 @@ def test_image_set_keeps_rows_pixels_and_labels_in_order():
         ImageSet(images.pixels, images.fine[:3], images.coarse, images.group, images.domain)
     # val_fraction 1 leaves test empty; its cells fail, not the run
     _, val, test = split_dataset(images, 0, 1, 1.0)
-    assert len(test) == 0 and test.pixels.shape == (0, 16, 16, 1) and len(val) == len(images) // 2
+    assert len(test) == 0 and test.pixels.shape == (0, 16, 16) and len(val) == len(images) // 2
 
 
 def test_prepare_splits_rows_follow_split_dataset():
     cfg = ExperimentConfig()
-    images = preprocess_dataset(generate_synthetic(cfg.data), cfg.data.px, cfg.data.py, cfg.fov_mm, cfg.encoder.height)
+    images = preprocess_dataset(generate_synthetic(cfg.data), cfg.data.px, cfg.data.py, cfg.fov_mm, cfg.encoder.size)
     parts = split_dataset(images, cfg.train_domain, cfg.eval_domain, cfg.val_fraction)
     splits = prepare_splits(cfg, "same")
     for split, part in zip((splits.train, splits.val, splits.test), parts):

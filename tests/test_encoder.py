@@ -24,26 +24,26 @@ from metabdc.ssl import _embed_dataset
 from fresh_interpreter import run_snippet
 from gradcheck import grad_check
 
-TINY = EncoderConfig(height=8, width=8, channels=1, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
+TINY = EncoderConfig(size=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
 
 
 def test_default_config_geometry():
     cfg = EncoderConfig()
     assert cfg.feature_dim == 16
-    assert cfg.out_hw == (4, 4)
+    assert cfg.out_size == 4
     assert cfg.num_positions == 16
 
 
 def test_default_digest_is_pinned():
     # checkpoints carry this digest; a change would refuse every saved .mbcp
-    assert EncoderConfig().digest() == "82d765ca386e0723800c47ef0884cfce05a4a0b17b10ac5f447546b7772f7c63"
+    assert EncoderConfig().digest() == "2eeeda44dce57d0f645da1079b681a62ba1f89adf0442440f76e6a670b59233b"
 
 
 def test_config_rejects_bad_stages():
     with pytest.raises(ValueError):
         EncoderConfig(stages=((16, 7, 2),))  # kernel beyond 5x5
     with pytest.raises(ValueError):
-        EncoderConfig(height=2, width=2, stages=((4, 3, 2), (4, 3, 2), (4, 3, 2)))  # m collapses
+        EncoderConfig(size=2, stages=((4, 3, 2), (4, 3, 2), (4, 3, 2)))  # m collapses
     with pytest.raises(ValueError):
         EncoderConfig(stages=((1, 3, 2),))  # d < 2
     with pytest.raises(ValueError, match=r"^stages\[0\]: kernel 0 "):
@@ -127,7 +127,7 @@ def test_init_bounds_and_determinism():
 def test_encode_zero_image_finite_and_deterministic():
     cfg = TINY
     params = init_params(cfg, SeededRng(1))
-    imgs = np.zeros((2, 8, 8, 1), dtype=np.float32)
+    imgs = np.zeros((2, 8, 8), dtype=np.float32)
     fms = encode(imgs, cfg, params)
     assert fms.shape == (2, cfg.feature_dim, cfg.num_positions)
     assert np.isfinite(fms).all()
@@ -139,12 +139,12 @@ def test_encode_rejects_wrong_shape():
     cfg = TINY
     params = init_params(cfg, SeededRng(1))
     with pytest.raises(ValueError):
-        encode(np.zeros((2, 9, 8, 1), dtype=np.float32), cfg, params)
+        encode(np.zeros((2, 9, 8), dtype=np.float32), cfg, params)
 
 
 def test_projection_unit_norm():
     params = init_params(TINY, SeededRng(3), dtype=np.float64)
-    images = SeededRng(4).generator().normal(size=(6, TINY.height, TINY.width, TINY.channels))
+    images = SeededRng(4).generator().normal(size=(6, TINY.size, TINY.size))
     z = _embed_dataset(images, params, TINY)
     assert z.shape == (6, TINY.proj_dim)
     np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-9)
@@ -156,7 +156,7 @@ def test_classify_zero_weights_zero_scores():
     params = init_params(cfg, SeededRng(1))
     params.update({k: np.zeros_like(v) for k, v in head.items()})
     zeros = np.zeros(2, np.int64)
-    split = ImageSet(np.ones((2, 8, 8, 1), dtype=np.float32), zeros, zeros, zeros, zeros)
+    split = ImageSet(np.ones((2, 8, 8), dtype=np.float32), zeros, zeros, zeros, zeros)
     scores = classifier_scores(params, cfg, split)
     assert scores.shape == (2, 3)
     assert np.array_equal(scores, np.zeros((2, 3)))
@@ -218,6 +218,6 @@ def test_checkpoint_roundtrip_and_config_guard(tmp_path):
     loaded = load_encoder_checkpoint(path, cfg)
     for k in params:
         assert np.array_equal(params[k], loaded[k])
-    other = EncoderConfig(height=8, width=8, channels=1, stages=((4, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
+    other = EncoderConfig(size=8, stages=((4, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
     with pytest.raises(Exception):
         load_encoder_checkpoint(path, other)

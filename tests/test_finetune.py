@@ -21,7 +21,7 @@ from metabdc.finetune import (
 )
 from oracles import bdc_oracle, prototype_oracle, score_oracle
 
-ENC = EncoderConfig(height=8, width=8, channels=1, stages=((2, 3, 2),), proj_hidden=8, proj_dim=4)
+ENC = EncoderConfig(size=8, stages=((2, 3, 2),), proj_hidden=8, proj_dim=4)
 
 
 def make_images(n_per_class, n_classes, seed=0, hw=8):
@@ -29,8 +29,8 @@ def make_images(n_per_class, n_classes, seed=0, hw=8):
     gen = np.random.default_rng(seed)
     pixels = []
     for _ in range(n_classes):
-        base = gen.normal(size=(hw, hw, 1))
-        pixels += [base + 0.3 * gen.normal(size=(hw, hw, 1)) for _ in range(n_per_class)]
+        base = gen.normal(size=(hw, hw))
+        pixels += [base + 0.3 * gen.normal(size=(hw, hw)) for _ in range(n_per_class)]
     fine = np.repeat(np.arange(n_classes), n_per_class)
     return ImageSet(np.stack(pixels).astype(np.float32), fine, fine // 2, np.arange(len(fine)), np.zeros_like(fine))
 
@@ -124,7 +124,7 @@ class TestEpisodeEvaluation:
     )
     def test_scores_are_the_training_graphs_scores_node(self, enc, spec):
         params = init_params(enc, SeededRng(6))
-        split = make_images(15, spec.n_way, seed=12, hw=enc.height)
+        split = make_images(15, spec.n_way, seed=12, hw=enc.size)
         nchw = to_nchw(split.pixels, enc).astype(np.float32)
         for episode in sample_episode_block(split, spec, 3, SeededRng(21)):
             g = Graph()

@@ -55,9 +55,7 @@ def tiny_cfg(**kw):
         k_shots=(1,),
         n_way=2,
         q_query=3,
-        encoder=EncoderConfig(
-            height=16, width=16, channels=1, stages=((4, 3, 2), (8, 3, 2)), proj_hidden=16, proj_dim=8
-        ),
+        encoder=EncoderConfig(size=16, stages=((4, 3, 2), (8, 3, 2)), proj_hidden=16, proj_dim=8),
         data=SyntheticConfig(count_per_fine=32, image_size=16, px=6.25, py=6.25, seed=3),
         other_data=SyntheticConfig(
             count_per_fine=32, image_size=16, px=6.25, py=6.25, seed=103,
@@ -97,9 +95,7 @@ def all_non_default_cfg():
         k_shots=(2,),
         n_way=3,
         q_query=4,
-        encoder=EncoderConfig(
-            height=12, width=12, channels=2, stages=((6, 3, 1), (12, 5, 2)), proj_hidden=24, proj_dim=8
-        ),
+        encoder=EncoderConfig(size=12, stages=((6, 3, 1), (12, 5, 2)), proj_hidden=24, proj_dim=8),
         data=SyntheticConfig(
             count_per_fine=48, image_size=20, hierarchy=HierarchySpec.nested(9, 3), texture_family="rings",
             intensity_bias=0.5, rotation_jitter=0.2, phase_jitter=0.4, noise=0.3, domain_shift=0.5,
@@ -204,7 +200,7 @@ class TestConfigParsing:
             ({"ipirm": {"tau": 0.001}}, "ipirm"),
             ({"val_fraction": -0.1}, "val_fraction"),
             ({"val_fraction": 1.5}, "val_fraction"),
-            ({"encoder": {"height": 16, "width": 12}}, "encoder"),
+            ({"encoder": {"size": -16}}, "encoder"),  # under 2x2 feature positions, whatever the sign
             ({"tune": {"decay_epochs": [5]}}, "tune.decay_epochs"),
             ({"tune": {"decay_epochs": [-1]}}, "tune.decay_epochs"),
             ({"tune": {"epochs": 2}}, "tune.decay_epochs"),
@@ -227,20 +223,25 @@ class TestConfigParsing:
         assert type(cfg.grid[0][1][1]) is float
 
     def test_unknown_top_level_key(self):
-        # fractions and out_size were fields once; val_fraction and encoder.height replace them
+        # fractions and out_size were fields once; val_fraction and encoder.size replace them
         for raw in ({"epochs": 3}, {"fractions": [0.5, 0.25, 0.25]}, {"out_size": 16}):
             with pytest.raises(ValueError, match=re.escape(f"unknown config keys: {sorted(raw)}")):
                 config_from_dict(raw)
 
     def test_unknown_nested_key(self):
         # the episode loss, score metric, PESG proximal weight and proxy
-        # label space were fields once; each has one fixed setting now
+        # label space were fields once; each has one fixed setting now. An
+        # image is square and single-channel, so encoder.size replaced the
+        # encoder's height, width and channels
         for section, key, value in (
             ("tune", "momentum", 0.9),
             ("tune", "loss", "aucm"),
             ("tune", "metric", "inner_product"),
             ("tune", "proximal", 0.1),
             ("proxy", "label_space", "coarse"),
+            ("encoder", "height", 16),
+            ("encoder", "width", 16),
+            ("encoder", "channels", 1),
         ):
             with pytest.raises(ValueError, match=re.escape(f"unknown {section} keys: {[key]}")):
                 config_from_dict({section: {key: value}})
@@ -263,11 +264,6 @@ class TestConfigParsing:
     def test_domain_clash_rejected(self):
         with pytest.raises(ValueError, match="domains must differ"):
             tiny_cfg(eval_domain=0)
-
-    def test_encoder_size_must_match_preprocessing(self):
-        # preprocessing emits encoder.height x encoder.height images
-        with pytest.raises(ValueError, match="^encoder: input must be square, got 16x12$"):
-            tiny_cfg(encoder=replace(tiny_cfg().encoder, width=12))
 
     def test_grid_paths_validated(self):
         with pytest.raises(ValueError, match="grid path"):
@@ -416,6 +412,24 @@ class TestExperiment:
         result = finetune_cell(cfg, params, primary, None, "meta-fine-same", 1, rng.child(0))
         agg = aggregate_episode_metrics(eval_cell(cfg, result.params, primary, "meta-fine-same", 1, rng))
         assert outcomes[cells[1]] == CellOutcome(mean=agg.mean, std=agg.std)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([("none", "meta-fine-same", 1), ("none", "bogus-kind", 1)], "cells[1]: unknown fine-tune kind 'bogus-kind'"),
+            ([("dino", "meta-fine-same", 1)], "cells[0]: unknown pretrain kind 'dino'"),
+            ([("none", "meta-fine-same", 1), ("none", "meta-fine-same", 1)], "cells[1]: repeats cells[0]"),
+            ([("none", "fully-supervised", 5)], "cells[0]: fully-supervised trains on the whole split; shots must be 0"),
+            ([("none", "meta-fine-same", 0)], "cells[0]: meta-fine-same needs at least 1 shot, got 0"),
+        ],
+        ids=["unknown-finetune-kind", "unknown-pretrain-kind", "duplicate", "shots-for-whole-split", "zero-shots"],
+    )
+    def test_cells_no_run_can_mean_are_rejected_before_pretraining(self, tmp_path, cells, message):
+        cfg = tiny_cfg()
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            run_experiment(cfg, 0, prepare_splits(cfg, "same"), None, cells, str(out))
+        assert not out.exists()
 
 
 class TestGridSearch:
@@ -574,6 +588,27 @@ class TestCli:
             run_row(replace(cfg, pretrain=kind), 2, row)
             name = f"metrics-{kind}-s2.csv"
             assert read_bytes(os.path.join(report, name)) == read_bytes(os.path.join(row, name)), name
+
+    def test_failed_pretraining_fails_only_its_row(self, tmp_path, monkeypatch):
+        contrastive = experiment.pretrain
+
+        def failing_ipirm(kind, *args, **kwargs):
+            if kind == "ipirm":
+                raise FloatingPointError("ipirm diverged")
+            return contrastive(kind, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "pretrain", failing_ipirm)
+        cfg = tiny_cfg(pretrain_kinds=("none", "ipirm"))
+        cfg_path = str(tmp_path / "cfg.json")
+        save_config(cfg_path, cfg)
+        out = tmp_path / "report"
+        assert main(["report", "--config", cfg_path, "--seed", "2", "--out", str(out)]) == 0
+        with open(out / "results.csv") as f:
+            none_row, ipirm_row = [line.split(",") for line in f.read().splitlines()[2:]]
+        assert none_row[0] == "none" and all(re.fullmatch(r"0\.\d{4} \+- 0\.\d{4}", c) for c in none_row[1:])
+        assert ipirm_row == ["ipirm"] + ["FAILED(FloatingPointError: ipirm diverged)"] * 2
+        assert read_bytes(str(out / "metrics-ipirm-s2.csv")) == b"run_id,phase,episode,repeat,auroc\n"
+        assert not [name for name in os.listdir(out) if "ipirm" in name and name.endswith(".mbcp")]
 
     def test_report_full_table(self, setup):
         _, cfg_path, out = setup

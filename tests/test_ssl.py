@@ -39,7 +39,7 @@ from oracles import (
     weighted_partition_objective,
 )
 
-TINY = EncoderConfig(height=8, width=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
+TINY = EncoderConfig(size=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
 
 
 @functools.lru_cache(maxsize=1)
@@ -71,7 +71,7 @@ def flat_views(n):
 
 
 def test_augment_identity_returns_exact_copies():
-    imgs = np.random.default_rng(0).normal(size=(3, 8, 8, 1))
+    imgs = np.random.default_rng(0).normal(size=(3, 8, 8))
     va, vb = augment_views(imgs, IDENTITY_AUGMENT, SeededRng(1))
     np.testing.assert_array_equal(va, imgs)
     np.testing.assert_array_equal(vb, imgs)
@@ -79,7 +79,7 @@ def test_augment_identity_returns_exact_copies():
 
 
 def test_augment_deterministic_given_rng():
-    imgs = np.random.default_rng(2).normal(size=(4, 16, 16, 1))
+    imgs = np.random.default_rng(2).normal(size=(4, 16, 16))
     cfg = AugmentConfig()
     a1, b1 = augment_views(imgs, cfg, SeededRng(7))
     a2, b2 = augment_views(imgs, cfg, SeededRng(7))
@@ -90,21 +90,21 @@ def test_augment_deterministic_given_rng():
 
 
 def test_augment_views_differ_and_keep_shape():
-    imgs = np.random.default_rng(3).normal(size=(5, 32, 32, 1))
+    imgs = np.random.default_rng(3).normal(size=(5, 32, 32))
     va, vb = augment_views(imgs, AugmentConfig(crop_scale=(0.6, 1.0)), SeededRng(9))
     assert va.shape == imgs.shape and vb.shape == imgs.shape
     assert not np.array_equal(va, vb)
 
 
 def test_augment_ramp_adds_a_bounded_plane():
-    imgs = np.random.default_rng(4).normal(size=(6, 16, 16, 1))
+    imgs = np.random.default_rng(4).normal(size=(6, 16, 16))
     cfg = AugmentConfig(crop_scale=(1.0, 1.0), gain=(1.0, 1.0), bias=(0.0, 0.0), rotation=0.0, ramp=1.5)
     va, vb = augment_views(imgs, cfg, SeededRng(10))
     ax = np.linspace(-1.0, 1.0, 16)
     yy, xx = np.meshgrid(ax, ax, indexing="ij")
     design = np.stack([xx.ravel(), yy.ravel()], axis=1)
     for view in (va, vb):
-        for diff in (view - imgs)[..., 0]:
+        for diff in (view - imgs):
             coef, *_ = np.linalg.lstsq(design, diff.ravel(), rcond=None)
             np.testing.assert_allclose(design @ coef, diff.ravel(), atol=1e-9)
             assert 0.0 < np.hypot(*coef) <= 1.5
@@ -113,12 +113,12 @@ def test_augment_ramp_adds_a_bounded_plane():
 @pytest.mark.parametrize(
     "config, shape, seeds",
     [
-        (AugmentConfig(), (4, 16, 16, 1), 50),
-        (AugmentConfig(), (3, 12, 20, 1), 50),
-        (AugmentConfig(crop_scale=(1.0, 1.0)), (4, 16, 16, 1), 50),  # turned full frames clip at the last index
-        (AugmentConfig(crop_scale=(1.0, 1.0)), (3, 20, 12, 1), 50),
-        (AugmentConfig(), (33, 16, 16, 1), 50),  # one image past a 32-image block
-        (AugmentConfig(), (256, 16, 16, 1), 5),  # a whole study pretraining set
+        (AugmentConfig(), (4, 16, 16), 50),
+        (AugmentConfig(), (3, 12, 20), 50),
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (4, 16, 16), 50),  # turned full frames clip at the last index
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (3, 20, 12), 50),
+        (AugmentConfig(), (33, 16, 16), 50),  # one image past a 32-image block
+        (AugmentConfig(), (256, 16, 16), 5),  # a whole study pretraining set
     ],
     ids=["default", "wide", "full-frame-turned", "tall-full-frame-turned", "one-past-a-block", "whole-set"],
 )
@@ -145,7 +145,7 @@ def test_augment_rejections():
     with pytest.raises(ValueError):
         AugmentConfig(ramp=-0.1)
     with pytest.raises(ValueError):
-        augment_views(np.zeros((0, 8, 8, 1)), IDENTITY_AUGMENT, SeededRng(0))
+        augment_views(np.zeros((0, 8, 8)), IDENTITY_AUGMENT, SeededRng(0))
     with pytest.raises(ValueError):
         augment_views(np.zeros((2, 8, 8, 3)), IDENTITY_AUGMENT, SeededRng(0))
 
@@ -183,7 +183,7 @@ def test_tau_floor_keeps_the_contrastive_maps_finite(batch_size):
     with pytest.raises(ValueError, match="^tau "):
         IpIrmConfig(tau=floor * (1 - 1e-9), batch_size=batch_size)
     cfg = IpIrmConfig(tau=floor * (1 + 1e-9), batch_size=batch_size)
-    images = np.repeat(np.random.default_rng(5).normal(size=(1, 8, 8, 1)), batch_size, axis=0)
+    images = np.repeat(np.random.default_rng(5).normal(size=(1, 8, 8)), batch_size, axis=0)
     params = init_params(TINY, SeededRng(3))
     partitions = [np.ones(batch_size, dtype=bool), np.arange(batch_size) % 2 == 0]
     trace = update_representation(
@@ -300,7 +300,7 @@ def _single_batch_stream(images, seed, n):
 def test_update_trivial_lambda0_equals_plain_simclr_loss():
     n = 5
     gen = np.random.default_rng(23)
-    images = gen.normal(size=(n, 8, 8, 1))
+    images = gen.normal(size=(n, 8, 8))
     params = init_params(TINY, SeededRng(31), dtype=np.float64)
     cfg = IpIrmConfig()
     stream = _single_batch_stream(images, 37, n)
@@ -321,7 +321,7 @@ def test_update_two_subset_trace_matches_oracle():
     subsets of the squared complex-step derivative over the subset size."""
     n = 6
     gen = np.random.default_rng(127)
-    images = gen.normal(size=(n, 8, 8, 1))
+    images = gen.normal(size=(n, 8, 8))
     params = init_params(TINY, SeededRng(131), dtype=np.float64)
     stream = _single_batch_stream(images, 137, n)
     _, va, vb = stream[0]
@@ -349,13 +349,13 @@ def test_update_replays_one_graph_per_batch_pattern_with_the_bytes_of_fresh_buil
     call builds one graph per (batch size, pattern)."""
     n = 8
     gen = np.random.default_rng(139)
-    images = gen.normal(size=(n, 8, 8, 1)).astype(np.float32)
+    images = gen.normal(size=(n, 8, 8)).astype(np.float32)
     partitions = [np.ones(n, dtype=bool), np.arange(n) < 4]
     batches = [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7], [1, 2, 3, 0], [0, 4, 6]]
     stream = []
     for idx in map(np.array, batches):
-        va = images[idx] + 0.05 * gen.normal(size=(idx.size, 8, 8, 1)).astype(np.float32)
-        vb = images[idx] + 0.05 * gen.normal(size=(idx.size, 8, 8, 1)).astype(np.float32)
+        va = images[idx] + 0.05 * gen.normal(size=(idx.size, 8, 8)).astype(np.float32)
+        vb = images[idx] + 0.05 * gen.normal(size=(idx.size, 8, 8)).astype(np.float32)
         stream.append((idx, va, vb))
     cfg = IpIrmConfig()
     init = init_params(TINY, SeededRng(149), dtype=np.float32)
@@ -383,7 +383,7 @@ def test_update_replays_one_graph_per_batch_pattern_with_the_bytes_of_fresh_buil
 
 def test_update_zero_lr_leaves_params():
     n = 4
-    images = np.random.default_rng(41).normal(size=(n, 8, 8, 1))
+    images = np.random.default_rng(41).normal(size=(n, 8, 8))
     params = init_params(TINY, SeededRng(43), dtype=np.float64)
     before = {k: v.copy() for k, v in params.items()}
     update_representation(
@@ -399,7 +399,7 @@ def test_update_zero_lr_leaves_params():
 def test_update_rejects_a_partition_that_is_not_a_1d_bool_mask(bad):
     # an int 0/1 mask indexes like a bool one, but its complement ~ is -1/-2
     n = 4
-    images = np.random.default_rng(41).normal(size=(n, 8, 8, 1))
+    images = np.random.default_rng(41).normal(size=(n, 8, 8))
     params = init_params(TINY, SeededRng(43), dtype=np.float64)
     with pytest.raises(ValueError, match=r"^partitions\[1\] "):
         update_representation(
@@ -412,12 +412,12 @@ def test_update_step_decreases_loss_in_most_seeds():
     # can have every relu dead at init, parking its projection on the
     # normalization guard where the loss is cliff-like and descent claims
     # do not hold; gradient norms here are ~50, so the step must be small
-    wide = EncoderConfig(height=8, width=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=16, proj_dim=4)
+    wide = EncoderConfig(size=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=16, proj_dim=4)
     n = 6
     cfg = IpIrmConfig()
     wins = 0
     for seed in range(20):
-        images = np.random.default_rng(1000 + seed).normal(size=(n, 8, 8, 1))
+        images = np.random.default_rng(1000 + seed).normal(size=(n, 8, 8))
         params = init_params(wide, SeededRng(seed), dtype=np.float64)
         stream = _single_batch_stream(images, 2000 + seed, n)
         before = update_representation(params, wide, [np.ones(n, dtype=bool)], stream, cfg, lr=3e-4, lambda1=0.0)
@@ -429,7 +429,7 @@ def test_update_step_decreases_loss_in_most_seeds():
 
 def test_update_skips_empty_subset_and_logs(caplog):
     n = 4
-    images = np.random.default_rng(53).normal(size=(n, 8, 8, 1))
+    images = np.random.default_rng(53).normal(size=(n, 8, 8))
     params = init_params(TINY, SeededRng(59), dtype=np.float64)
     ps = [np.ones(n, dtype=bool)]  # trivial partition: subset 1 is always empty
     with caplog.at_level(logging.DEBUG, logger="metabdc.ssl"):
@@ -442,7 +442,7 @@ def test_update_skips_empty_subset_and_logs(caplog):
 
 def test_update_non_finite_loss_aborts():
     n = 4
-    images = np.random.default_rng(67).normal(size=(n, 8, 8, 1))
+    images = np.random.default_rng(67).normal(size=(n, 8, 8))
     params = init_params(TINY, SeededRng(71), dtype=np.float64)
     params["proj_w2"][0, 0] = np.nan
     with pytest.raises(FloatingPointError):
@@ -647,7 +647,7 @@ import numpy as np
 from metabdc.core import SeededRng
 from metabdc.ssl import AugmentConfig, IpIrmConfig, augment_views, find_partition_embeddings
 gen = np.random.default_rng(0)
-images = gen.normal(size=(256, 16, 16, 1)).astype(np.float32)
+images = gen.normal(size=(256, 16, 16)).astype(np.float32)
 za, zb = (z / np.linalg.norm(z, axis=1, keepdims=True) for z in gen.normal(size=(2, 256, 16)))
 augment_views(images[:2], AugmentConfig(), SeededRng(1))
 tracemalloc.start()
@@ -692,7 +692,7 @@ def _small_cfg(**kw):
 
 
 def test_pretrain_simclr_equals_ipirm_without_searches():
-    images = np.random.default_rng(89).normal(size=(12, 8, 8, 1))
+    images = np.random.default_rng(89).normal(size=(12, 8, 8))
     cfg = _small_cfg(lambda1=0.0)
     init = init_params(TINY, SeededRng(97).child(0))
     p1, parts1, t1 = pretrain("simclr", images, cfg, TINY, SeededRng(97), init)
@@ -706,7 +706,7 @@ def test_pretrain_simclr_equals_ipirm_without_searches():
 
 
 def test_pretrain_two_outer_iterations_grow_three_partitions():
-    images = np.random.default_rng(101).normal(size=(12, 8, 8, 1))
+    images = np.random.default_rng(101).normal(size=(12, 8, 8))
     cfg = _small_cfg(outer_iterations=2)
     _, parts, trace = pretrain("ipirm", images, cfg, TINY, SeededRng(103), init_params(TINY, SeededRng(103).child(0)))
     assert len(parts) == 3
@@ -721,7 +721,7 @@ def test_pretrain_two_outer_iterations_grow_three_partitions():
 
 
 def test_pretrain_lr_follows_batch_rule_and_schedule():
-    images = np.random.default_rng(107).normal(size=(12, 8, 8, 1))
+    images = np.random.default_rng(107).normal(size=(12, 8, 8))
     cfg = _small_cfg(epochs_per_iter=2, base_lr=None)
     _, _, trace = pretrain("simclr", images, cfg, TINY, SeededRng(109), init_params(TINY, SeededRng(109).child(0)))
     base = lr_from_batch(6)
@@ -732,14 +732,14 @@ def test_pretrain_lr_follows_batch_rule_and_schedule():
 def test_pretrain_rejects_bad_inputs():
     init = init_params(TINY, SeededRng(0))
     with pytest.raises(ValueError, match="unknown pretrain mode"):
-        pretrain("moco", np.zeros((4, 8, 8, 1)), _small_cfg(), TINY, SeededRng(0), init)
+        pretrain("moco", np.zeros((4, 8, 8)), _small_cfg(), TINY, SeededRng(0), init)
     for n in (0, 1):  # one image is a dropped 1-row tail in every epoch: nothing would train
         with pytest.raises(ValueError, match=f"got {n}$"):
-            pretrain("simclr", np.zeros((n, 8, 8, 1)), _small_cfg(), TINY, SeededRng(0), init)
+            pretrain("simclr", np.zeros((n, 8, 8)), _small_cfg(), TINY, SeededRng(0), init)
 
 
 def test_trace_csv_layout(tmp_path):
-    images = np.random.default_rng(113).normal(size=(6, 8, 8, 1))
+    images = np.random.default_rng(113).normal(size=(6, 8, 8))
     _, _, trace = pretrain("simclr", images, _small_cfg(), TINY, SeededRng(127), init_params(TINY, SeededRng(127).child(0)))
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), trace)
