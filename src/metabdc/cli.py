@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile:
             cfg = apply_profile(cfg, args.profile)
         return COMMANDS[args.command](cfg, args.seed, args.out)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,9 +15,7 @@ from .serial import (
     SerializationError,
     config_digest,
     load_checkpoint,
-    read_array,
     save_checkpoint,
-    write_array,
 )
 
 __all__ = [
@@ -33,7 +31,5 @@ __all__ = [
     "SerializationError",
     "config_digest",
     "load_checkpoint",
-    "read_array",
     "save_checkpoint",
-    "write_array",
 ]

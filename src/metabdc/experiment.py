@@ -377,15 +377,13 @@ class GridPoint:
     reason: str | None = None
 
 
-def _grid_score(cfg: ExperimentConfig, seed: int) -> float:
+def _grid_score(cfg: ExperimentConfig, seed: int, primary: Splits, other: Splits | None) -> float:
     """Validation score of the first configured cell under this config.
 
     Pretraining reruns per point, so axes over pretraining fields are
     selected by the fine-tuned validation AUROC downstream of them.
     """
-    primary = prepare_splits(cfg, "same")
     kind, shots = cell_list(cfg)[0]
-    other = other_splits(cfg, (kind,))
     params = pretrain_encoder(cfg, primary.train, pretrain_stream(seed))
     result = finetune_cell(cfg, params, primary, other, kind, shots, cell_stream(seed, 0).child(0))
     return max(result.val_history)
@@ -401,13 +399,17 @@ def grid_search(cfg: ExperimentConfig, seed: int) -> tuple[ExperimentConfig, Gri
     if not cfg.grid:
         raise ValueError("config declares no grid axes")
     paths = [path for path, _ in cfg.grid]
+    # no grid axis reaches the data, the split or the first cell, so every point shares the splits
+    kind, _ = cell_list(cfg)[0]
+    primary = prepare_splits(cfg, "same")
+    other = other_splits(cfg, (kind,))
     points: list[GridPoint] = []
     best: GridPoint | None = None
     for combo in itertools.product(*[values for _, values in cfg.grid]):
         overrides = dict(zip(paths, combo))
         try:
             candidate = apply_grid_overrides(cfg, overrides)
-            score = _grid_score(candidate, seed)
+            score = _grid_score(candidate, seed, primary, other)
         except Exception as exc:  # noqa: BLE001 - grid points are isolated like cells
             log.warning("grid point %s failed: %s", overrides, exc)
             points.append(GridPoint(tuple(overrides.items()), None, _failure_reason(exc)))

@@ -1,5 +1,7 @@
 import io
 import itertools
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,9 +17,7 @@ from metabdc.core import (
     forward_eval,
     l2_normalize,
     load_checkpoint,
-    read_array,
     save_checkpoint,
-    write_array,
 )
 from metabdc.core import graph as graph_module
 from fresh_interpreter import traced_numbers
@@ -458,47 +458,62 @@ def test_every_primitive_op_gradchecks():
         assert err <= 1e-5, f"{name}: {err}"
 
 
-def _to_bytes(arr: np.ndarray) -> bytes:
+def test_checkpoint_roundtrip_both_dtypes(tmp_path):
+    rng = SeededRng(2).generator()
+    params = {
+        "f64": rng.normal(size=(3, 1, 5)),
+        "f32": rng.normal(size=(3, 1, 5)).astype(np.float32),
+        "scalar": np.array(4.25),
+    }
+    paths = [str(tmp_path / "a.mbcp"), str(tmp_path / "b.mbcp")]
+    save_checkpoint(paths[0], params, "ab" * 32)
+    save_checkpoint(paths[1], dict(reversed(params.items())), "ab" * 32)
+    with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
+        assert a.read() == b.read()  # sorted members: insertion order does not reach the bytes
+    loaded, digest = load_checkpoint(paths[0])
+    assert digest == "ab" * 32 and sorted(loaded) == sorted(params)
+    for name, arr in params.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
+def _saved(save, *args, **kwargs) -> bytes:
     buf = io.BytesIO()
-    write_array(buf, arr)
+    save(buf, *args, **kwargs)
     return buf.getvalue()
 
 
-def _from_bytes(blob: bytes) -> np.ndarray:
-    return read_array(io.BytesIO(blob))
+def _legacy_mbcp(digest: str, name: str, arr: np.ndarray) -> bytes:
+    """One float64 parameter in the hand-written layout `.mbcp` files had
+    before they became .npz archives."""
+    head = b"MBCP" + struct.pack("<HH", 1, len(digest)) + digest.encode("ascii") + struct.pack("<I", 1)
+    blob = b"MBDC" + struct.pack("<HBB", 1, 1, arr.ndim) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
+    return head + struct.pack("<H", len(name)) + name.encode("utf-8") + blob + arr.astype("<f8").tobytes()
 
 
-def test_array_roundtrip_both_dtypes():
-    rng = SeededRng(2).generator()
-    for dtype in (np.float32, np.float64):
-        arr = rng.normal(size=(3, 1, 5)).astype(dtype)
-        back = _from_bytes(_to_bytes(arr))
-        assert back.dtype == dtype
-        assert np.array_equal(arr, back)
-    scalar = np.array(4.25)
-    assert _from_bytes(_to_bytes(scalar)).shape == ()
+_GOOD = _saved(np.savez, digest=np.array("ab" * 32), w=np.ones((2, 2)))
 
 
-def test_array_header_layout():
-    arr = np.arange(6, dtype=np.float64).reshape(2, 3)
-    blob = _to_bytes(arr)
-    assert blob[:4] == b"MBDC"
-    assert int.from_bytes(blob[4:6], "little") == 1
-    assert blob[6] == 1  # float64 tag
-    assert blob[7] == 2  # rank
-    assert int.from_bytes(blob[8:16], "little") == 2
-    assert int.from_bytes(blob[16:24], "little") == 3
-
-
-def test_array_bad_magic_and_truncation():
-    arr = np.ones((2, 2))
-    blob = _to_bytes(arr)
-    with pytest.raises(SerializationError):
-        _from_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(SerializationError):
-        _from_bytes(blob[:-8])
-    with pytest.raises(SerializationError):
-        _from_bytes(blob[:4] + b"\x09\x00" + blob[6:])  # unsupported version
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"", "not a readable .npz"),
+        (_GOOD[:-8], "not a readable .npz"),
+        (_legacy_mbcp("ab" * 32, "w", np.ones((2, 2))), "not a readable .npz"),
+        (_saved(np.save, np.ones(3)), "not a readable .npz"),
+        (_saved(np.savez, digest=np.array("x"), w=np.array([1.0, None], dtype=object)), "not a readable .npz"),
+        (_saved(np.savez, digest=np.array("x"), w=np.arange(3)), "member 'w' has dtype int64"),
+        (_saved(np.savez, w=np.ones(3)), "no string digest member"),
+        (_saved(np.savez, digest=np.array(b"x"), w=np.ones(3)), "no string digest member"),
+    ],
+    ids=["empty", "truncated", "legacy-mbcp", "bare-npy", "object-member", "int-member", "no-digest", "bytes-digest"],
+)
+def test_malformed_checkpoint_is_refused_naming_the_path(tmp_path, blob, message):
+    path = str(tmp_path / "bad.mbcp")
+    with open(path, "wb") as f:
+        f.write(blob)
+    with pytest.raises(SerializationError, match=re.escape(path) + ".*" + re.escape(message)):
+        load_checkpoint(path)
 
 
 def test_checkpoint_roundtrip_and_digest_mismatch(tmp_path):

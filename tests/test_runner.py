@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -452,6 +453,15 @@ class TestGridSearch:
         assert best.score == max(p.score for p in points)
         assert best_cfg.tune.epochs == dict(best.overrides)["tune.epochs"]
 
+    def test_splits_are_built_once_for_every_point(self, monkeypatch):
+        calls = []
+        generate = experiment.generate_synthetic
+        monkeypatch.setattr(experiment, "generate_synthetic", lambda data_cfg: calls.append(data_cfg) or generate(data_cfg))
+        cfg = tiny_cfg(grid=(("tune.lr", (0.01, 0.003, 0.001)),), finetune_kinds=("meta-fine-other",))
+        _, _, points = grid_search(cfg, 2)
+        assert [p.score is not None for p in points] == [True] * 3
+        assert calls == [cfg.data, cfg.other_data]
+
     def test_all_points_failing_is_an_error(self):
         cfg = tiny_cfg(grid=(("tune.lr", (-1.0,)),), finetune_kinds=("meta-fine-same",))
         with pytest.raises(RuntimeError, match="every grid point failed"):
@@ -626,6 +636,31 @@ class TestCli:
         with open(val_csv) as f:
             lines = f.read().splitlines()
         assert len(lines) == 1 + cfg.tune.epochs
+
+    def test_diverging_pretraining_exits_2(self, tmp_path, capsys):
+        cfg = tiny_cfg(
+            pretrain="ipirm",
+            pretrain_kinds=("ipirm",),
+            data=SyntheticConfig(count_per_fine=8, group_size=2, image_size=16, px=6.25, py=6.25, seed=3),
+            ipirm=IpIrmConfig(outer_iterations=0, epochs_per_iter=1, batch_size=8, base_lr=1e30),
+        )
+        cfg_path = str(tmp_path / "cfg.json")
+        save_config(cfg_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point of the config
+            assert main(["pretrain", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: non-finite pretraining objective")
+
+    def test_evaluate_refuses_a_checkpoint_in_the_old_layout(self, setup, capsys):
+        cfg, cfg_path, out = setup
+        os.makedirs(out)
+        path = os.path.join(out, "cell-none-meta-fine-same-1shot-s9.mbcp")
+        digest = cfg.encoder.digest().encode("ascii")
+        with open(path, "wb") as f:  # magic, version, digest, no parameters
+            f.write(b"MBCP" + struct.pack("<HH", 1, len(digest)) + digest + struct.pack("<I", 0))
+        assert main(["evaluate", "--config", cfg_path, "--seed", "9", "--out", out]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: not a readable .npz checkpoint archive")
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
