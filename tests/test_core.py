@@ -491,7 +491,7 @@ def _legacy_mbcp(digest: str, name: str, arr: np.ndarray) -> bytes:
     return head + struct.pack("<H", len(name)) + name.encode("utf-8") + blob + arr.astype("<f8").tobytes()
 
 
-_GOOD = _saved(np.savez, digest=np.array("ab" * 32), w=np.ones((2, 2)))
+_GOOD = _saved(np.savez, digest="ab" * 32, w=np.ones((2, 2)))
 
 
 @pytest.mark.parametrize(
