@@ -159,6 +159,12 @@ class Var:
         idx = np.asarray(indices, dtype=np.int64)
         return self.graph._emit("gather", (self,), indices=idx)
 
+    def zero_diagonal(self):
+        return self.graph._emit("zero_diagonal", (self,))
+
+    def diagonal(self):
+        return self.graph._emit("diagonal", (self,))
+
     def conv2d(self, weight: "Var", bias: "Var", stride: int, pad: int):
         w = self._lift(weight)
         b = self._lift(bias)
@@ -413,6 +419,36 @@ def _gather_grad(grad, vals, out, meta, *_):
     return [gx]
 
 
+def _check_square(x: np.ndarray, op: str, idx: int) -> None:
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ShapeMismatch(idx, op, "square matrix", x.shape)
+
+
+def _zero_diagonal(x: np.ndarray) -> np.ndarray:
+    out = x.copy()
+    np.fill_diagonal(out, 0)
+    return out
+
+
+def _zero_diagonal_eval(vals, meta, graph, idx):
+    _check_square(vals[0], "zero_diagonal", idx)
+    return _zero_diagonal(vals[0])
+
+
+def _diagonal_eval(vals, meta, graph, idx):
+    _check_square(vals[0], "diagonal", idx)
+    # a copy, so a forward-only graph can free the matrix after this read
+    return vals[0].diagonal().copy()
+
+
+def _diagonal_grad(grad, vals, *_):
+    # in the gradient's dtype: a float64 gradient into a float32 matrix
+    # keeps its bits until it is summed with the matrix's other gradients
+    gx = np.zeros(vals[0].shape, dtype=grad.dtype)
+    np.fill_diagonal(gx, grad)
+    return [gx]
+
+
 def _conv2d_eval(vals, meta, graph, idx):
     x, w, b = vals
     if x.ndim != 4 or w.ndim != 4:
@@ -499,6 +535,8 @@ _OPS = {
     ),
     "swap_last2": (lambda vals, *_: np.swapaxes(vals[0], -1, -2), lambda grad, *_: [np.swapaxes(grad, -1, -2)]),
     "gather": (lambda vals, meta, *_: vals[0][meta["indices"]], _gather_grad),
+    "zero_diagonal": (_zero_diagonal_eval, lambda grad, *_: [_zero_diagonal(grad)]),
+    "diagonal": (_diagonal_eval, _diagonal_grad),
     # _conv2d_vjp is looked up on each call, so a substitute bound to the module is seen
     "conv2d": (
         _conv2d_eval,

@@ -151,6 +151,14 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
 # partitions
 
 
+def _tau_floor(terms: int) -> float:
+    """The smallest tau at which a contrastive denominator of `terms` terms
+    stays finite. The maps hold exp(s / tau) unshifted, in float64 (tau
+    enters the graph as a float64 constant), and s <= 1 for unit-norm
+    embeddings, so the sum is at most terms * exp(1 / tau)."""
+    return 1.0 / (np.log(np.finfo(np.float64).max) - np.log(terms))
+
+
 @dataclass(frozen=True)
 class IpIrmConfig:
     lambda1: float = 0.2
@@ -176,10 +184,8 @@ class IpIrmConfig:
             raise ValueError("partition search budget must be positive")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be at least 2 for a contrastive term, got {self.batch_size}")
-        # The contrastive maps hold exp(s / tau) unshifted, in float64 (tau
-        # enters the graph as a float64 constant), and a denominator sums up
-        # to 2 * batch_size of them at s <= 1; it must stay finite.
-        tau_floor = 1.0 / (np.log(np.finfo(np.float64).max) - np.log(2 * self.batch_size))
+        # a training batch's denominators sum up to 2 * batch_size terms
+        tau_floor = _tau_floor(2 * self.batch_size)
         if self.tau < tau_floor:
             raise ValueError(
                 f"tau {self.tau!r} is below {tau_floor!r}, where 2 * batch_size * exp(1 / tau) "
@@ -197,7 +203,7 @@ class IpIrmConfig:
             raise ValueError(f"base_lr must be positive when set, got {self.base_lr}")
 
 
-def _contrastive_maps(g: Graph, za: Var, zb: Var, n: int, tau: float) -> tuple[Var, Var, Var]:
+def _contrastive_maps(za: Var, zb: Var, tau: float) -> tuple[Var, Var, Var]:
     """Graph nodes (M_den, M_num, s_pos) for n samples' two views at theta = 1.
 
     Sample i's denominator runs over view A except itself plus all of view
@@ -207,15 +213,19 @@ def _contrastive_maps(g: Graph, za: Var, zb: Var, n: int, tau: float) -> tuple[V
     and its weighted sum of exp(s / tau) * s is (M_num @ w)_i, built the same
     way; s_pos[i] = S_ab[i, i] is the positive similarity. The exponentials
     are not shifted: for unit-norm embeddings they stay below exp(1 / tau).
+
+    The diagonal is dropped and picked by the `zero_diagonal` and `diagonal`
+    ops, so no (n, n) mask enters the graph. They give the bytes of the
+    identity-mask products they replace, in value and gradient, and sit at
+    their node positions, so gradients add up in the same order.
     """
     s_aa = za @ za.swap_last2()
     s_ab = za @ zb.swap_last2()
-    eye = np.eye(n)
-    exp_aa = (s_aa / tau).exp() * g.constant(1.0 - eye)  # a sample is not its own negative
+    exp_aa = (s_aa / tau).exp().zero_diagonal()  # a sample is not its own negative
     exp_ab = (s_ab / tau).exp()
     m_den = exp_aa + exp_ab
     m_num = exp_aa * s_aa + exp_ab * s_ab
-    s_pos = (s_ab * g.constant(eye)).sum(axis=1)
+    s_pos = s_ab.diagonal()
     return m_den, m_num, s_pos
 
 
@@ -274,7 +284,7 @@ def _objective_graph(
     z = _embed_batch_graph(g, nchw, params, enc_cfg)
     za = z.gather(np.arange(bsz))
     zb = z.gather(np.arange(bsz, 2 * bsz))
-    maps = _contrastive_maps(g, za, zb, bsz, tau)
+    maps = _contrastive_maps(za, zb, tau)
     total = None
     loss_nodes: list[Var] = []
     pen_nodes: list[Var] = []
@@ -370,13 +380,21 @@ def update_representation(
 def _partition_maps(za: np.ndarray, zb: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
     """The contrastive maps (M_den, M_num, s_pos) of fixed embeddings,
     evaluated once, in float64, on a forward-only graph. Non-finite
-    embeddings are an error."""
+    embeddings are an error, and so is a tau at which the maps' 2n-term
+    denominators could overflow: the config's floor covers only a batch."""
     za, zb = np.asarray(za, dtype=np.float64), np.asarray(zb, dtype=np.float64)
     for name, z in (("za", za), ("zb", zb)):
         if not np.isfinite(z).all():
             raise ValueError(f"{name} has non-finite entries")
+    n = za.shape[0]
+    tau_floor = _tau_floor(2 * n)
+    if tau < tau_floor:
+        raise ValueError(
+            f"tau {tau!r} is below {tau_floor!r}, where 2 * n * exp(1 / tau) overflows float64 "
+            f"for the partition search's n = {n} samples"
+        )
     g = Graph(forward_only=True)
-    maps = _contrastive_maps(g, g.constant(za), g.constant(zb), za.shape[0], tau)
+    maps = _contrastive_maps(g.constant(za), g.constant(zb), tau)
     forward_eval(g)
     return tuple(m.value for m in maps)
 

@@ -13,7 +13,9 @@ package must match byte for byte. `augment_views_oracle` is the view
 augmentation with its bilinear sample as three-array fancy indexing.
 `bdc_vjp_oracle` is the BDC matrix's VJP term by term, and
 `bdc_chain_graph` is the BDC matrix as the chain of primitive graph ops it
-was built from before it became one op.
+was built from before it became one op, and `contrastive_maps_eye_graph`
+the contrastive maps as they were built before the diagonal ops, with
+(n, n) identity masks as graph constants.
 """
 
 import math
@@ -93,7 +95,7 @@ def subset_terms(za, zb, members, tau) -> tuple[float, float]:
     w = np.zeros(n)
     w[np.asarray(members)] = 1.0
     g = Graph()
-    maps = _contrastive_maps(g, g.constant(za), g.constant(zb), n, tau)
+    maps = _contrastive_maps(g.constant(za), g.constant(zb), tau)
     _, loss, grad_theta = _subset_sums(maps, g.constant(w), n, tau)
     penalty = grad_theta * grad_theta
     forward_eval(g)
@@ -267,6 +269,21 @@ def bdc_chain_graph(g: Graph, fmaps, d: int):
     col = hat.mean(axis=1, keepdims=True)
     grand = hat.mean(axis=(1, 2), keepdims=True)
     return hat - row - col + grand
+
+
+def contrastive_maps_eye_graph(g: Graph, za, zb, n: int, tau: float):
+    """(M_den, M_num, s_pos) nodes of n samples' two views, the diagonal
+    dropped from exp(S_aa / tau) and picked from S_ab by multiplying with
+    constant (n, n) identity masks."""
+    s_aa = za @ za.swap_last2()
+    s_ab = za @ zb.swap_last2()
+    eye = np.eye(n)
+    exp_aa = (s_aa / tau).exp() * g.constant(1.0 - eye)
+    exp_ab = (s_ab / tau).exp()
+    m_den = exp_aa + exp_ab
+    m_num = exp_aa * s_aa + exp_ab * s_ab
+    s_pos = (s_ab * g.constant(eye)).sum(axis=1)
+    return m_den, m_num, s_pos
 
 
 def prototype_oracle(mats, labels) -> dict[int, np.ndarray]:

@@ -79,7 +79,7 @@ def _contrastive_fn(members: np.ndarray, tau: float, want_penalty: bool):
         n = point["za"].shape[0]
         w = np.zeros(n)
         w[members] = 1.0
-        maps = _contrastive_maps(g, refs["za"], refs["zb"], n, tau)
+        maps = _contrastive_maps(refs["za"], refs["zb"], tau)
         _, loss, grad_theta = _subset_sums(maps, g.constant(w), n, tau)
         node = grad_theta * grad_theta if want_penalty else loss
         forward_eval(g)

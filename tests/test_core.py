@@ -121,8 +121,18 @@ def test_shape_mismatch_names_node_and_shapes():
         ("conv2d", lambda g: g.parameter("x", np.ones((2, 2, 5, 5))).conv2d(np.ones((4, 3, 3, 3)), np.ones(4), 1, 1)),
         ("bdc", lambda g: g.parameter("x", np.ones((4, 4))).bdc()),
         ("add", lambda g: g.parameter("a", np.ones((2, 3))) + g.parameter("b", np.ones(4))),
+        ("zero_diagonal", lambda g: g.parameter("x", np.ones((2, 3))).zero_diagonal()),
+        ("diagonal", lambda g: g.parameter("x", np.ones((2, 2, 2))).diagonal()),
     ],
-    ids=["matmul-inner-dim", "conv2d-rank", "conv2d-in-channels", "bdc-rank", "add-broadcast"],
+    ids=[
+        "matmul-inner-dim",
+        "conv2d-rank",
+        "conv2d-in-channels",
+        "bdc-rank",
+        "add-broadcast",
+        "zero_diagonal-square",
+        "diagonal-rank",
+    ],
 )
 def test_shape_mismatch_names_node_and_op(op, build):
     g = Graph()
@@ -446,6 +456,8 @@ def test_every_primitive_op_gradchecks():
         "reshape": lambda g, r: square(r["a"].reshape((16,))),
         "swap_last2": lambda g, r: (r["a"].swap_last2() @ r["a"]).sum(),
         "gather": lambda g, r: square(r["a"].gather(np.array([1, 1, 0]))),
+        "zero_diagonal": lambda g, r: (r["a"].zero_diagonal() * r["b"]).sum(),
+        "diagonal": lambda g, r: square(r["a"].diagonal()),
         "conv2d": lambda g, r: square(
             r["a"].reshape((1, 1, 4, 4)).conv2d(r["b"].reshape((4, 1, 2, 2)), np.ones(4), stride=2, pad=1)
         ),

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from metabdc.ssl import (
     AugmentConfig,
     IDENTITY_AUGMENT,
     IpIrmConfig,
+    _contrastive_maps,
     _embed_dataset,
     _hard_objective,
     _partition_maps,
     _partition_objective_graph,
+    _subset_sums,
     augment_views,
     eval_partition_objective,
     find_partition_embeddings,
@@ -33,6 +36,7 @@ from gradcheck import grad_check
 from oracles import (
     augment_views_oracle,
     complex_theta_grad,
+    contrastive_maps_eye_graph,
     contrastive_oracle,
     subset_terms,
     unit_rows,
@@ -195,6 +199,36 @@ def test_tau_floor_keeps_the_contrastive_maps_finite(batch_size):
 
 # ---------------------------------------------------------------------------
 # contrastive loss
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_contrastive_maps_equal_the_identity_mask_form_bit_for_bit(dtype):
+    """The diagonal ops give the values of the identity-mask products they
+    replace, and the same gradients into both views through a training
+    objective, on float32 views as training feeds them and float64 as the
+    search does. In float32 the masked products were float64, so the
+    gradient into the picked diagonal arrives in float64: forming it in the
+    view's dtype would round it."""
+    gen = np.random.default_rng(67)
+    tau = 0.5
+    for n in (2, 5, 32):
+        za, zb = (unit_rows(gen, n, 4).astype(dtype) for _ in range(2))
+        w = gen.uniform(0.1, 1.0, size=n)
+        values, grads = [], []
+        for with_masks in (True, False):
+            g = Graph()
+            a, b = g.parameter("za", za), g.parameter("zb", zb)
+            maps = contrastive_maps_eye_graph(g, a, b, n, tau) if with_masks else _contrastive_maps(a, b, tau)
+            mass, loss, grad_theta = _subset_sums(maps, g.constant(w), n, tau)
+            total = loss + 0.2 * grad_theta * grad_theta / mass
+            forward_eval(g)
+            values.append([m.value for m in maps])
+            grads.append(backward(g, total))
+        for old, new in zip(*values):
+            assert np.array_equal(new, old), (dtype, n)
+        for name in ("za", "zb"):
+            assert grads[1][name].dtype == grads[0][name].dtype
+            assert np.array_equal(grads[1][name], grads[0][name]), (dtype, n, name)
 
 
 def test_contrastive_uniform_similarities():
@@ -534,6 +568,29 @@ def test_non_finite_embeddings_are_rejected_naming_the_array(bad, entry):
             eval_partition_objective(z["za"], z["zb"], np.arange(6) < 3, lambda2=0.5, tau=0.5)
 
 
+def test_partition_search_refuses_a_tau_its_maps_overflow_at():
+    """The config's floor covers a batch's 2 * batch_size terms, but the
+    search's denominators sum up to 2n. On 256 near-identical unit
+    embeddings, a tau just above the batch-32 floor is refused by name
+    before any map is built, with no warning; a tau just above the n = 256
+    floor scores a finite objective."""
+    n = 256
+    gen = np.random.default_rng(71)
+    z = gen.normal(size=(n, 4)) * 1e-6
+    z[:, 0] += 1.0
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    mask = np.arange(n) < n // 2
+    floor = {terms: 1.0 / (np.log(np.finfo(np.float64).max) - np.log(terms)) for terms in (64, 2 * n)}
+    cfg = IpIrmConfig(tau=floor[64] * 1.0001, batch_size=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^tau .*n = 256 samples"):
+            find_partition_embeddings(z, z.copy(), cfg, SeededRng(0))
+        with pytest.raises(ValueError, match=r"^tau .*n = 256 samples"):
+            eval_partition_objective(z, z.copy(), mask, cfg.lambda2, cfg.tau)
+        assert np.isfinite(eval_partition_objective(z, z.copy(), mask, cfg.lambda2, floor[2 * n] * (1 + 1e-9)))
+
+
 def test_search_deterministic():
     za, zb, _ = make_cluster_instance(5)
     cfg = IpIrmConfig()
@@ -667,10 +724,12 @@ def test_whole_set_passes_keep_their_peak_memory_down():
     """Peak traced bytes above entry, in a fresh interpreter, of one
     augment_views call and one partition search over 256 study-sized
     samples. Before blocked rendering, shared maps and forward-only graphs
-    they were about 7.5 MB and 8.5 MB; now about 1.6 MB and 4.2 MB."""
+    they were about 7.5 MB and 8.5 MB, and 4.2 MB for the search while its
+    maps took the diagonal through two (n, n) identity masks; now about
+    1.6 MB and 3.2 MB, the map build's own (n, n) temporaries."""
     augment_peak, search_peak = traced_numbers(_WHOLE_SET_PEAKS)
     assert augment_peak < 3_000_000
-    assert search_peak < 6_000_000
+    assert search_peak < 3_600_000
 
 
 # ---------------------------------------------------------------------------
