@@ -17,7 +17,7 @@ import typing
 from dataclasses import dataclass, field, replace
 
 from .core import config_digest
-from .data import HierarchySpec, SyntheticConfig
+from .data import HierarchySpec, SyntheticConfig, fov_pixels
 from .encoder import EncoderConfig
 from .finetune import FinetuneConfig
 from .ssl import AugmentConfig, IpIrmConfig
@@ -122,6 +122,15 @@ class ExperimentConfig:
             raise ValueError(f"val_fraction: must lie in [0, 1], got {self.val_fraction}")
         if self.fov_mm <= 0:
             raise ValueError(f"fov_mm: must be positive, got {self.fov_mm}")
+        # the crop must cover a pixel of every source a configured column trains on
+        sources = {"data": self.data}
+        if any(train_source(kind) == "other" for kind in self.finetune_kinds):
+            sources["other_data"] = self.other_data
+        for name, src in sources.items():
+            for axis in ("px", "py"):
+                spacing = getattr(src, axis)
+                if fov_pixels(self.fov_mm, spacing) < 1:
+                    raise ValueError(f"fov_mm: {self.fov_mm} mm covers no pixel at {name}.{axis} = {spacing} mm")
         # the label spaces each configured column needs must exist at episode width
         for kind in self.finetune_kinds:
             if kind == "fully-supervised":

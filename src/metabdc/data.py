@@ -23,11 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeededRng
-from .imageops import crop_with_padding, resize_bilinear
-
-
-def round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+from .imageops import crop_with_padding, resize_bilinear, round_half_up, unit_grid
 
 
 def fov_pixels(fov_mm: float, spacing: float) -> int:
@@ -204,10 +200,8 @@ class SyntheticConfig:
 
 
 def _texture(
-    family: str, size: int, freq: float, fine: int, n_fine: int, rot: float, phase: float
+    family: str, yy: np.ndarray, xx: np.ndarray, freq: float, fine: int, n_fine: int, rot: float, phase: float
 ) -> np.ndarray:
-    ax = np.linspace(-1.0, 1.0, size)
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
     if family == "grating":
         theta = np.pi * fine / n_fine + rot
         proj = xx * np.cos(theta) + yy * np.sin(theta)
@@ -223,7 +217,8 @@ def generate_synthetic(config: SyntheticConfig) -> ImageSet:
     """Deterministic dataset for the configured hierarchy and family.
 
     Rows run fine class, then domain tag, then group, then image; image
-    i draws its nuisance factors from rng.child(i). Group ids are
+    i draws its nuisance factors from rng.child(i), and every image's
+    texture and ramps are read off one `imageops.unit_grid`. Group ids are
     globally unique; each group holds images of a single (fine class,
     domain tag) pair, the patient-analogue granularity that split_dataset
     stratifies on.
@@ -241,8 +236,7 @@ def generate_synthetic(config: SyntheticConfig) -> ImageSet:
     coarse = np.asarray(h.mapping, dtype=np.int64)[fine]
     domain = row // (config.count_per_fine // 2) % 2
     group = row // config.group_size
-    ax = np.linspace(-1.0, 1.0, size)
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    yy, xx = unit_grid(size, size)
     pixels = np.empty((n, size, size), dtype=np.float32)
     rng = SeededRng(config.seed)
     for index, (f, c, dom) in enumerate(zip(fine.tolist(), coarse.tolist(), domain.tolist())):
@@ -250,7 +244,7 @@ def generate_synthetic(config: SyntheticConfig) -> ImageSet:
         rot = config.rotation_jitter * gen.uniform(-1, 1)
         phase = config.phase_jitter * gen.uniform(-1, 1)
         freq = config.band_base + config.band_step * c
-        img = _texture(config.texture_family, size, freq, f, h.n_fine, rot, phase)
+        img = _texture(config.texture_family, yy, xx, freq, f, h.n_fine, rot, phase)
         img = img + config.intensity_bias * gen.uniform(-1, 1)
         noise_scale = config.noise
         if dom == 0:
@@ -274,13 +268,16 @@ def preprocess_dataset(images: ImageSet, px: float, py: float, fov_mm: float, ou
 
     `px` and `py` are the source's column and row spacings in mm per
     pixel. The crop covers round(FOV/px) x round(FOV/py) pixels
-    (half-up), zero-padded where it leaves the image. The pipeline passes
-    the encoder's input size as `out_size`.
+    (half-up), zero-padded where it leaves the image; a crop that covers
+    no pixel is an error. The pipeline passes the encoder's input size as
+    `out_size`.
     """
     if fov_mm <= 0 or out_size <= 0:
         raise ValueError("FOV and output size must be positive")
     n_cols = fov_pixels(fov_mm, px)
     n_rows = fov_pixels(fov_mm, py)
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError(f"a {fov_mm} mm FOV at spacings px {px}, py {py} crops {n_rows} x {n_cols} pixels")
     n, h, w = images.pixels.shape
     out = np.empty((n, out_size, out_size), dtype=images.pixels.dtype)
     for i, image in enumerate(images.pixels):

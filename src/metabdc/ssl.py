@@ -50,7 +50,7 @@ import numpy as np
 from .core import Graph, SeededRng, Var, backward, forward_eval
 from .data import minibatches
 from .encoder import EncoderConfig, bind_params, conv_stack, project_head, to_nchw
-from .imageops import resize_bilinear  # noqa: F401 - perfbench traces this module's binding
+from .imageops import resize_bilinear, sample_bilinear, unit_grid  # noqa: F401 - perfbench traces resize_bilinear here
 from .optim import ScheduleConfig, lr_from_batch, schedule_lr, sgd_step
 
 log = logging.getLogger(__name__)
@@ -89,8 +89,8 @@ IDENTITY_AUGMENT = AugmentConfig(crop_scale=(1.0, 1.0), gain=(1.0, 1.0), bias=(0
 def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
     """Two stochastic views of a (B, H, W) single-channel batch, each of its
     shape: a random square crop, turned by a random rotation and resized to
-    the full frame in one bilinear sample (edge pixels repeat past the
-    border), then intensity gain and bias and a randomly turned linear ramp.
+    the full frame in one `imageops.sample_bilinear` call, then intensity
+    gain and bias and a randomly turned linear ramp over `imageops.unit_grid`.
 
     Deterministic given (config, rng); the identity config returns exact
     copies of the input in both views. Each view draws every per-image
@@ -102,11 +102,9 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
         raise ValueError(f"expected a nonempty (B, H, W) batch, got shape {images.shape}")
     b, h, w = images.shape
     gen = rng.generator()
-    flat = images.reshape(-1)  # each sample's four source pixels are taken by flat index
-    base = (np.arange(b) * (h * w))[:, None, None]
     rows = (np.arange(h) - (h - 1) / 2.0)[None, :, None]  # output grid about its center
     cols = (np.arange(w) - (w - 1) / 2.0)[None, None, :]
-    yy, xx = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, w), indexing="ij")
+    yy, xx = unit_grid(h, w)
     n = min(h, w)
     views = []
     for _view in range(2):
@@ -127,19 +125,7 @@ def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> 
             blk = slice(lo, lo + _AUGMENT_BLOCK)
             src_r = (cos[blk] * rows - sin[blk] * cols + h / 2.0) * (side[blk] / h) - 0.5 + top[blk]
             src_c = (sin[blk] * rows + cos[blk] * cols + w / 2.0) * (side[blk] / w) - 0.5 + left[blk]
-            src_r = np.clip(src_r, 0.0, h - 1.0)
-            src_c = np.clip(src_c, 0.0, w - 1.0)
-            r0 = np.floor(src_r)
-            c0 = np.floor(src_c)
-            fr = src_r - r0
-            fc = src_c - c0
-            i00 = base[blk] + (r0 * w + c0).astype(np.int64)
-            i10 = i00 + (r0 < h - 1) * w  # the next row and column stop at the last one
-            right = c0 < w - 1
-            upper = flat.take(i00) * (1 - fc) + flat.take(i00 + right) * fc
-            lower = flat.take(i10) * (1 - fc) + flat.take(i10 + right) * fc
-            out = upper * (1 - fr) + lower * fr
-            out = out * gain[blk] + bias[blk]
+            out = sample_bilinear(images[blk], src_r, src_c) * gain[blk] + bias[blk]
             if config.ramp > 0:
                 out = out + amp[blk] * (turn_cos[blk] * xx + turn_sin[blk] * yy)
             view[blk] = out

@@ -10,7 +10,9 @@ search, on fixed embeddings so tests can compare the two, and
 output position, kernel tap and channel, and `col2im_slice_add_oracle` its
 input gradient in the (B, C)-major slice-add order it had first, which the
 package must match byte for byte. `augment_views_oracle` is the view
-augmentation with its bilinear sample as three-array fancy indexing.
+augmentation with its bilinear sample as three-array fancy indexing, and
+`resize_bilinear_oracle` the resize as the separable row and column
+gather it was before both went through one sampler.
 `bdc_vjp_oracle` is the BDC matrix's VJP term by term, and
 `bdc_chain_graph` is the BDC matrix as the chain of primitive graph ops it
 was built from before it became one op, and `contrastive_maps_eye_graph`
@@ -189,6 +191,28 @@ def augment_views_oracle(images, config, rng):
             out = out + amp * (np.cos(turn) * xx + np.sin(turn) * yy)
         views.append(out.astype(images.dtype))
     return views[0], views[1]
+
+
+def resize_bilinear_oracle(img, out_h, out_w):
+    """`imageops.resize_bilinear` in its separable form: per-axis source
+    coordinates, their low and high neighbours clamped by `np.minimum`, and
+    the four corners gathered by row, then column, indexing."""
+    h, w = img.shape
+    if (out_h, out_w) == (h, w):
+        return img.copy()
+
+    def axis_coords(n_in, n_out):
+        src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+        src = np.clip(src, 0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.int64)
+        return lo, np.minimum(lo + 1, n_in - 1), src - lo
+
+    r0, r1, rf = axis_coords(h, out_h)
+    c0, c1, cf = axis_coords(w, out_w)
+    top = img[r0][:, c0] * (1 - cf)[None, :] + img[r0][:, c1] * cf[None, :]
+    bot = img[r1][:, c0] * (1 - cf)[None, :] + img[r1][:, c1] * cf[None, :]
+    out = top * (1 - rf)[:, None] + bot * rf[:, None]
+    return out.astype(img.dtype, copy=False)
 
 
 def aucm_oracle(scores, labels, a, b, alpha, margin, p_hat=None):

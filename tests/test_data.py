@@ -214,6 +214,16 @@ def test_preprocess_equals_per_image_crop_resize_and_group_zscore(cfg, fov_mm, o
     assert out.pixels.dtype == want.dtype and out.pixels.tobytes() == want.tobytes()
 
 
+def test_preprocess_refuses_a_crop_that_covers_no_pixel():
+    """A FOV below half the pixel spacing rounds to no pixel on that axis."""
+    images = generate_synthetic(small_config())
+    with pytest.raises(ValueError, match="crops 0 x 8 pixels"):
+        preprocess_dataset(images, 6.25, 200.0, fov_mm=50.0, out_size=16)
+    with pytest.raises(ValueError, match="crops 0 x 0 pixels"):
+        preprocess_dataset(images, 6.25, 6.25, fov_mm=3.0, out_size=16)
+    assert preprocess_dataset(images, 6.25, 6.25, fov_mm=3.125, out_size=16).pixels.shape[1:] == (16, 16)
+
+
 def test_preprocess_deterministic():
     images = generate_synthetic(small_config())
     a = preprocess_dataset(images, 6.25, 6.25, fov_mm=50.0, out_size=16)

@@ -17,7 +17,7 @@ from metabdc.optim import (
     schedule_lr,
     sgd_step,
 )
-from oracles import aucm_oracle
+from oracles import aucm_oracle, resize_bilinear_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +503,41 @@ def test_resize_rejects_bad_shapes():
         resize_bilinear(np.zeros((4, 4)), 0, 8)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_resize_keeps_the_bytes_of_the_separable_resize(dtype):
+    """Through the shared four-tap sampler, every in/out size pair of a grid
+    that shrinks, keeps and grows each axis gives the separable resize's
+    bytes."""
+    for h in range(2, 21):
+        for w in (2, 3, 7, 16, 20):
+            img = np.random.default_rng(h * 100 + w).normal(size=(h, w)).astype(dtype)
+            for out_h in (1, 2, 5, 8, 16, 23):
+                for out_w in (1, 3, 8, 16, 19):
+                    got, want = resize_bilinear(img, out_h, out_w), resize_bilinear_oracle(img, out_h, out_w)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (h, w, out_h, out_w)
+
+
 def test_crop_interior_matches_slice():
     img = np.arange(100, dtype=np.float64).reshape(10, 10)
     out = crop_with_padding(img, 5.0, 5.0, 4, 4)
     np.testing.assert_array_equal(out, img[3:7, 3:7])
+
+
+@pytest.mark.parametrize(
+    "side, n, start",
+    [(10, 8, 1), (14, 10, 2), (14, 16, -1), (18, 12, 3)],
+)
+def test_crop_centers_a_window_on_a_side_that_is_2_mod_4(side, n, start):
+    """The window's center (side - 1) / 2 ends in .5 and rounds half up, as
+    `fov_pixels` does, so a window of even size sits as far from one edge as
+    from the other (round-half-to-even put it one pixel low or high)."""
+    img = np.arange(1, side * side + 1, dtype=np.float64).reshape(side, side)
+    out = crop_with_padding(img, (side - 1) / 2.0, (side - 1) / 2.0, n, n)
+    want = np.zeros((n, n))
+    lo, hi = max(start, 0), min(start + n, side)
+    want[lo - start : hi - start, lo - start : hi - start] = img[lo:hi, lo:hi]
+    assert np.array_equal(out, want)
+    assert start == side - (start + n)  # as many rows cut, or padded, on each side
 
 
 def test_crop_out_of_bounds_zero_filled():

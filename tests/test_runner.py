@@ -217,6 +217,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="^" + re.escape(path) + ":"):
             config_from_dict(raw)
 
+    def test_fov_below_half_a_pixel_is_rejected_naming_the_spacing(self):
+        """The crop covers round-half-up(fov_mm / spacing) pixels, so a FOV
+        under half the spacing of a source that is preprocessed crops nothing;
+        the other source counts only when a configured column trains on it."""
+        with pytest.raises(ValueError, match=re.escape("fov_mm: 3.0 mm covers no pixel at data.px = 6.25 mm")):
+            ExperimentConfig(fov_mm=3.0)
+        with pytest.raises(ValueError, match=re.escape("fov_mm: 3.0 mm covers no pixel at data.py = 6.25 mm")):
+            ExperimentConfig(fov_mm=3.0, data=SyntheticConfig(px=1.0))
+        wide = SyntheticConfig(texture_family="rings", hierarchy=HierarchySpec.nested(8, 4), px=20.0)
+        with pytest.raises(ValueError, match=re.escape("fov_mm: 8.0 mm covers no pixel at other_data.px = 20.0 mm")):
+            ExperimentConfig(fov_mm=8.0, other_data=wide)
+        ExperimentConfig(fov_mm=8.0, other_data=wide, finetune_kinds=("meta-fine-same", "fully-supervised"))
+        ExperimentConfig(fov_mm=3.125)  # half a pixel rounds up to one
+
     def test_integers_fill_float_fields_and_null_fills_optional_ones(self):
         cfg = config_from_dict({"tune": {"lr": 1}, "grid": {"ipirm.base_lr": [None, 2]}})
         assert type(cfg.tune.lr) is float
@@ -668,6 +682,14 @@ class TestCli:
             json.dump({"bogus": 1}, f)
         assert main(["report", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_fov_below_half_a_pixel_exits_2_at_load(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as f:
+            json.dump({"fov_mm": 1.0}, f)
+        assert main(["report", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: fov_mm: 1.0 mm covers no pixel at data.px = 6.25 mm"
 
     def test_mistyped_config_exits_2_naming_the_field(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
