@@ -530,7 +530,7 @@ def test_crop_interior_matches_slice():
 def test_crop_centers_a_window_on_a_side_that_is_2_mod_4(side, n, start):
     """The window's center (side - 1) / 2 ends in .5 and rounds half up, as
     `fov_pixels` does, so a window of even size sits as far from one edge as
-    from the other (round-half-to-even put it one pixel low or high)."""
+    from the other."""
     img = np.arange(1, side * side + 1, dtype=np.float64).reshape(side, side)
     out = crop_with_padding(img, (side - 1) / 2.0, (side - 1) / 2.0, n, n)
     want = np.zeros((n, n))
