@@ -1,7 +1,6 @@
 """Minimal dense-array compute core: graphs, autodiff, rng, serialization."""
 
 from .graph import (
-    SQRT_GUARD_EPS,
     Graph,
     GraphError,
     ShapeMismatch,
@@ -19,7 +18,6 @@ from .serial import (
 )
 
 __all__ = [
-    "SQRT_GUARD_EPS",
     "Graph",
     "GraphError",
     "ShapeMismatch",

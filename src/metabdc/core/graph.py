@@ -1,12 +1,13 @@
 """Dense-array expression graphs with reverse-mode differentiation.
 
-A Graph is an ordered list of op records. Leaves are named inputs, named
-parameters (which own gradient slots), or constants; interior nodes hold
-an op kind plus parent indices. Construction order is topological order,
-so a single forward sweep evaluates the graph and a single reverse sweep
-accumulates exact vector-Jacobian products. The reverse sweep runs VJPs
-only along paths from a parameter to the loss: constants and inputs, and
-every node computed from them alone, get no gradient.
+A Graph is an ordered list of op records. Leaves are named inputs of a
+fixed shape, named parameters (which own gradient slots), or constants;
+interior nodes hold an op kind plus parent indices. Construction order
+is topological order, so a single forward sweep evaluates the graph and
+a single reverse sweep accumulates exact vector-Jacobian products. The
+reverse sweep runs VJPs only along paths from a parameter to the loss:
+constants and inputs, and every node computed from them alone, get no
+gradient.
 
 Design constraints:
   * floats only (float32 for training, float64 for oracle checks); the
@@ -36,8 +37,8 @@ Design constraints:
     with a closed-form VJP (`_bdc_forward`, `_bdc_vjp`).
 
 The square root used on computed squared distances is `sqrt_guard`,
-sqrt(max(x, eps)) with eps = 1e-12, whose derivative is defined as 0 on
-the clamped branch.
+sqrt(max(x, SQRT_GUARD_EPS)) with SQRT_GUARD_EPS = 1e-12 in every node and
+in bdc, whose derivative is defined as 0 on the clamped branch.
 
 Every interior op kind is one entry of `_OPS`, its forward and its VJP
 side by side; `forward_eval` and `backward` call the entry of each node,
@@ -137,8 +138,8 @@ class Var:
     def sigmoid(self):
         return self.graph._emit("sigmoid", (self,))
 
-    def sqrt_guard(self, eps: float = SQRT_GUARD_EPS):
-        return self.graph._emit("sqrt_guard", (self,), eps=float(eps))
+    def sqrt_guard(self):
+        return self.graph._emit("sqrt_guard", (self,))
 
     def sum(self, axis=None, keepdims: bool = False):
         return self.graph._emit("sum", (self,), axis=_norm_axis(axis), keepdims=keepdims)
@@ -220,10 +221,10 @@ class Graph:
         return self._append(_Node(op, tuple(p.idx for p in parents), meta))
 
     def input(self, name: str, shape) -> Var:
-        """Declare a named input; dims given as None are unconstrained."""
+        """Declare a named input; forward_eval accepts only arrays of `shape`."""
         if name in self.inputs:
             raise GraphError(f"duplicate input name {name!r}")
-        shape = tuple(None if s is None else int(s) for s in shape)
+        shape = tuple(int(s) for s in shape)
         var = self._append(_Node("input", (), {"shape": shape}, name=name))
         self.inputs[name] = var.idx
         return var
@@ -513,8 +514,8 @@ _OPS = {
     "relu": (lambda vals, *_: np.maximum(vals[0], 0), lambda grad, vals, *_: [grad * (vals[0] > 0)]),
     "sigmoid": (_sigmoid_eval, lambda grad, vals, out, *_: [grad * out * (1.0 - out)]),
     "sqrt_guard": (
-        lambda vals, meta, *_: np.sqrt(np.maximum(vals[0], meta["eps"])),
-        lambda grad, vals, out, meta, *_: [np.where(vals[0] > meta["eps"], grad * 0.5 / out, 0.0)],
+        lambda vals, *_: np.sqrt(np.maximum(vals[0], SQRT_GUARD_EPS)),
+        lambda grad, vals, out, *_: [np.where(vals[0] > SQRT_GUARD_EPS, grad * 0.5 / out, 0.0)],
     ),
     "matmul": (
         _matmul_eval,
@@ -581,7 +582,7 @@ def forward_eval(graph: Graph, feeds: dict[str, np.ndarray] | None = None) -> No
                 raise GraphError(f"missing input {node.name!r}")
             arr = np.asarray(feeds[node.name])
             want = node.meta["shape"]
-            if len(arr.shape) != len(want) or any(w is not None and w != a for w, a in zip(want, arr.shape)):
+            if arr.shape != want:
                 raise ShapeMismatch(idx, "input:" + str(node.name), want, arr.shape)
             values[idx] = arr
 
@@ -658,7 +659,7 @@ def backward(graph: Graph, loss: Var) -> dict[str, np.ndarray]:
 # composite helpers
 
 
-def l2_normalize(x: Var, axis: int = -1, eps: float = SQRT_GUARD_EPS) -> Var:
-    norm = (x * x).sum(axis=axis, keepdims=True).sqrt_guard(eps)
+def l2_normalize(x: Var, axis: int = -1) -> Var:
+    norm = (x * x).sum(axis=axis, keepdims=True).sqrt_guard()
     return x / norm
 

@@ -35,11 +35,12 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray], digest: str) -> No
 
 def load_checkpoint(path: str, expected_digest: str | None = None) -> tuple[dict[str, np.ndarray], str]:
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("a bare .npy array")
-        with archive:
-            members = {name: archive[name] for name in archive.files}
+        with open(path, "rb") as f:  # np.load leaves a path's file open when it fails on a broken archive
+            archive = np.load(f, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a bare .npy array")
+            with archive:
+                members = {name: archive[name] for name in archive.files}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise SerializationError(f"{path}: not a readable .npz checkpoint archive ({exc})") from exc
     digest = members.pop("digest", None)

@@ -40,8 +40,8 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     Same-size calls return an exact copy, which keeps identity-configured
     augmentation bit-identical to its input.
     """
-    if img.ndim != 2:
-        raise ValueError(f"expected (H, W), got shape {img.shape}")
+    if img.ndim != 2 or 0 in img.shape:
+        raise ValueError(f"expected a nonempty (H, W) image, got shape {img.shape}")
     h, w = img.shape
     if out_h <= 0 or out_w <= 0:
         raise ValueError("output size must be positive")

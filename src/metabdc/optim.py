@@ -76,12 +76,13 @@ def aucm_loss_graph(
     b: Var,
     alpha: Var,
     margin: float,
-    p_hat: float | None = None,
+    p_hat: float,
 ) -> Var:
     """In-graph AUC-margin loss over a score vector node.
 
     Gradients flow into whatever produced the scores; a, b, alpha are
-    scalar parameter nodes (shape (1,)). A single-class batch contributes
+    scalar parameter nodes (shape (1,)). p_hat is the positive rate of the
+    training split, not of the batch. A single-class batch contributes
     only its class-conditional terms; an empty batch is an error.
     """
     labels = np.asarray(labels)
@@ -93,19 +94,18 @@ def aucm_loss_graph(
         raise ValueError("labels must be 0 or 1")
     if n_pos + n_neg == 0:
         raise ValueError("empty batch")
-    p = p_hat if p_hat is not None else n_pos / (n_pos + n_neg)
 
-    loss = 2.0 * margin * p * (1.0 - p) * alpha.sum() - p * (1.0 - p) * (alpha * alpha).sum()
+    loss = 2.0 * margin * p_hat * (1.0 - p_hat) * alpha.sum() - p_hat * (1.0 - p_hat) * (alpha * alpha).sum()
     if n_pos:
         mask = g.constant(pos.astype(np.float64))
         mean_pos = (scores * mask).sum() / n_pos
         dev = (scores - a.sum()) * mask
-        loss = loss + (1.0 - p) * (dev * dev).sum() / n_pos - 2.0 * (1.0 - p) * alpha.sum() * mean_pos
+        loss = loss + (1.0 - p_hat) * (dev * dev).sum() / n_pos - 2.0 * (1.0 - p_hat) * alpha.sum() * mean_pos
     if n_neg:
         mask = g.constant(neg.astype(np.float64))
         mean_neg = (scores * mask).sum() / n_neg
         dev = (scores - b.sum()) * mask
-        loss = loss + p * (dev * dev).sum() / n_neg + 2.0 * p * alpha.sum() * mean_neg
+        loss = loss + p_hat * (dev * dev).sum() / n_neg + 2.0 * p_hat * alpha.sum() * mean_neg
     return loss
 
 

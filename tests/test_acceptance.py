@@ -107,7 +107,7 @@ def _aucm_fn(labels: np.ndarray, margin: float):
         g = Graph()
         refs = bind_params(g, point)
         loss = aucm_loss_graph(
-            g, refs["scores"], labels, refs["a"], refs["b"], refs["alpha"], margin=margin
+            g, refs["scores"], labels, refs["a"], refs["b"], refs["alpha"], margin=margin, p_hat=float(np.mean(labels))
         )
         forward_eval(g)
         return float(loss.value), backward(g, loss)

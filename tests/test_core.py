@@ -1,7 +1,9 @@
+import gc
 import io
 import itertools
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ def scalar_fn(build):
 
 def test_forward_times_two():
     g = Graph()
-    x = g.input("x", (None,))
+    x = g.input("x", (3,))
     y = x * 2.0
     forward_eval(g, {"x": np.array([1.0, 2.0, 3.0])})
     assert np.array_equal(y.value, [2.0, 4.0, 6.0])
@@ -154,7 +156,7 @@ def test_emit_rejects_an_unknown_op_kind():
 
 def test_missing_and_unknown_inputs_error():
     g = Graph()
-    g.input("x", (None,))
+    g.input("x", (1,))
     with pytest.raises(GraphError):
         forward_eval(g, {})
     with pytest.raises(GraphError):
@@ -526,6 +528,20 @@ def test_malformed_checkpoint_is_refused_naming_the_path(tmp_path, blob, message
         f.write(blob)
     with pytest.raises(SerializationError, match=re.escape(path) + ".*" + re.escape(message)):
         load_checkpoint(path)
+
+
+def test_refused_truncated_checkpoint_leaves_no_file_open(tmp_path):
+    """numpy's archive reader raises on a truncated archive after np.load
+    has handed it the open file; the loader must still close it."""
+    path = str(tmp_path / "bad.mbcp")
+    with open(path, "wb") as f:
+        f.write(_GOOD[:-8])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(SerializationError):
+            load_checkpoint(path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_checkpoint_roundtrip_and_digest_mismatch(tmp_path):

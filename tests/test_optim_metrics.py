@@ -1,5 +1,7 @@
 """Schedules, AUC-margin loss, PESG, AUROC, and aggregation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,7 +90,10 @@ def test_sgd_step_shape_mismatch():
 
 
 def graph_aucm(scores, labels, a=0.0, b=0.0, alpha=0.0, margin=1.0, p_hat=None):
-    """aucm_loss_graph on fixed values: (loss, grads over scores, a, b, alpha)."""
+    """aucm_loss_graph on fixed values: (loss, grads over scores, a, b, alpha);
+    p_hat defaults to the batch's positive rate."""
+    if p_hat is None:
+        p_hat = float(np.mean(labels))
     g = Graph()
     point = {
         "scores": np.array(scores, dtype=np.float64),
@@ -161,7 +166,7 @@ def test_aucm_single_class_batch_keeps_conditional_terms():
 
 def test_aucm_empty_batch_rejected():
     with pytest.raises(ValueError):
-        graph_aucm(np.array([]), np.array([]))
+        graph_aucm(np.array([]), np.array([]), p_hat=0.5)
 
 
 def test_aucm_bad_labels_rejected():
@@ -255,7 +260,7 @@ def test_pesg_separable_toy_reaches_auroc_one():
     g = Graph()
     refs = {k: g.parameter(k, v) for k, v in params.items()}  # updated in place by pesg_step
     scores = g.constant(x) * refs["w"] + refs["c"]
-    loss = aucm_loss_graph(g, scores, y, refs["a"], refs["b"], refs["alpha"], margin=1.0)
+    loss = aucm_loss_graph(g, scores, y, refs["a"], refs["b"], refs["alpha"], margin=1.0, p_hat=float(np.mean(y)))
     for _ in range(200):
         forward_eval(g)
         pesg_step(params, backward(g, loss), state, lr=0.05)
@@ -501,6 +506,9 @@ def test_resize_rejects_bad_shapes():
         resize_bilinear(np.zeros((4, 4, 1)), 8, 8)
     with pytest.raises(ValueError):
         resize_bilinear(np.zeros((4, 4)), 0, 8)
+    for shape in ((0, 4), (4, 0)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            resize_bilinear(np.zeros(shape), 8, 8)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -115,24 +115,26 @@ def test_augment_ramp_adds_a_bounded_plane():
 
 
 @pytest.mark.parametrize(
-    "config, shape, seeds",
+    "config, shape, seeds, dtype",
     [
-        (AugmentConfig(), (4, 16, 16), 50),
-        (AugmentConfig(), (3, 12, 20), 50),
-        (AugmentConfig(crop_scale=(1.0, 1.0)), (4, 16, 16), 50),  # turned full frames clip at the last index
-        (AugmentConfig(crop_scale=(1.0, 1.0)), (3, 20, 12), 50),
-        (AugmentConfig(), (33, 16, 16), 50),  # one image past a 32-image block
-        (AugmentConfig(), (256, 16, 16), 5),  # a whole study pretraining set
+        (AugmentConfig(), (4, 16, 16), 50, np.float32),
+        (AugmentConfig(), (3, 12, 20), 50, np.float32),
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (4, 16, 16), 50, np.float32),  # turned full frames clip at the last index
+        (AugmentConfig(crop_scale=(1.0, 1.0)), (3, 20, 12), 50, np.float32),
+        (AugmentConfig(), (33, 16, 16), 50, np.float32),  # one image past a 32-image block
+        (AugmentConfig(), (256, 16, 16), 5, np.float32),  # a whole study pretraining set
+        (AugmentConfig(), (4, 16, 16), 50, np.float64),  # keeps every bit of the float64 blend
     ],
-    ids=["default", "wide", "full-frame-turned", "tall-full-frame-turned", "one-past-a-block", "whole-set"],
+    ids=["default", "wide", "full-frame-turned", "tall-full-frame-turned", "one-past-a-block", "whole-set", "float64"],
 )
-def test_augment_views_keep_the_bytes_of_the_fancy_index_sample(config, shape, seeds):
+def test_augment_views_keep_the_bytes_of_the_fancy_index_sample(config, shape, seeds, dtype):
     """Both views are byte-equal to the three-array fancy-index bilinear
     sample, which draws and samples the whole batch at once, on square and
-    non-square float32 images and on batches of one, two and eight
-    32-image blocks."""
+    non-square float32 images, on batches of one, two and eight 32-image
+    blocks, and on float64 images, whose views keep the last bit of the
+    blend that a float32 view rounds away."""
     for seed in range(seeds):
-        imgs = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+        imgs = np.random.default_rng(seed).normal(size=shape).astype(dtype)
         got = augment_views(imgs, config, SeededRng(100 + seed))
         want = augment_views_oracle(imgs, config, SeededRng(100 + seed))
         for g, w in zip(got, want):
