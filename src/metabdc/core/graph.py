@@ -36,9 +36,10 @@ Design constraints:
   * bdc, the double-centred distance matrix of (B, d, m) maps, is one node
     with a closed-form VJP (`_bdc_forward`, `_bdc_vjp`).
 
-The square root used on computed squared distances is `sqrt_guard`,
-sqrt(max(x, SQRT_GUARD_EPS)) with SQRT_GUARD_EPS = 1e-12 in every node and
-in bdc, whose derivative is defined as 0 on the clamped branch.
+The square root used on computed squared distances, in `sqrt_guard`
+nodes and inside bdc, is sqrt(max(x, SQRT_GUARD_EPS)) with the one fixed
+SQRT_GUARD_EPS = 1e-12; its derivative is defined as 0 on the clamped
+branch.
 
 Every interior op kind is one entry of `_OPS`, its forward and its VJP
 side by side; `forward_eval` and `backward` call the entry of each node,
