@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-import types
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -56,6 +55,8 @@ class ProxyConfig:
             raise ValueError("proxy training needs positive epochs and batches of at least 2")
         if self.lr <= 0:
             raise ValueError("proxy LR must be positive")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay: must be nonnegative, got {self.weight_decay}")
 
 
 def _default_other_data() -> SyntheticConfig:
@@ -158,8 +159,8 @@ class ExperimentConfig:
 # A field's name and type live only in its dataclass: parsing walks
 # dataclasses.fields and the resolved annotations and coerces nothing (an
 # int field takes a JSON integer, a float field a finite integer or float,
-# a tuple field a list, null only a field that allows None; a bool is never
-# a number). Every rejection names the dotted path of the value. Two fields
+# a tuple field a list; null fills no field and a bool is never a number).
+# Every rejection names the dotted path of the value. Two fields
 # have their own JSON form: a HierarchySpec is its fine -> coarse list, and
 # the grid maps each axis path to a list of values of that field's type.
 
@@ -178,11 +179,6 @@ def _from_json(tp, raw, path: str):
     if dataclasses.is_dataclass(tp):
         return _from_object(tp, raw, path)
     args = typing.get_args(tp)
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):
-        if raw is None and type(None) in args:
-            return None
-        (tp,) = [arg for arg in args if arg is not type(None)]
-        return _from_json(tp, raw, path)
     if typing.get_origin(tp) is tuple:
         if not isinstance(raw, list):
             raise ValueError(f"{path}: expected a list, got {_json_type(raw)}")

@@ -174,6 +174,8 @@ class SyntheticConfig:
             raise ValueError(f"unknown texture family {self.texture_family!r}")
         if self.count_per_fine < 2 or self.count_per_fine % 2:
             raise ValueError("count_per_fine must be even and >= 2")
+        if self.group_size < 1:
+            raise ValueError(f"group_size: must be at least 1, got {self.group_size}")
         per_domain = self.count_per_fine // 2
         if per_domain % self.group_size:
             raise ValueError("per-domain count must be divisible by the group size")

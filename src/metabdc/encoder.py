@@ -41,6 +41,9 @@ class EncoderConfig:
                 raise ValueError(f"stages[{i}]: kernel {k} is outside the supported 1x1 to 5x5 range")
             if out_ch < 1 or s < 1:
                 raise ValueError(f"stages[{i}]: conv stage channels and stride must be positive")
+        for name in ("proj_hidden", "proj_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
         if self.feature_dim < 2:
             raise ValueError("feature map needs at least 2 channels")
         if self.out_size < 2:

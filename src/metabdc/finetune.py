@@ -32,7 +32,7 @@ from .core import Graph, SeededRng, backward, forward_eval
 from .data import Episode, EpisodeSpec, ImageSet, minibatches, sample_episode
 from .encoder import EncoderConfig, bind_params, classify_head, conv_stack, encode, init_classifier, to_nchw
 from .metrics import auroc_multiclass_ovr
-from .optim import PesgState, ScheduleConfig, aucm_loss_graph, pesg_step, schedule_lr, sgd_step
+from .optim import aucm_loss_graph, aucm_slots, cosine_lr, pesg_step, sgd_step, step_lr
 
 log = logging.getLogger(__name__)
 
@@ -56,10 +56,10 @@ class FinetuneConfig:
             raise ValueError("epochs and episode counts must be positive")
         if self.batch_size < 2:
             raise ValueError("supervised batch size must be at least 2")
-        try:  # the step schedule both fine-tuning loops build
-            ScheduleConfig("step", self.lr, self.epochs, self.decay_epochs)
-        except ValueError as exc:
-            raise ValueError(f"decay_epochs: {exc}") from None
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay: must be nonnegative, got {self.weight_decay}")
+        if any(not 0 <= d < self.epochs for d in self.decay_epochs):
+            raise ValueError(f"decay_epochs: {self.decay_epochs} must lie inside [0, {self.epochs})")
 
 
 @dataclass
@@ -174,7 +174,6 @@ def meta_finetune(
 
     train_nchw = to_nchw(train.pixels, enc_cfg).astype(dtype)
     val_episodes = sample_episode_block(val, val_spec, config.val_episodes, rng.child(2_000_000))
-    sched = ScheduleConfig("step", config.lr, config.epochs, config.decay_epochs)
 
     g = Graph()
     episode_shape = (train_spec.n_way, train_spec.k_shot, train_spec.q_query)
@@ -185,7 +184,7 @@ def meta_finetune(
     best_epoch = -1
     history: list[float] = []
     for epoch in range(config.epochs):
-        lr = schedule_lr(sched, epoch)
+        lr = step_lr(config.lr, epoch, config.decay_epochs)
         epoch_rng = rng.child(1_000_000 + epoch)
         for e_idx in range(config.episodes_per_epoch):
             episode = sample_episode(train, train_spec, epoch_rng.child(e_idx))
@@ -251,9 +250,8 @@ def supervised_pretrain_ce(
     step_params = {k: v for k, v in params.items() if k.startswith("conv")}
     step_params.update(cls)
     all_nchw = to_nchw(split.pixels, enc_cfg).astype(dtype)
-    sched = ScheduleConfig("cosine", lr, epochs)
     for epoch in range(epochs):
-        cur_lr = schedule_lr(sched, epoch)
+        cur_lr = cosine_lr(lr, epoch, epochs)
         for _start, idx in minibatches(len(split), batch_size, rng.child(10_000 + epoch)):
             g = Graph()
             refs = bind_params(g, step_params)
@@ -265,39 +263,6 @@ def supervised_pretrain_ce(
             grads = backward(g, loss)
             sgd_step(step_params, grads, lr=cur_lr, weight_decay=weight_decay)
     return params
-
-
-def _aucm_stepper(step_params: dict[str, np.ndarray], n_columns: int) -> PesgState:
-    """Add zeroed (a, b, alpha) slots per score column to `step_params` and
-    return the PESG state that tells `pesg_step` how to update them."""
-    for k in range(n_columns):
-        for slot in ("a", "b", "alpha"):
-            step_params[f"aucm_{slot}{k}"] = np.zeros(1)
-    return PesgState(
-        center_names=tuple(f"aucm_{slot}{k}" for k in range(n_columns) for slot in ("a", "b")),
-        dual_names=tuple(f"aucm_alpha{k}" for k in range(n_columns)),
-    )
-
-
-def _aucm_columns_graph(g: Graph, z, labels: np.ndarray, refs: dict, p_hat, margin: float):
-    """Sum over columns k of z of the AUC-margin loss of column k against a
-    one-vs-rest split at label k, with positive rate p_hat[k]."""
-    n_columns = len(p_hat)
-    total = None
-    for k in range(n_columns):
-        col = (z * g.constant(np.eye(n_columns)[k])).sum(axis=1)
-        term = aucm_loss_graph(
-            g,
-            col,
-            (labels == k).astype(np.int64),
-            refs[f"aucm_a{k}"],
-            refs[f"aucm_b{k}"],
-            refs[f"aucm_alpha{k}"],
-            margin=margin,
-            p_hat=float(p_hat[k]),
-        )
-        total = term if total is None else total + term
-    return total
 
 
 def supervised_finetune(
@@ -312,9 +277,10 @@ def supervised_finetune(
 ) -> FinetuneResult:
     """Whole-split training with the one-vs-rest AUC-margin objective.
 
-    Each class gets its own (a, b, alpha) triple; positive rates are
-    estimated once from the training labels. Selection is by whole-split
-    validation AUROC per epoch. Returned params include the scoring head.
+    Class k's one-vs-rest split scores column k of the head, with its own
+    entries of the (a, b, alpha) slots; positive rates are estimated once
+    from the training labels. Selection is by whole-split validation AUROC
+    per epoch. Returned params include the scoring head.
     """
     params = {k: v.copy() for k, v in params.items()}
     labels = train.labels(label_space)
@@ -324,28 +290,31 @@ def supervised_finetune(
     params.update(init_classifier(enc_cfg, n_classes, rng.child(1), dtype=dtype))
 
     step_params = {k: v for k, v in params.items() if k.startswith(("conv", "cls"))}
-    state = _aucm_stepper(step_params, n_classes)
+    step_params.update(aucm_slots(n_classes))
 
     all_nchw = to_nchw(train.pixels, enc_cfg).astype(dtype)
-    sched = ScheduleConfig("step", config.lr, config.epochs, config.decay_epochs)
 
     best_params = {k: v.copy() for k, v in params.items()}
     best_score = -np.inf
     best_epoch = -1
     history: list[float] = []
     for epoch in range(config.epochs):
-        lr = schedule_lr(sched, epoch)
+        lr = step_lr(config.lr, epoch, config.decay_epochs)
         for _start, idx in minibatches(len(train), config.batch_size, rng.child(10_000 + epoch)):
             g = Graph()
             refs = bind_params(g, step_params)
             x = g.input("x", (idx.size,) + all_nchw.shape[1:])
             z = classify_head(g, conv_stack(g, x, refs, enc_cfg), refs)
-            total = _aucm_columns_graph(g, z, labels[idx], refs, p_hat, config.aucm_margin)
+            positive = labels[idx] == np.arange(n_classes)[:, None]
+            total = aucm_loss_graph(
+                g, z.swap_last2(), positive, refs["aucm_a"], refs["aucm_b"], refs["aucm_alpha"],
+                config.aucm_margin, p_hat,
+            )
             forward_eval(g, {"x": all_nchw[idx]})
             if not np.isfinite(float(total.value)):
                 raise FloatingPointError(f"non-finite supervised loss at epoch {epoch}")
             grads = backward(g, total)
-            pesg_step(step_params, grads, state, lr, config.weight_decay)
+            pesg_step(step_params, grads, lr, config.weight_decay)
         score = auroc_multiclass_ovr(classifier_scores(params, enc_cfg, val), val.labels(label_space))
         history.append(score)
         log.debug("supervised epoch %d: lr %.4g val auroc %.4f", epoch, lr, score)

@@ -51,7 +51,7 @@ from .core import Graph, SeededRng, Var, backward, forward_eval
 from .data import minibatches
 from .encoder import EncoderConfig, bind_params, conv_stack, project_head, to_nchw
 from .imageops import resize_bilinear, sample_bilinear, unit_grid  # noqa: F401 - perfbench traces resize_bilinear here
-from .optim import ScheduleConfig, lr_from_batch, schedule_lr, sgd_step
+from .optim import cosine_lr, sgd_step
 
 log = logging.getLogger(__name__)
 
@@ -82,8 +82,6 @@ class AugmentConfig:
 
 # images augment_views samples at once; bounds its float64 temporaries
 _AUGMENT_BLOCK = 32
-
-IDENTITY_AUGMENT = AugmentConfig(crop_scale=(1.0, 1.0), gain=(1.0, 1.0), bias=(0.0, 0.0), rotation=0.0, ramp=0.0)
 
 
 def augment_views(images: np.ndarray, config: AugmentConfig, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +156,7 @@ class IpIrmConfig:
     epochs_per_iter: int = 6
     batch_size: int = 32
     weight_decay: float = 1e-4
-    base_lr: float | None = 1e-3  # batch-size rule when None
+    base_lr: float = 1e-3  # start of the cosine schedule
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self) -> None:
@@ -185,8 +183,10 @@ class IpIrmConfig:
             raise ValueError(f"partition_lr must be positive, got {self.partition_lr}")
         if self.tolerance < 0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
-        if self.base_lr is not None and self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive when set, got {self.base_lr}")
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay: must be nonnegative, got {self.weight_decay}")
 
 
 def _contrastive_maps(za: Var, zb: Var, tau: float) -> tuple[Var, Var, Var]:
@@ -542,9 +542,7 @@ def pretrain(
 
     lambda1 = 0.0 if mode == "simclr" else config.lambda1
     n_outer = 0 if mode == "simclr" else config.outer_iterations
-    base_lr = config.base_lr if config.base_lr is not None else lr_from_batch(config.batch_size)
     total_epochs = (n_outer + 1) * config.epochs_per_iter
-    sched = ScheduleConfig(kind="cosine", base_lr=base_lr, total_epochs=total_epochs)
 
     params = {k: v.copy() for k, v in init.items()}
     partitions = [np.ones(n, dtype=bool)]
@@ -564,7 +562,7 @@ def pretrain(
         phase_obj = 0.0
         phase_steps = 0
         for _ in range(config.epochs_per_iter):
-            lr = schedule_lr(sched, epoch)
+            lr = cosine_lr(config.base_lr, epoch, total_epochs)
             rows = update_representation(
                 params, enc_cfg, partitions, batches(epoch), config, lr, lambda1, step_offset=step
             )

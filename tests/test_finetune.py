@@ -220,6 +220,29 @@ class TestSupervised:
         for k in r1.params:
             assert np.array_equal(r1.params[k], r2.params[k])
 
+    def test_step_graph_does_not_grow_with_the_class_count(self, monkeypatch):
+        """All one-vs-rest classes share one AUC-margin graph: a step's graph
+        has as many nodes at 8 classes as at 2."""
+        import metabdc.finetune as finetune_module
+
+        sizes = []
+        real_backward = finetune_module.backward
+
+        def spy(g, loss):
+            sizes.append(len(g.nodes))
+            return real_backward(g, loss)
+
+        monkeypatch.setattr(finetune_module, "backward", spy)
+        params = init_params(ENC, SeededRng(10))
+        per_k = {}
+        for k in (2, 8):
+            sizes.clear()
+            images = make_images(4, k, seed=30 + k)
+            config = tiny_tune(epochs=1, decay_epochs=(), batch_size=8)
+            supervised_finetune(params, ENC, images, images, "fine", k, config, SeededRng(31))
+            per_k[k] = set(sizes)
+        assert per_k[2] == per_k[8] and len(per_k[2]) == 1, per_k
+
     def test_finetune_rejects_absent_class(self):
         params = init_params(ENC, SeededRng(11))
         images = make_images(8, 2, seed=24)

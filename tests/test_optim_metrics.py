@@ -10,72 +10,31 @@ from hypothesis import strategies as st
 from metabdc.core import Graph, backward, forward_eval
 from metabdc.imageops import crop_with_padding, resize_bilinear
 from metabdc.metrics import aggregate_episode_metrics, auroc_binary, auroc_multiclass_ovr, ovr_pair_counts
-from metabdc.optim import (
-    PesgState,
-    ScheduleConfig,
-    aucm_loss_graph,
-    lr_from_batch,
-    pesg_step,
-    schedule_lr,
-    sgd_step,
-)
+from metabdc.optim import aucm_loss_graph, aucm_slots, cosine_lr, pesg_step, sgd_step, step_lr
 from oracles import aucm_oracle, resize_bilinear_oracle
 
 
 # ---------------------------------------------------------------------------
-# LR rule and schedules
-
-
-def test_lr_from_batch_values():
-    assert lr_from_batch(256) == pytest.approx(0.3)
-    assert lr_from_batch(128) == pytest.approx(0.15)
-    assert lr_from_batch(512) == pytest.approx(0.6)
-
-
-def test_lr_from_batch_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        lr_from_batch(0)
-    with pytest.raises(ValueError):
-        lr_from_batch(-4)
+# schedules
 
 
 def test_cosine_schedule_endpoints():
-    cfg = ScheduleConfig(kind="cosine", base_lr=0.4, total_epochs=10)
-    assert schedule_lr(cfg, 0) == pytest.approx(0.4)
-    assert schedule_lr(cfg, 5) == pytest.approx(0.2)
+    assert cosine_lr(0.4, 0, 10) == pytest.approx(0.4)
+    assert cosine_lr(0.4, 5, 10) == pytest.approx(0.2)
 
 
 def test_step_schedule_two_decades():
-    cfg = ScheduleConfig(kind="step", base_lr=1e-2, total_epochs=100, decay_epochs=(20, 50))
-    assert schedule_lr(cfg, 0) == pytest.approx(1e-2)
-    assert schedule_lr(cfg, 19) == pytest.approx(1e-2)
-    assert schedule_lr(cfg, 20) == pytest.approx(1e-3)
-    assert schedule_lr(cfg, 60) == pytest.approx(1e-4)
-
-
-def test_schedule_epoch_range_checked():
-    cfg = ScheduleConfig(kind="cosine", base_lr=0.1, total_epochs=5)
-    with pytest.raises(ValueError):
-        schedule_lr(cfg, -1)
-    with pytest.raises(ValueError):
-        schedule_lr(cfg, 5)
-
-
-def test_schedule_config_validation():
-    with pytest.raises(ValueError):
-        ScheduleConfig(kind="linear", base_lr=0.1, total_epochs=5)
-    with pytest.raises(ValueError):
-        ScheduleConfig(kind="cosine", base_lr=0.0, total_epochs=5)
-    with pytest.raises(ValueError):
-        ScheduleConfig(kind="step", base_lr=0.1, total_epochs=5, decay_epochs=(5,))
+    assert step_lr(1e-2, 0, (20, 50)) == pytest.approx(1e-2)
+    assert step_lr(1e-2, 19, (20, 50)) == pytest.approx(1e-2)
+    assert step_lr(1e-2, 20, (20, 50)) == pytest.approx(1e-3)
+    assert step_lr(1e-2, 60, (20, 50)) == pytest.approx(1e-4)
 
 
 def test_schedules_non_increasing():
-    for cfg in (
-        ScheduleConfig(kind="cosine", base_lr=0.3, total_epochs=40),
-        ScheduleConfig(kind="step", base_lr=0.3, total_epochs=40, decay_epochs=(10, 25)),
+    for lrs in (
+        [cosine_lr(0.3, e, 40) for e in range(40)],
+        [step_lr(0.3, e, (10, 25)) for e in range(40)],
     ):
-        lrs = [schedule_lr(cfg, e) for e in range(cfg.total_epochs)]
         assert all(b <= a + 1e-15 for a, b in zip(lrs, lrs[1:]))
 
 
@@ -90,21 +49,26 @@ def test_sgd_step_shape_mismatch():
 
 
 def graph_aucm(scores, labels, a=0.0, b=0.0, alpha=0.0, margin=1.0, p_hat=None):
-    """aucm_loss_graph on fixed values: (loss, grads over scores, a, b, alpha);
-    p_hat defaults to the batch's positive rate."""
+    """aucm_loss_graph on one row of fixed values: (loss, grads over scores,
+    a, b, alpha); p_hat defaults to the batch's positive rate."""
+    labels = np.asarray(labels)
     if p_hat is None:
         p_hat = float(np.mean(labels))
     g = Graph()
     point = {
-        "scores": np.array(scores, dtype=np.float64),
+        "scores": np.array(scores, dtype=np.float64).reshape(1, -1),
         "a": np.array([a]),
         "b": np.array([b]),
         "alpha": np.array([alpha]),
     }
     refs = {k: g.parameter(k, v) for k, v in point.items()}
-    loss = aucm_loss_graph(g, refs["scores"], labels, refs["a"], refs["b"], refs["alpha"], margin, p_hat)
+    loss = aucm_loss_graph(
+        g, refs["scores"], labels[None] == 1, refs["a"], refs["b"], refs["alpha"], margin, np.array([p_hat])
+    )
     forward_eval(g)
-    return float(loss.value), backward(g, loss)
+    grads = backward(g, loss)
+    grads["scores"] = grads["scores"][0]
+    return float(loss.value), grads
 
 
 def test_aucm_perfect_separation_zero_loss():
@@ -170,8 +134,10 @@ def test_aucm_empty_batch_rejected():
 
 
 def test_aucm_bad_labels_rejected():
-    with pytest.raises(ValueError):
-        graph_aucm(np.array([0.1, 0.2]), np.array([1, 2]))
+    g = Graph()
+    one = g.parameter("one", np.zeros(1))
+    with pytest.raises(ValueError, match="bool mask"):
+        aucm_loss_graph(g, g.constant(np.array([[0.1, 0.2]])), np.array([[1, 2]]), one, one, one, 1.0, np.array([0.5]))
 
 
 def test_aucm_graph_matches_analytic():
@@ -184,64 +150,82 @@ def test_aucm_graph_matches_analytic():
         assert loss == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_aucm_rows_sum_the_per_row_oracle(k):
+    """K rows in one graph give the sum of K one-row losses, a row with no
+    positives or no negatives included: it adds exact zeros for them."""
+    gen = np.random.default_rng(100 + k)
+    n = 9
+    positive = gen.random((k, n)) < 0.4
+    positive[:, :2] = [True, False]
+    if k > 1:
+        positive[0] = False
+        positive[1] = True
+    scores = gen.normal(size=(k, n))
+    a, b, alpha = gen.normal(size=k), gen.normal(size=k), np.abs(gen.normal(size=k))
+    p_hat = gen.uniform(0.1, 0.9, size=k)
+    g = Graph()
+    loss = aucm_loss_graph(
+        g, g.constant(scores), positive, g.constant(a), g.constant(b), g.constant(alpha), 1.5, p_hat
+    )
+    forward_eval(g)
+    want = sum(
+        aucm_oracle(scores[r], positive[r].astype(int), a[r], b[r], alpha[r], 1.5, p_hat[r]) for r in range(k)
+    )
+    assert float(loss.value) == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # PESG
-
-
-def _toy_state():
-    return PesgState(center_names=("a", "b"), dual_names=("alpha",))
 
 
 def test_pesg_zero_gradients_no_motion():
     params = {
         "w": np.array([0.5, -0.5]),
-        "a": np.array([0.3]),
-        "b": np.array([0.1]),
-        "alpha": np.array([0.2]),
+        "aucm_a": np.array([0.3]),
+        "aucm_b": np.array([0.1]),
+        "aucm_alpha": np.array([0.2]),
     }
     before = {k: v.copy() for k, v in params.items()}
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    pesg_step(params, grads, _toy_state(), lr=0.1, weight_decay=0.0)
+    pesg_step(params, grads, lr=0.1, weight_decay=0.0)
     for k in params:
         np.testing.assert_array_equal(params[k], before[k])
 
 
 def test_pesg_alpha_projection():
-    params = {"alpha": np.array([0.05])}
-    grads = {"alpha": np.array([-10.0])}  # ascent direction pushes negative
-    state = PesgState(center_names=(), dual_names=("alpha",))
-    pesg_step(params, grads, state, lr=0.1)
-    assert params["alpha"][0] == 0.0
+    params = {"aucm_alpha": np.array([0.05])}
+    grads = {"aucm_alpha": np.array([-10.0])}  # ascent direction pushes negative
+    pesg_step(params, grads, lr=0.1)
+    assert params["aucm_alpha"][0] == 0.0
 
 
 def test_pesg_non_finite_gradient_aborts():
     params = {"w": np.zeros(2)}
-    state = PesgState(center_names=(), dual_names=())
     with pytest.raises(FloatingPointError):
-        pesg_step(params, {"w": np.array([np.nan, 0.0])}, state, lr=0.1)
+        pesg_step(params, {"w": np.array([np.nan, 0.0])}, lr=0.1)
 
 
 def test_pesg_alpha_fixed_wd_zero_is_plain_gd():
     gen = np.random.default_rng(5)
     params = {
         "w": gen.normal(size=3),
-        "a": np.array([0.2]),
-        "b": np.array([-0.1]),
-        "alpha": np.array([0.4]),
+        "aucm_a": np.array([0.2]),
+        "aucm_b": np.array([-0.1]),
+        "aucm_alpha": np.array([0.4]),
     }
     mirror = {k: v.copy() for k, v in params.items()}
-    state = _toy_state()
     for _ in range(5):
         grads = {
             "w": gen.normal(size=3),
-            "a": gen.normal(size=1),
-            "b": gen.normal(size=1),
-            "alpha": np.zeros(1),
+            "aucm_a": gen.normal(size=1),
+            "aucm_b": gen.normal(size=1),
+            "aucm_alpha": np.zeros(1),
         }
-        pesg_step(params, grads, state, lr=0.07, weight_decay=0.0)
-        for k in ("w", "a", "b"):
+        pesg_step(params, grads, lr=0.07, weight_decay=0.0)
+        for k in ("w", "aucm_a", "aucm_b"):
             mirror[k] = mirror[k] - 0.07 * grads[k]
-    for k in ("w", "a", "b", "alpha"):
+    for k in params:
         np.testing.assert_allclose(params[k], mirror[k], atol=1e-15)
 
 
@@ -249,21 +233,17 @@ def test_pesg_separable_toy_reaches_auroc_one():
     gen = np.random.default_rng(17)
     x = np.concatenate([gen.normal(2.0, 0.3, size=20), gen.normal(-2.0, 0.3, size=20)])
     y = np.concatenate([np.ones(20, dtype=np.int64), np.zeros(20, dtype=np.int64)])
-    params = {
-        "w": np.array([0.0]),
-        "c": np.array([0.0]),
-        "a": np.array([0.0]),
-        "b": np.array([0.0]),
-        "alpha": np.array([0.0]),
-    }
-    state = _toy_state()
+    params = {"w": np.array([0.0]), "c": np.array([0.0]), **aucm_slots(1)}
     g = Graph()
     refs = {k: g.parameter(k, v) for k, v in params.items()}  # updated in place by pesg_step
-    scores = g.constant(x) * refs["w"] + refs["c"]
-    loss = aucm_loss_graph(g, scores, y, refs["a"], refs["b"], refs["alpha"], margin=1.0, p_hat=float(np.mean(y)))
+    scores = (g.constant(x) * refs["w"] + refs["c"]).reshape((1, len(x)))
+    loss = aucm_loss_graph(
+        g, scores, y[None] == 1, refs["aucm_a"], refs["aucm_b"], refs["aucm_alpha"], margin=1.0,
+        p_hat=np.array([np.mean(y)]),
+    )
     for _ in range(200):
         forward_eval(g)
-        pesg_step(params, backward(g, loss), state, lr=0.05)
+        pesg_step(params, backward(g, loss), lr=0.05)
     final = params["w"][0] * x + params["c"][0]
     assert auroc_binary(final, y) == 1.0
 

@@ -115,7 +115,7 @@ def all_non_default_cfg():
         ipirm=IpIrmConfig(
             lambda1=0.3, lambda2=0.4, tau=0.7, outer_iterations=2, partition_steps=20,
             partition_restarts=3, partition_lr=0.05, tolerance=1e-4, epochs_per_iter=2, batch_size=16,
-            weight_decay=5e-4, base_lr=None,
+            weight_decay=5e-4, base_lr=5e-3,
             augment=AugmentConfig(crop_scale=(0.5, 0.9), gain=(0.9, 1.1), bias=(-0.2, 0.2), rotation=0.5, ramp=1.0),
         ),
         proxy=ProxyConfig(epochs=3, batch_size=16, lr=0.05, weight_decay=1e-3),
@@ -128,7 +128,7 @@ def all_non_default_cfg():
         grid=(
             ("tune.lr", (0.01, 0.003)),
             ("tune.decay_epochs", ((1,), (2, 3))),
-            ("ipirm.base_lr", (None, 0.002)),
+            ("ipirm.base_lr", (0.004, 0.002)),
             ("proxy.epochs", (2,)),
         ),
     )
@@ -211,6 +211,15 @@ class TestConfigParsing:
             ({"other_data": {"py": 0.0}}, "other_data.py"),
             ({"fov_mm": 0}, "fov_mm"),
             ({"fov_mm": -100.0}, "fov_mm"),
+            ({"ipirm": {"base_lr": None}}, "ipirm.base_lr"),
+            ({"data": {"group_size": 0}}, "data.group_size"),
+            ({"data": {"group_size": -4}}, "data.group_size"),
+            ({"other_data": {"group_size": 0}}, "other_data.group_size"),
+            ({"encoder": {"proj_hidden": 0}}, "encoder.proj_hidden"),
+            ({"encoder": {"proj_dim": 0}}, "encoder.proj_dim"),
+            ({"tune": {"weight_decay": -1e-4}}, "tune.weight_decay"),
+            ({"ipirm": {"weight_decay": -1e-4}}, "ipirm.weight_decay"),
+            ({"proxy": {"weight_decay": -1e-4}}, "proxy.weight_decay"),
         ],
     )
     def test_mistyped_value_is_rejected_naming_its_path(self, raw, path):
@@ -232,10 +241,13 @@ class TestConfigParsing:
         ExperimentConfig(fov_mm=3.125)  # half a pixel rounds up to one
 
     def test_integers_fill_float_fields_and_null_fills_optional_ones(self):
-        cfg = config_from_dict({"tune": {"lr": 1}, "grid": {"ipirm.base_lr": [None, 2]}})
+        # no field is optional, so null fills none, in a grid axis either
+        cfg = config_from_dict({"tune": {"lr": 1}, "grid": {"ipirm.base_lr": [1, 2]}})
         assert type(cfg.tune.lr) is float
-        assert cfg.grid == (("ipirm.base_lr", (None, 2.0)),)
+        assert cfg.grid == (("ipirm.base_lr", (1.0, 2.0)),)
         assert type(cfg.grid[0][1][1]) is float
+        with pytest.raises(ValueError, match=re.escape("grid.ipirm.base_lr[0]: expected a finite number, got null")):
+            config_from_dict({"grid": {"ipirm.base_lr": [None, 2]}})
 
     def test_unknown_top_level_key(self):
         # fractions and out_size were fields once; val_fraction and encoder.size replace them
@@ -690,6 +702,14 @@ class TestCli:
         assert main(["report", "--config", path, "--out", str(tmp_path / "o")]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line == "error: fov_mm: 1.0 mm covers no pixel at data.px = 6.25 mm"
+
+    def test_zero_group_size_exits_2_at_load(self, tmp_path, capsys):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as f:
+            json.dump({"data": {"group_size": 0}}, f)
+        assert main(["pretrain", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: data.group_size: must be at least 1, got 0"
 
     def test_mistyped_config_exits_2_naming_the_field(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")

@@ -12,11 +12,9 @@ from metabdc.config import ExperimentConfig
 from metabdc.core import Graph, SeededRng, backward, forward_eval
 from metabdc.encoder import EncoderConfig, init_params
 from metabdc.experiment import prepare_splits
-from metabdc.optim import lr_from_batch
 from metabdc import ssl as ssl_module
 from metabdc.ssl import (
     AugmentConfig,
-    IDENTITY_AUGMENT,
     IpIrmConfig,
     _contrastive_maps,
     _embed_dataset,
@@ -44,6 +42,7 @@ from oracles import (
 )
 
 TINY = EncoderConfig(size=8, stages=((3, 3, 2), (4, 3, 2)), proj_hidden=5, proj_dim=4)
+IDENTITY_AUGMENT = AugmentConfig(crop_scale=(1.0, 1.0), gain=(1.0, 1.0), bias=(0.0, 0.0), rotation=0.0, ramp=0.0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -781,13 +780,12 @@ def test_pretrain_two_outer_iterations_grow_three_partitions():
     assert trace[-1].partition_count == 3
 
 
-def test_pretrain_lr_follows_batch_rule_and_schedule():
+def test_pretrain_lr_follows_base_lr_and_cosine_schedule():
     images = np.random.default_rng(107).normal(size=(12, 8, 8))
-    cfg = _small_cfg(epochs_per_iter=2, base_lr=None)
+    cfg = _small_cfg(epochs_per_iter=2, base_lr=0.007)
     _, _, trace = pretrain("simclr", images, cfg, TINY, SeededRng(109), init_params(TINY, SeededRng(109).child(0)))
-    base = lr_from_batch(6)
-    assert trace[0].lr == pytest.approx(base)
-    assert trace[2].lr == pytest.approx(base / 2)  # cosine at epoch 1 of 2
+    assert trace[0].lr == pytest.approx(0.007)
+    assert trace[2].lr == pytest.approx(0.007 / 2)  # cosine at epoch 1 of 2
 
 
 def test_pretrain_rejects_bad_inputs():
